@@ -71,8 +71,11 @@ class BBasis:
     def __str__(self):
         if self.kind == "i":
             return "i"
-        letter = "S" if self.kind == "s" else "D"
-        return letter if self.n == 1 else f"{letter}^{self.n}"
+        return _power("S" if self.kind == "s" else "D", self.n)
+
+
+def _power(letter, n):
+    return letter if n == 1 else f"{letter}^{n}"
 
 
 def _mono_mul(x: BBasis, y: BBasis, flavor: str):
@@ -93,64 +96,195 @@ def _mono_mul(x: BBasis, y: BBasis, flavor: str):
     return BBasis("d", n, x.vertex)
 
 
-@dataclass(frozen=True)
+# --- packed elements ------------------------------------------------------
+#
+# An element is stored per source vertex v as two ints: in s_v, bit 0 is
+# the idempotent e_v and bit n is S^n from v; in d_v, bit n (n >= 1) is
+# D^n from v.  The idempotent is kept only in s_v.  A product is then a
+# carry-less multiply per part: S^a S^b = S^(a+b) with an odd left
+# factor continuing from the other vertex, D^a D^b = D^(a+b), the
+# idempotent is the unit of both parts, and mixed S.D words vanish.  The
+# quotient keeps s_v mod S^3 and has d_v = 0.
+
+_VERTICES = (FILLED, HOLLOW)   # the order of the packed components
+_QUOTIENT_S = 0b111            # e, S and S^2: the S part of the quotient
+
+
+def _clmul(a, b):
+    """Carry-less product of two bit polynomials."""
+    r = 0
+    while a:
+        low = a & -a
+        r ^= b * low
+        a ^= low
+    return r
+
+
+def _s_mul(a, b_same, b_other):
+    """S part of a product: the terms of a of even exponent continue
+    from the same vertex, those of odd exponent from the other one."""
+    r = 0
+    while a:
+        low = a & -a
+        r ^= (b_same if low.bit_length() & 1 else b_other) * low
+        a ^= low
+    return r
+
+
+def _has_parity(x, parity):
+    """Whether x has a set bit whose index is congruent to parity mod 2."""
+    while x:
+        low = x & -x
+        if (low.bit_length() - 1) & 1 == parity:
+            return True
+        x ^= low
+    return False
+
+
+def _exponents(x):
+    """Indices of the set bits of x, ascending."""
+    out = []
+    while x:
+        low = x & -x
+        out.append(low.bit_length() - 1)
+        x ^= low
+    return out
+
+
 class BElem:
-    """An F2 linear combination of path monomials in one flavor."""
+    """An F2 linear combination of path monomials in one flavor.
 
-    terms: frozenset
-    flavor: str = FLAVOR_B
+    `packed` is (s_F, d_F, s_H, d_H), see the encoding above; elements
+    are immutable.  `BElem(terms, flavor)` builds one from an iterable
+    of BBasis monomials; `terms` gives them back.
+    """
 
-    def __post_init__(self):
-        if self.flavor == FLAVOR_BT:
-            for t in self.terms:
-                if t.kind == "d" or (t.kind == "s" and t.n >= 3):
-                    raise ValueError(f"monomial {t} is not in the quotient algebra")
+    __slots__ = ("packed", "flavor")
+
+    def __new__(cls, terms=(), flavor=FLAVOR_B):
+        parts = [0, 0, 0, 0]
+        for t in terms:
+            assert t.kind == "i" or t.n >= 1, t
+            parts[2 * _VERTICES.index(t.vertex) + (t.kind == "d")] ^= 1 << t.n
+        return _packed(tuple(parts), flavor)
+
+    @property
+    def terms(self):
+        return _terms_of(self.packed)
+
+    def __eq__(self, other):
+        try:
+            return self.packed == other.packed and self.flavor == other.flavor
+        except AttributeError:
+            return NotImplemented
+
+    def __hash__(self):
+        return hash(self.packed)
 
     def is_zero(self):
-        return not self.terms
+        return not any(self.packed)
 
     def __add__(self, other):
         assert self.flavor == other.flavor
-        return BElem(self.terms ^ other.terms, self.flavor)
+        a, b = self.packed, other.packed
+        return _packed((a[0] ^ b[0], a[1] ^ b[1], a[2] ^ b[2], a[3] ^ b[3]),
+                       self.flavor)
 
     def __mul__(self, other):
         assert self.flavor == other.flavor, "flavor mismatch in product"
-        acc = set()
-        for x in self.terms:
-            for y in other.terms:
-                m = _mono_mul(x, y, self.flavor)
-                if m is not None:
-                    acc ^= {m}
-        return BElem(frozenset(acc), self.flavor)
+        xsf, xdf, xsh, xdh = self.packed
+        ysf, ydf, ysh, ydh = other.packed
+        sf = _s_mul(xsf, ysf, ysh)
+        sh = _s_mul(xsh, ysh, ysf)
+        if self.flavor == FLAVOR_BT:
+            return _packed((sf & _QUOTIENT_S, 0, sh & _QUOTIENT_S, 0),
+                           FLAVOR_BT)
+        df = _clmul(xdf | (xsf & 1), ydf | (ysf & 1)) & ~1
+        dh = _clmul(xdh | (xsh & 1), ydh | (ysh & 1)) & ~1
+        return _packed((sf, df, sh, dh), FLAVOR_B)
 
     def has_idem(self):
-        return any(t.kind == "i" for t in self.terms)
+        return bool((self.packed[0] | self.packed[2]) & 1)
+
+    def is_idem(self):
+        """Whether the element is exactly one vertex's idempotent."""
+        return self.packed in ((1, 0, 0, 0), (0, 0, 1, 0))
+
+    def runs(self, src: Vertex, dst: Vertex):
+        """Whether every term is a path from src to dst."""
+        for v, s, d in _by_vertex(self.packed):
+            if v is not src:
+                if s or d:
+                    return False
+            elif src is dst:
+                if _has_parity(s, 1):
+                    return False   # odd S powers change vertex
+            elif d or _has_parity(s, 0):
+                return False       # only odd S powers change vertex
+        return True
 
     def max_weight(self):
-        return max((t.weight for t in self.terms), default=0)
+        return max((max(s.bit_length() - 1, 2 * (d.bit_length() - 1))
+                    for _, s, d in _by_vertex(self.packed) if s or d),
+                   default=0)
 
     def __str__(self):
-        if not self.terms:
-            return "0"
-        return "+".join(str(t) for t in sorted(self.terms))
+        # terms sort by (kind, exponent, vertex): D^n < i < S^n
+        sf, df, sh, dh = self.packed
+        toks = [_power("D", n) for n in _exponents(df | dh)
+                for d in (df, dh) if d >> n & 1]
+        toks += ["i" for s in (sf, sh) if s & 1]
+        toks += [_power("S", n) for n in _exponents((sf | sh) & ~1)
+                 for s in (sf, sh) if s >> n & 1]
+        return "+".join(toks) if toks else "0"
+
+    def __repr__(self):
+        return f"BElem({str(self)!r}, flavor={self.flavor!r})"
+
+
+def _by_vertex(packed):
+    """(vertex, s_v, d_v) for both source vertices."""
+    return zip(_VERTICES, packed[0::2], packed[1::2])
+
+
+def _terms_of(packed):
+    out = []
+    for v, s, d in _by_vertex(packed):
+        out += [BBasis("s", n, v) if n else BBasis("i", 0, v)
+                for n in _exponents(s)]
+        out += [BBasis("d", n, v) for n in _exponents(d)]
+    return frozenset(out)
+
+
+def _packed(packed, flavor):
+    """Every element, from terms or from arithmetic, is made here."""
+    if flavor == FLAVOR_BT and (packed[1] or packed[3] or
+                                (packed[0] | packed[2]) > _QUOTIENT_S):
+        bad = next(t for t in _terms_of(packed)
+                   if t.kind == "d" or (t.kind == "s" and t.n >= 3))
+        raise ValueError(f"monomial {bad} is not in the quotient algebra")
+    e = object.__new__(BElem)
+    e.packed = packed
+    e.flavor = flavor
+    return e
 
 
 def zero(flavor=FLAVOR_B):
-    return BElem(frozenset(), flavor)
+    return _packed((0, 0, 0, 0), flavor)
 
 
 def idem(v: Vertex, flavor=FLAVOR_B):
-    return BElem(frozenset([BBasis("i", 0, v)]), flavor)
+    return mono_elem(BBasis("i", 0, v), flavor)
 
 
 def spow(n: int, v: Vertex, flavor=FLAVOR_B):
     assert n >= 1
-    return BElem(frozenset([BBasis("s", n, v)]), flavor)
+    return mono_elem(BBasis("s", n, v), flavor)
 
 
 def dpow(n: int, v: Vertex):
     assert n >= 1
-    return BElem(frozenset([BBasis("d", n, v)]), FLAVOR_B)
+    return mono_elem(BBasis("d", n, v), FLAVOR_B)
 
 
 def h_elem(v: Vertex):
@@ -158,36 +292,21 @@ def h_elem(v: Vertex):
     return dpow(1, v) + spow(2, v)
 
 
-def _h_mono(t: BBasis):
-    if t.kind == "i":
-        return {BBasis("d", 1, t.vertex), BBasis("s", 2, t.vertex)}
-    if t.kind == "s":
-        return {BBasis("s", t.n + 2, t.vertex)}
-    return {BBasis("d", t.n + 1, t.vertex)}
-
-
 def h_mul(x: BElem) -> BElem:
-    """Multiply by the central element H (full algebra only)."""
+    """Multiply by the central element H (full algebra only): e goes to
+    D + S^2, S^n to S^(n+2) and D^n to D^(n+1)."""
     assert x.flavor == FLAVOR_B
-    acc = set()
-    for t in x.terms:
-        acc ^= _h_mono(t)
-    return BElem(frozenset(acc), FLAVOR_B)
+    sf, df, sh, dh = x.packed
+    return _packed((sf << 2, (df ^ (sf & 1)) << 1,
+                    sh << 2, (dh ^ (sh & 1)) << 1), FLAVOR_B)
 
 
 def q_map(x: BElem) -> BElem:
-    """The quotient homomorphism onto the H = 0 algebra."""
-    acc = set()
-    for t in x.terms:
-        if t.kind == "i":
-            acc ^= {t}
-        elif t.kind == "s":
-            if t.n <= 2:
-                acc ^= {t}
-        else:  # D^l maps to S^{2l}, zero unless l = 1
-            if t.n == 1:
-                acc ^= {BBasis("s", 2, t.vertex)}
-    return BElem(frozenset(acc), FLAVOR_BT)
+    """The quotient homomorphism onto the H = 0 algebra: S^n survives for
+    n <= 2, D maps to S^2 and higher D powers to zero."""
+    sf, df, sh, dh = x.packed
+    return _packed(((sf & _QUOTIENT_S) ^ ((df & 2) << 1), 0,
+                    (sh & _QUOTIENT_S) ^ ((dh & 2) << 1), 0), FLAVOR_BT)
 
 
 def basis_up_to_weight(w: int, flavor=FLAVOR_B):
@@ -205,7 +324,7 @@ def basis_up_to_weight(w: int, flavor=FLAVOR_B):
 
 
 def mono_elem(t: BBasis, flavor=FLAVOR_B):
-    return BElem(frozenset([t]), flavor)
+    return BElem((t,), flavor)
 
 
 # --- label serialization (tokens i, S^n, D^l, joined by '+') ------------

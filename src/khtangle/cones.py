@@ -34,9 +34,9 @@ class ConeMorphism:
 
     def __post_init__(self):
         for slot in SLOTS:
-            for t in getattr(self, slot).terms:
-                assert t.src == self.src and t.dst == self.dst, \
-                    f"{slot} monomial {t} does not run src -> dst"
+            label = getattr(self, slot)
+            assert label.runs(self.src, self.dst), \
+                f"{slot} label {label} does not run src -> dst"
 
     def is_zero(self):
         return all(getattr(self, s).is_zero() for s in SLOTS)

@@ -43,9 +43,8 @@ class TypeDStructure:
             return
         assert label.flavor == self.flavor
         gs, gd = self.gens[src], self.gens[dst]
-        for t in label.terms:
-            assert t.src == gs.idem and t.dst == gd.idem, \
-                f"label {t} does not run {gs.idem!r} -> {gd.idem!r}"
+        assert label.runs(gs.idem, gd.idem), \
+            f"label {label} does not run {gs.idem!r} -> {gd.idem!r}"
         assert gd.hdeg == gs.hdeg + 1, \
             f"arrow {src} -> {dst} does not raise hdeg by 1"
         cur = self.arrows.get((src, dst))
@@ -55,11 +54,19 @@ class TypeDStructure:
         else:
             self.arrows[(src, dst)] = new
 
-    def arrows_from(self, src):
-        return [(d, l) for (s, d), l in self.arrows.items() if s == src]
+    def outgoing(self):
+        """Index generator -> [(target, label)], in arrow order."""
+        out = {name: [] for name in self.gens}
+        for (s, d), label in self.arrows.items():
+            out[s].append((d, label))
+        return out
 
-    def arrows_to(self, dst):
-        return [(s, l) for (s, d), l in self.arrows.items() if d == dst]
+    def incoming(self):
+        """Index generator -> [(source, label)], in arrow order."""
+        inn = {name: [] for name in self.gens}
+        for (s, d), label in self.arrows.items():
+            inn[d].append((s, label))
+        return inn
 
     def copy(self):
         out = TypeDStructure(self.flavor)
@@ -96,13 +103,11 @@ class TypeDStructure:
 def check_d_squared(m: TypeDStructure):
     """Generator pairs (x, z) where the two-step path sum is non-zero."""
     bad = []
-    outgoing = {}
-    for (s, d), label in m.arrows.items():
-        outgoing.setdefault(s, []).append((d, label))
+    outgoing = m.outgoing()
     for x in m.gens:
         acc = {}
-        for y, a in outgoing.get(x, ()):
-            for z, b in outgoing.get(y, ()):
+        for y, a in outgoing[x]:
+            for z, b in outgoing[y]:
                 prod = a * b
                 if z in acc:
                     acc[z] = acc[z] + prod
@@ -149,10 +154,7 @@ def box_ad(m: TypeDStructure, bim) -> TypeDStructure:
                 out.add_gen(f"{g.name}*{b.name}", b.right_idem,
                             g.hdeg + b.hdeg)
 
-    outgoing = {}
-    for (s, d), label in m.arrows.items():
-        outgoing.setdefault(s, []).append((d, label))
-
+    outgoing = m.outgoing()
     max_j = max((len(a.inputs) for a in bim.actions), default=0)
     n_arrows = 0
     for g in m.gens.values():
@@ -161,7 +163,7 @@ def box_ad(m: TypeDStructure, bim) -> TypeDStructure:
         for j in range(1, max_j + 1):
             nxt = []
             for end, monos in paths[j - 1]:
-                for d, label in outgoing.get(end, ()):
+                for d, label in outgoing[end]:
                     for t in sorted(label.terms):
                         nxt.append((d, monos + (t,)))
             paths[j] = nxt
@@ -207,12 +209,11 @@ def reduce(m: TypeDStructure) -> TypeDStructure:
         return (len(in_adj[d]) - 1) * (len(out_adj[s]) - 1)
 
     def classify(s, d, label):
-        if label.has_idem():
-            if len(label.terms) == 1:
-                pure.add((s, d))
-                heapq.heappush(heap, (cost(s, d), s, d))
-            else:
-                mixed.add((s, d))
+        if label.is_idem():
+            pure.add((s, d))
+            heapq.heappush(heap, (cost(s, d), s, d))
+        elif label.has_idem():
+            mixed.add((s, d))
 
     def set_arrow(s, d, label):
         pure.discard((s, d))
@@ -283,12 +284,14 @@ def reduce(m: TypeDStructure) -> TypeDStructure:
 NOT_FOUND = "NOT_FOUND"
 
 
-def _signatures(m: TypeDStructure, shift, n: TypeDStructure, rounds=3):
+def _signatures(m: TypeDStructure, shift, n: TypeDStructure, adj,
+                rounds=3):
     """Joint iterated neighborhood signatures over both structures.
 
     Seeded from (idem, shifted hdeg) and refined by arrow labels and
     neighbor signatures; canonicalization is shared so signatures are
-    comparable between the two structures.
+    comparable between the two structures.  `adj` maps "m" and "n" to
+    the (outgoing, incoming) indexes of the two structures.
     """
     sig = {}
     for tag, st, sh in (("m", m, shift), ("n", n, 0)):
@@ -297,11 +300,10 @@ def _signatures(m: TypeDStructure, shift, n: TypeDStructure, rounds=3):
     for _ in range(rounds):
         nxt = {}
         for tag, st in (("m", m), ("n", n)):
+            out, inn = adj[tag]
             for name in st.gens:
-                outs = sorted((str(l), sig[tag, d])
-                              for d, l in st.arrows_from(name))
-                ins = sorted((str(l), sig[tag, s])
-                             for s, l in st.arrows_to(name))
+                outs = sorted((str(l), sig[tag, d]) for d, l in out[name])
+                ins = sorted((str(l), sig[tag, s]) for s, l in inn[name])
                 nxt[tag, name] = (sig[tag, name], tuple(outs), tuple(ins))
         canon = {v: i for i, v in enumerate(sorted(set(nxt.values())))}
         sig = {k: canon[v] for k, v in nxt.items()}
@@ -371,14 +373,15 @@ def _chain_iso_search(m, n, shift, tries=512, seed=7):
                 continue
             for t in _label_monomials(x.idem, y.idem, max_w, m.flavor):
                 unknowns.append((x.name, y.name, t))
+    m_in, n_out = m.incoming(), n.outgoing()
     rows = []
     for (x, y, a) in unknowns:
         vec = set()
         amono = algebra.mono_elem(a, m.flavor)
-        for z, label in n.arrows_from(y):
+        for z, label in n_out[y]:
             for t in (amono * label).terms:
                 vec ^= {(x, z, t)}
-        for x0, label in m.arrows_to(x):
+        for x0, label in m_in[x]:
             prod = label * amono
             for t in prod.terms:
                 vec ^= {(x0, y, t)}
@@ -429,7 +432,10 @@ def _chain_iso_search(m, n, shift, tries=512, seed=7):
 
 
 def _iso_search(m, n, shift):
-    sig_m, sig_n = _signatures(m, shift, n)
+    adj = {tag: (st.outgoing(), st.incoming())
+           for tag, st in (("m", m), ("n", n))}
+    (m_out, m_in), (n_out, n_in) = adj["m"], adj["n"]
+    sig_m, sig_n = _signatures(m, shift, n, adj)
     by_sig = {}
     for name, s in sig_n.items():
         by_sig.setdefault(s, []).append(name)
@@ -442,15 +448,15 @@ def _iso_search(m, n, shift):
     used = set()
 
     def consistent(a, b):
-        for d, l in m.arrows_from(a):
+        for d, l in m_out[a]:
             if d in assign and n.arrows.get((b, assign[d])) != l:
                 return False
-        for s, l in m.arrows_to(a):
+        for s, l in m_in[a]:
             if s in assign and n.arrows.get((assign[s], b)) != l:
                 return False
         # arrow counts must match exactly
-        return (len(m.arrows_from(a)) == len(n.arrows_from(b))
-                and len(m.arrows_to(a)) == len(n.arrows_to(b)))
+        return (len(m_out[a]) == len(n_out[b])
+                and len(m_in[a]) == len(n_in[b]))
 
     def backtrack(i):
         if i == len(names_m):
@@ -467,7 +473,11 @@ def _iso_search(m, n, shift):
             used.discard(b)
         return False
 
-    return dict(assign) if backtrack(0) else None
+    found = backtrack(0)
+    # backtrack refers to itself through its closure; unbinding it frees
+    # the indexes now instead of at the next cyclic collection
+    backtrack = None
+    return dict(assign) if found else None
 
 
 # --- serialization ------------------------------------------------------

@@ -333,7 +333,10 @@ def compute_dd1(word: TangleWord, star="nw", max_crossings=MAX_CROSSINGS):
 def compute_lt_image(word: TangleWord, star="nw",
                      max_crossings=MAX_CROSSINGS):
     """The quotient-then-two-layer image of the tangle invariant."""
-    m = tangle_complex(word, star, max_crossings)
+    return _two_layer_image(tangle_complex(word, star, max_crossings))
+
+
+def _two_layer_image(m):
     mq = m.map_labels(algebra.q_map, algebra.FLAVOR_BT)
     return dstruct.reduce(dstruct.box_ad(mq, bimod.bimodule_Y()))
 
@@ -344,9 +347,15 @@ MISMATCH = "MISMATCH"
 
 
 def compare(word: TangleWord, star="nw", max_crossings=MAX_CROSSINGS):
-    """Verdict on whether the two invariants agree for this tangle."""
-    lhs = dstruct.reduce(compute_dd1(word, star, max_crossings))
-    rhs = compute_lt_image(word, star, max_crossings)
+    """Verdict on whether the two invariants agree for this tangle.
+
+    Both invariants come from one reduced complex.  Its H-cone needs no
+    further reduction: no arrow of a reduced complex, and neither H,
+    has an idempotent summand.
+    """
+    m = tangle_complex(word, star, max_crossings)
+    lhs = dstruct.cone_h(m)
+    rhs = _two_layer_image(m)
     witness = dstruct.iso_check(lhs, rhs)
     if witness != dstruct.NOT_FOUND:
         return EQUIVALENT, witness

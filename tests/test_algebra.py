@@ -1,4 +1,5 @@
 import itertools
+import random
 
 import pytest
 
@@ -91,3 +92,85 @@ def test_flavor_guard():
         algebra.BElem(frozenset([BBasis("d", 1, FILLED)]), FLAVOR_BT)
     with pytest.raises(ValueError):
         algebra.BElem(frozenset([BBasis("s", 3, FILLED)]), FLAVOR_BT)
+
+
+# --- the packed encoding against the monomial rules ----------------------
+
+def termwise_mul(x, y):
+    """Reference product: the monomial rule summed over term pairs."""
+    acc = set()
+    for a in x.terms:
+        for b in y.terms:
+            m = algebra._mono_mul(a, b, x.flavor)
+            if m is not None:
+                acc ^= {m}
+    return algebra.BElem(acc, x.flavor)
+
+
+@pytest.mark.parametrize("flavor", [FLAVOR_B, FLAVOR_BT])
+def test_packed_product_matches_monomial_rule(flavor):
+    basis = basis_up_to_weight(10, flavor)
+    for a, b in itertools.product(basis, basis):
+        got = mono_elem(a, flavor) * mono_elem(b, flavor)
+        want = algebra._mono_mul(a, b, flavor)
+        assert got.terms == (frozenset() if want is None
+                             else frozenset([want])), (str(a), str(b))
+
+
+@pytest.mark.parametrize("flavor", [FLAVOR_B, FLAVOR_BT])
+def test_packed_product_of_mixed_vertex_sums(flavor):
+    rng = random.Random(3)
+    basis = basis_up_to_weight(8, flavor)
+    unit = idem(FILLED, flavor) + idem(HOLLOW, flavor)
+    assert unit.terms == {BBasis("i", 0, FILLED), BBasis("i", 0, HOLLOW)}
+    assert str(unit) == "i+i"
+    for _ in range(300):
+        x = algebra.BElem(rng.sample(basis, rng.randint(0, 5)), flavor)
+        y = algebra.BElem(rng.sample(basis, rng.randint(0, 5)), flavor)
+        assert x * y == termwise_mul(x, y)
+        assert unit * x == x == x * unit
+
+
+def test_h_mul_and_q_map_match_termwise_definitions():
+    def h_mono(t):
+        if t.kind == "i":
+            return {BBasis("d", 1, t.vertex), BBasis("s", 2, t.vertex)}
+        return {BBasis(t.kind, t.n + (2 if t.kind == "s" else 1), t.vertex)}
+
+    def q_mono(t):
+        if t.kind == "i" or (t.kind == "s" and t.n <= 2):
+            return {t}
+        if t.kind == "d" and t.n == 1:
+            return {BBasis("s", 2, t.vertex)}
+        return set()
+
+    basis = basis_up_to_weight(12)
+    for t in basis:
+        assert h_mul(mono_elem(t)).terms == h_mono(t)
+        assert q_map(mono_elem(t)) == algebra.BElem(q_mono(t), FLAVOR_BT)
+    x = algebra.BElem(basis[::3])  # a sum over both vertices
+    hx, qx = set(), set()
+    for t in x.terms:
+        hx ^= h_mono(t)
+        qx ^= q_mono(t)
+    assert h_mul(x).terms == hx
+    assert q_map(x) == algebra.BElem(qx, FLAVOR_BT)
+
+
+def test_str_orders_d_then_i_then_s():
+    assert str(h_elem(FILLED)) == "D+S^2"
+    assert str(algebra.parse_label("i+D", HOLLOW)) == "D+i"
+    assert str(algebra.parse_label("S^3+i+D^2+S+D", FILLED)) == \
+        "D+D^2+i+S+S^3"
+    assert str(algebra.zero()) == "0"
+    assert str(spow(1, FILLED) + spow(1, HOLLOW)) == "S+S"
+
+
+def test_flavor_guard_names_the_monomial():
+    with pytest.raises(ValueError, match="S\\^3"):
+        algebra.BElem([BBasis("s", 3, HOLLOW)], FLAVOR_BT)
+    with pytest.raises(ValueError, match="D"):
+        algebra.BElem([BBasis("i", 0, FILLED), BBasis("d", 2, HOLLOW)],
+                      FLAVOR_BT)
+    assert spow(2, FILLED, FLAVOR_BT) * spow(1, FILLED, FLAVOR_BT) == \
+        algebra.zero(FLAVOR_BT)

@@ -1,0 +1,58 @@
+"""Byte-identity gate for the tangle pipeline.
+
+`data/serialize_digests.json` holds sha256 digests, recorded before the
+algebra labels were packed into integers, of three outputs per word:
+the serialized reduced complex, the serialized two-layer image, and the
+`compare` verdict with its witness.  Any change to generator names,
+arrow labels, label order or witnesses shows up here.
+
+Regenerate (only when an output is meant to change) with
+`PYTHONPATH=src python3 tests/test_serialize_gate.py`.
+"""
+
+import hashlib
+import json
+import random
+from pathlib import Path
+
+import pytest
+
+from khtangle import dstruct, tangles
+
+FIXTURE = Path(__file__).parent / "data" / "serialize_digests.json"
+
+
+def gate_words():
+    rng = random.Random(0)
+    randoms = [str(tangles.random_word(rng, 8)) for _ in range(30)]
+    ladder = [" ".join(["x1"] * n) for n in (5, 6, 7)]
+    # dict.fromkeys drops repeats (random words include the empty word)
+    return list(dict.fromkeys(list(tangles.CORPUS) + ladder + randoms))
+
+
+def _sha(text):
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+def digests(text):
+    word = tangles.parse_tangle(text)
+    return {
+        "complex": _sha(dstruct.serialize(tangles.tangle_complex(word))),
+        "lt": _sha(dstruct.serialize(tangles.compute_lt_image(word))),
+        "compare": _sha(json.dumps(tangles.compare(word), sort_keys=True,
+                                   default=str)),
+    }
+
+
+def test_fixture_covers_the_gate_words():
+    assert list(json.loads(FIXTURE.read_text())) == gate_words()
+
+
+@pytest.mark.parametrize("text", gate_words())
+def test_outputs_are_byte_identical(text):
+    assert digests(text) == json.loads(FIXTURE.read_text())[text]
+
+
+if __name__ == "__main__":
+    FIXTURE.write_text(json.dumps({w: digests(w) for w in gate_words()},
+                                  indent=1) + "\n")

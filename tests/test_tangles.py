@@ -123,3 +123,23 @@ def test_random_word_generator_is_valid():
         word = tangles.random_word(rng, max_crossings=6)
         assert word.crossings <= 6
         assert tangles.parse_tangle(str(word)) == word
+
+
+def test_compare_deloops_once_and_keeps_the_d_squared_guard(monkeypatch):
+    delooped, checked = [], []
+    deloop, check = tangles.deloop_translate, dstruct.check_d_squared
+
+    def counting_deloop(cube):
+        delooped.append(deloop(cube))
+        return delooped[-1]
+
+    def recording_check(m):
+        checked.append(m)
+        return check(m)
+
+    monkeypatch.setattr(tangles, "deloop_translate", counting_deloop)
+    monkeypatch.setattr(dstruct, "check_d_squared", recording_check)
+    verdict, _ = tangles.compare(tangles.parse_tangle("x1 x1 x1"))
+    assert verdict == tangles.EQUIVALENT
+    assert len(delooped) == 1
+    assert any(m is delooped[0] for m in checked)
