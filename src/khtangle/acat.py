@@ -47,47 +47,6 @@ def composable(seq):
     return all(src(seq[i]) == dst(seq[i + 1]) for i in range(len(seq) - 1))
 
 
-_MU2_NONUNITAL = [
-    ("b0", "c0", "d0"), ("c0", "b0", "d0"),
-    ("p01", "q10", "d0"), ("q01", "p10", "d0"), ("p01", "p10", "c0"),
-    ("b1", "c1", "d1"), ("c1", "b1", "d1"),
-    ("p10", "q01", "d1"), ("q10", "p01", "d1"), ("p10", "p01", "c1"),
-    ("b0", "p01", "q01"), ("p01", "b1", "q01"),
-    ("p10", "b0", "q10"), ("b1", "p10", "q10"),
-]
-
-_MU3 = [
-    ("p01", "p10", "b0", "a0"), ("p10", "b0", "p01", "a1"),
-    ("q01", "p10", "b0", "b0"), ("p01", "q10", "b0", "b0"),
-    ("q10", "p01", "b1", "b1"), ("b1", "p10", "q01", "b1"),
-    ("c0", "b0", "c0", "c0"), ("c0", "q01", "p10", "c0"),
-    ("c0", "p01", "q10", "c0"),
-    ("c1", "b1", "c1", "c1"), ("c1", "q10", "p01", "c1"),
-    ("p10", "q01", "c1", "c1"),
-    ("d0", "c0", "b0", "d0"), ("b0", "c0", "d0", "d0"),
-    ("q01", "p10", "d0", "d0"), ("p01", "q10", "d0", "d0"),
-    ("b1", "c1", "d1", "d1"), ("d1", "c1", "b1", "d1"),
-    ("d1", "p10", "q01", "d1"), ("q10", "p01", "d1", "d1"),
-    ("p01", "q10", "q01", "q01"), ("q10", "p01", "q10", "q10"),
-    ("p10", "q01", "p10", "p10"), ("p10", "p01", "q10", "p10"),
-]
-
-
-def default_table_lines():
-    lines = []
-    seen = set()
-    for x in GENERATORS:
-        for pair in [(UNITS[dst(x)], x), (x, UNITS[src(x)])]:
-            if pair not in seen:
-                seen.add(pair)
-                lines.append(f"mu2 {pair[0]} {pair[1]} -> {x}")
-    for x, y, z in _MU2_NONUNITAL:
-        lines.append(f"mu2 {x} {y} -> {z}")
-    for x, y, z, w in _MU3:
-        lines.append(f"mu3 {x} {y} {z} -> {w}")
-    return lines
-
-
 @dataclass(frozen=True)
 class MuTables:
     """mu2/mu3 lookup tables; values are frozensets of generator names."""
@@ -96,11 +55,13 @@ class MuTables:
     mu3: dict = field(default_factory=dict)
 
     def mu(self, seq):
-        """Evaluate mu on a composable tuple; zero for other arities."""
-        table = {2: self.mu2, 3: self.mu3}.get(len(seq))
-        if table is None or not composable(seq):
-            return f2.ZERO
-        return table.get(tuple(seq), f2.ZERO)
+        """Evaluate mu on a tuple; zero for other arities and for tuples
+        that are not composable, which parse_tables never makes keys."""
+        if len(seq) == 2:
+            return self.mu2.get(tuple(seq), f2.ZERO)
+        if len(seq) == 3:
+            return self.mu3.get(tuple(seq), f2.ZERO)
+        return f2.ZERO
 
     def with_entry_removed(self, key):
         if key in self.mu2:
@@ -110,12 +71,6 @@ class MuTables:
         mu3 = dict(self.mu3)
         del mu3[key]
         return MuTables(self.mu2, mu3)
-
-    def with_entry(self, key, value):
-        assert len(key) in (2, 3)
-        if len(key) == 2:
-            return MuTables({**self.mu2, key: frozenset(value)}, self.mu3)
-        return MuTables(self.mu2, {**self.mu3, key: frozenset(value)})
 
 
 def parse_tables(lines) -> MuTables:
@@ -136,6 +91,14 @@ def parse_tables(lines) -> MuTables:
         for g in list(parts[1:]) + list(outs):
             if g not in _HOM:
                 raise ValueError(f"unknown generator {g!r} in {raw!r}")
+        seq = parts[1:]
+        if not composable(seq):
+            raise ValueError(f"inputs are not composable in {raw!r}")
+        # mu(x_n, ..., x_1) maps src(x_1) to dst(x_n)
+        hom = (src(seq[-1]), dst(seq[0]))
+        for g in outs:
+            if _HOM[g] != hom:
+                raise ValueError(f"output {g!r} is not in Hom{hom} in {raw!r}")
     return MuTables(mu2, mu3)
 
 

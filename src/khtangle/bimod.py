@@ -15,10 +15,10 @@ truncated verification that they are chain isomorphisms.
 
 from __future__ import annotations
 
+import functools
 import re
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 
-from . import algebra
 from .algebra import (BBasis, Vertex, FILLED, HOLLOW, FLAVOR_B, FLAVOR_BT,
                       _mono_mul)
 
@@ -46,20 +46,6 @@ class Pattern:
             return BBasis("i", 0, vertex)
         kind = "s" if self.letter == "S" else "d"
         return BBasis(kind, e, vertex)
-
-    def match(self, mono: BBasis):
-        """Parameter constraint matching a monomial: None (no match),
-        "any" (stride 0 hit), or the unique k value."""
-        if mono.kind == "i":
-            if self.letter == "i" or (self.stride == 0 and self.offset == 0):
-                return "any"
-            return None
-        if self.letter != {"s": "S", "d": "D"}[mono.kind]:
-            return None
-        if self.stride == 0:
-            return "any" if mono.n == self.offset else None
-        k, r = divmod(mono.n - self.offset, self.stride)
-        return k if r == 0 and k >= 0 else None
 
     def weight(self, k):
         e = self.exponent(k)
@@ -113,47 +99,6 @@ class Action:
     inputs: tuple       # tuple of Pattern, in path order (first applied first)
     output: Pattern
 
-    def shared_k(self, monos):
-        """Combine per-slot constraints; None if inconsistent."""
-        k = "any"
-        for pat, mono in zip(self.inputs, monos):
-            c = pat.match(mono)
-            if c is None:
-                return None
-            if c != "any":
-                if k != "any" and k != c:
-                    return None
-                k = c
-        return k
-
-    def instantiate_on(self, monos, gens):
-        """Output monomial for concrete input monomials, or None.
-
-        Checks the vertex path on the A-side and instantiates the
-        output on the D-side.
-        """
-        if len(monos) != len(self.inputs):
-            return None
-        sgen, dgen = gens[self.src], gens[self.dst]
-        v = sgen.left_idem
-        for mono in monos:
-            if mono.src != v:
-                return None
-            v = mono.dst
-        if v != dgen.left_idem:
-            return None
-        k = self.shared_k(monos)
-        if k is None:
-            return None
-        if k == "any":
-            if self.output.stride != 0:
-                return None  # unconstrained parameter with growing output
-            k = 0
-        out = self.output.instantiate(k, sgen.right_idem)
-        if out.dst != dgen.right_idem:
-            return None
-        return out
-
     def __str__(self):
         ins = ",".join(str(p) for p in self.inputs) or "-"
         return f"({ins} | {self.output})"
@@ -161,17 +106,43 @@ class Action:
 
 @dataclass(frozen=True)
 class ADBimodule:
+    """An AD bimodule; every family is checked to be well typed for
+    every parameter value, so its concrete actions need no checks."""
+
     name: str
     a_flavor: str
     d_flavor: str
     gens: dict            # name -> BimGen
     actions: tuple        # tuple of Action
+    # bound -> index of the concrete actions, see _action_index
+    _index: dict = field(default_factory=dict, init=False, repr=False,
+                         compare=False)
 
     def __post_init__(self):
+        # raised, not asserted, so that python -O still refuses an
+        # ill-typed bimodule read by deserialize_bimodule
         for a in self.actions:
             s, d = self.gens[a.src], self.gens[a.dst]
-            assert d.hdeg - s.hdeg == 1 - len(a.inputs), \
-                f"action {a.src}->{a.dst} breaks the degree rule"
+            where = f"action {a.src}->{a.dst} {a}"
+            _require(d.hdeg - s.hdeg == 1 - len(a.inputs),
+                     f"{where} breaks the degree rule")
+            _require(any(p.stride for p in a.inputs) or not a.output.stride,
+                     f"{where} has a growing output on fixed inputs")
+            # strides are at most 2, so k = 0 and 1 give every parity
+            for k in (0, 1):
+                v = s.left_idem
+                for p in a.inputs:
+                    v = p.instantiate(k, v).dst
+                _require(v == d.left_idem, f"{where} inputs do not run "
+                         f"{s.left_idem!r} -> {d.left_idem!r}")
+                _require(a.output.instantiate(k, s.right_idem).dst
+                         == d.right_idem, f"{where} output does not run "
+                         f"{s.right_idem!r} -> {d.right_idem!r}")
+
+
+def _require(ok, message):
+    if not ok:
+        raise AssertionError(message)
 
 
 def _mk_bim(name, a_flavor, d_flavor, gens, actions):
@@ -190,8 +161,13 @@ def _D(offset, stride=0):
 _IOTA = Pattern("i")
 
 
+@functools.cache
 def bimodule_Y() -> ADBimodule:
-    """Two layers joined by H: quotient-algebra inputs, full outputs."""
+    """Two layers joined by H: quotient-algebra inputs, full outputs.
+
+    One shared instance: every `compare` boxes with it, and its checks
+    and concrete-action index are then built once per process.
+    """
     gens = [BimGen("t", FILLED, FILLED, 0), BimGen("u", HOLLOW, HOLLOW, 0),
             BimGen("k", FILLED, FILLED, 1), BimGen("v", HOLLOW, HOLLOW, 1)]
     acts = []
@@ -236,23 +212,21 @@ def bimodule_I() -> ADBimodule:
 
 
 def identity_bimodule(flavor, structural=True) -> ADBimodule:
-    """Pass-through bimodule; structural uses one family per letter,
-    enumerated splits the connecting arrows by parity."""
+    """Pass-through bimodule: even S powers loop at a generator, odd ones
+    connect the two.  Structural uses one D family, enumerated splits
+    it by parity."""
     gens = [BimGen("e.f", FILLED, FILLED, 0), BimGen("e.h", HOLLOW, HOLLOW, 0)]
     acts = [Action(g.name, g.name, (_IOTA,), _IOTA) for g in gens]
-    pairs = [("e.f", "e.f"), ("e.h", "e.h"), ("e.f", "e.h"), ("e.h", "e.f")]
     if flavor == FLAVOR_B:
-        spats = [_S(1, 1)] if structural else [_S(1, 2), _S(2, 2)]
-        dpats = [_D(1, 1)]
+        loops = [_S(2, 2)] + ([_D(1, 1)] if structural
+                              else [_D(1, 2), _D(2, 2)])
+        connecting = _S(1, 2)
     else:
-        spats = [_S(1), _S(2)]
-        dpats = []
-    for a, b in pairs:
-        for p in spats:
+        loops, connecting = [_S(2)], _S(1)
+    for a, b in [("e.f", "e.f"), ("e.h", "e.h"), ("e.f", "e.h"),
+                 ("e.h", "e.f")]:
+        for p in loops if a == b else [connecting]:
             acts.append(Action(a, b, (p,), p))
-        if a == b:
-            for p in dpats:
-                acts.append(Action(a, a, (p,), p))
     return _mk_bim(f"id[{flavor}]", flavor, flavor, gens, acts)
 
 
@@ -339,7 +313,7 @@ def shipped_morphisms():
 
 # --- instantiation ------------------------------------------------------
 
-def _instantiate_component(comp: Action, gens, tgt_gens, bound):
+def _instantiate_component(comp: Action, gens, bound):
     """Concrete tuples (src, dst, input monomials, output monomial)."""
     sgen = gens[comp.src]
     out = []
@@ -364,22 +338,28 @@ def _instantiate_component(comp: Action, gens, tgt_gens, bound):
     return out
 
 
+def _instantiate_all(families, gens, bound):
+    """Concrete actions of the families, F2-reduced, in family order
+    (not set order, which varies between processes), so a box tensor
+    adds its arrows in the same order in every run."""
+    acc = {}
+    for fam in families:
+        for item in _instantiate_component(fam, gens, bound):
+            if item in acc:
+                del acc[item]
+            else:
+                acc[item] = None
+    return list(acc)
+
+
 def instantiate_actions(bim: ADBimodule, bound):
     """All concrete actions with total input weight <= bound, F2-reduced."""
-    acc = set()
-    for a in bim.actions:
-        for item in _instantiate_component(a, bim.gens, bim.gens, bound):
-            acc ^= {item}
-    return frozenset(acc)
+    return frozenset(_instantiate_all(bim.actions, bim.gens, bound))
 
 
 def instantiate_morphism(mor: ADMorphism, bound):
-    acc = set()
-    for c in mor.components:
-        for item in _instantiate_component(c, mor.source.gens,
-                                           mor.target.gens, bound):
-            acc ^= {item}
-    return frozenset(acc)
+    return frozenset(_instantiate_all(mor.components, mor.source.gens,
+                                      bound))
 
 
 def _mono_factorizations(mono: BBasis):
@@ -407,7 +387,6 @@ def diff_ad_morphism(mor: ADMorphism, bound):
     by the morphism, and the morphism with one input split into two
     non-idempotent factors (the A-side multiplication terms).
     """
-    flavor = mor.source.a_flavor
     h = instantiate_morphism(mor, bound)
     src_acts = instantiate_actions(mor.source, bound)
     tgt_acts = instantiate_actions(mor.target, bound)
@@ -462,47 +441,63 @@ def identity_components(bim: ADBimodule):
 
 # --- box tensor of bimodules --------------------------------------------
 
-def box_bimods(left: ADBimodule, right: ADBimodule, bound) -> frozenset:
-    """Concrete action set of the box tensor, truncated by input weight.
+def _action_index(bim: ADBimodule, bound):
+    """(source, input monomials) -> [(target, output)] over the concrete
+    actions of input weight <= bound, memoized on the bimodule."""
+    index = bim._index.get(bound)
+    if index is None:
+        index = {}
+        for s, d, ins, out in _instantiate_all(bim.actions, bim.gens, bound):
+            index.setdefault((s, ins), []).append((d, out))
+        bim._index[bound] = index
+    return index
 
-    A right action with r input slots fires on every path of r left
-    actions whose outputs fill the slots in order; right actions with
-    no inputs fire alone on every compatible left generator.
+
+def box_matches(left_idems, left_out, right: ADBimodule, bound):
+    """The box-tensor matcher behind box_bimods and dstruct.box_ad.
+
+    `left_idems` maps each left generator to its D-side idempotent and
+    `left_out` maps it to its concrete outgoing actions (target, inputs,
+    output); a type D structure's arrow monomials enter as actions with
+    no inputs.  A concrete right action with r inputs, r = 0 included,
+    fires on every path of r left actions whose outputs equal its
+    inputs in order.  Right actions are instantiated up to input weight
+    `bound`.  Yields one (source, target, inputs, output) per firing,
+    generator names joined by "*"; equal firings cancel over F2.
     """
-    assert left.d_flavor == right.a_flavor
-    left_inst = instantiate_actions(left, bound)
-    by_src = {}
-    for item in left_inst:
-        by_src.setdefault(item[0], []).append(item)
-    acc = set()
-    for (rs, rd, rin, rout) in instantiate_actions(right, bound):
-        rgen = right.gens[rs]
-        # sequences of left actions matching rin along a generator path
-        def extend(i, lsrc, lcur, inputs):
-            if i == len(rin):
-                yield (lsrc, lcur, inputs)
-                return
-            starts = ([lcur] if lcur else list(left.gens))
-            for start in starts:
-                for (as_, ad, ain, aout) in by_src.get(start, ()):
-                    if aout != rin[i]:
-                        continue
-                    src0 = lsrc if lsrc else as_
-                    yield from extend(i + 1, src0, ad, inputs + ain)
-        if not rin:
-            for lg in left.gens.values():
-                if lg.right_idem == rgen.left_idem:
-                    acc.symmetric_difference_update(
-                        {(f"{lg.name}*{rs}", f"{lg.name}*{rd}", (), rout)})
+    index = _action_index(right, bound)
+    depth = max((len(a.inputs) for a in right.actions), default=0)
+    by_idem = {}
+    for g in right.gens.values():
+        by_idem.setdefault(g.left_idem, []).append(g.name)
+    for x, idem in left_idems.items():
+        starts = by_idem.get(idem)
+        if not starts:
             continue
-        for (lsrc, ldst, inputs) in extend(0, None, None, ()):
-            lg, lg2 = left.gens[lsrc], left.gens[ldst]
-            if lg.right_idem != rgen.left_idem:
-                continue
-            if sum(m.weight for m in inputs) > bound:
-                continue
-            acc.symmetric_difference_update(
-                {(f"{lsrc}*{rs}", f"{ldst}*{rd}", inputs, rout)})
+        # left paths from x: (end, concatenated inputs, outputs)
+        paths = frontier = [(x, (), ())]
+        for _ in range(depth):
+            frontier = [(d, ins + ains, outs + (out,))
+                        for end, ins, outs in frontier
+                        for d, ains, out in left_out[end]]
+            paths = paths + frontier
+        for end, ins, outs in paths:
+            for b in starts:
+                for bd, rout in index.get((b, outs), ()):
+                    yield f"{x}*{b}", f"{end}*{bd}", ins, rout
+
+
+def box_bimods(left: ADBimodule, right: ADBimodule, bound) -> frozenset:
+    """Concrete action set of the box tensor, truncated by input weight."""
+    assert left.d_flavor == right.a_flavor
+    left_out = {name: [] for name in left.gens}
+    for s, d, ins, out in _instantiate_all(left.actions, left.gens, bound):
+        left_out[s].append((d, ins, out))
+    left_idems = {g.name: g.right_idem for g in left.gens.values()}
+    acc = set()
+    for item in box_matches(left_idems, left_out, right, bound):
+        if sum(m.weight for m in item[2]) <= bound:
+            acc ^= {item}
     return frozenset(acc)
 
 

@@ -22,6 +22,9 @@ EXIT_USAGE = 64
 
 BOUND_ENV = "KHTANGLE_BOUND"
 
+_VERDICT_EXIT = {tangles.EQUIVALENT: EXIT_PASS, tangles.MISMATCH: EXIT_FAIL,
+                 tangles.INDETERMINATE: EXIT_INDET}
+
 
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
@@ -74,7 +77,11 @@ def build_parser():
     cmp_ = leaf(sub, "compare")
     _tangle_args(cmp_)
 
-    leaf(sub, "corpus")
+    corpus = leaf(sub, "corpus")
+    corpus.add_argument("words", nargs="*", metavar="WORD",
+                        default=list(tangles.CORPUS),
+                        help="tangle words to compare (default: the "
+                             "built-in corpus)")
     return p
 
 
@@ -117,10 +124,21 @@ def _report(args, config, verdict, violations, extra=None, payload=None,
 
 def main(argv=None):
     args = build_parser().parse_args(argv)
-    t0 = time.time()
+    try:
+        return _run(args, time.time())
+    except tangles.TangleError as e:
+        # a bad word or a refused cube size is a usage error, not a verdict
+        sys.stderr.write(f"error: {e}\n")
+        return EXIT_USAGE
 
+
+def _run(args, t0):
     if args.command == "verify" and args.check == "algebra-a":
-        tables = acat.load_tables(args.table)
+        try:
+            tables = acat.load_tables(args.table)
+        except (ValueError, OSError) as e:
+            sys.stderr.write(f"error: {e}\n")
+            return EXIT_USAGE
         bad = acat.verify_ainfty(tables, args.max_len)
         bad += acat.verify_subalgebra(tables)
         verdict = "PASS" if not bad else "FAIL"
@@ -136,7 +154,8 @@ def main(argv=None):
         bad, checked = functor.verify_functor(max_len=args.max_len)
         verdict = "PASS" if not bad else "FAIL"
         _report(args, {"max_len": args.max_len}, verdict,
-                [_functor_violation(seq) for seq in bad],
+                [f"{' '.join(seq)}: defect {sorted(map(str, defect))}"
+                 for seq, defect in bad],
                 extra={"sequences": checked}, t0=t0)
         return EXIT_PASS if not bad else EXIT_FAIL
 
@@ -162,14 +181,10 @@ def main(argv=None):
         return EXIT_PASS if rep["pass"] else EXIT_FAIL
 
     if args.command == "compute":
-        word = _parse_word_or_exit(args)
+        word = tangles.parse_tangle(args.tangle)
         fn = (tangles.compute_dd1 if args.what == "dd1"
               else tangles.compute_lt_image)
-        try:
-            m = fn(word, args.star, args.max_crossings)
-        except tangles.TangleError as e:
-            sys.stderr.write(f"error: {e}\n")
-            return EXIT_USAGE
+        m = fn(word, args.star, args.max_crossings)
         text = dstruct.serialize(m)
         if args.json:
             print(json.dumps({"tangle": str(word), "what": args.what,
@@ -179,54 +194,27 @@ def main(argv=None):
         return EXIT_PASS
 
     if args.command == "compare":
-        word = _parse_word_or_exit(args)
-        try:
-            verdict, info = tangles.compare(word, args.star,
-                                            args.max_crossings)
-        except tangles.TangleError as e:
-            sys.stderr.write(f"error: {e}\n")
-            return EXIT_USAGE
+        verdict, info = tangles.compare(tangles.parse_tangle(args.tangle),
+                                        args.star, args.max_crossings)
         _report(args, {"tangle": args.tangle, "star": args.star}, verdict,
                 [], extra={"witness" if verdict == tangles.EQUIVALENT
                            else "diagnostic": info}, t0=t0)
-        return {tangles.EQUIVALENT: EXIT_PASS,
-                tangles.MISMATCH: EXIT_FAIL,
-                tangles.INDETERMINATE: EXIT_INDET}[verdict]
+        return _VERDICT_EXIT[verdict]
 
     if args.command == "corpus":
-        verdicts = {}
-        worst = EXIT_PASS
-        for w in tangles.CORPUS:
-            verdict, _ = tangles.compare(tangles.parse_tangle(w))
-            verdicts[w or "(empty)"] = verdict
-            code = {tangles.EQUIVALENT: EXIT_PASS,
-                    tangles.MISMATCH: EXIT_FAIL,
-                    tangles.INDETERMINATE: EXIT_INDET}[verdict]
-            worst = max(worst, code)
+        words = [(w, tangles.parse_tangle(w)) for w in args.words]
+        verdicts = {w or "(empty)": tangles.compare(word)[0]
+                    for w, word in words}
+        worst = max(map(_VERDICT_EXIT.get, verdicts.values()),
+                    default=EXIT_PASS)
         overall = ("EQUIVALENT" if worst == EXIT_PASS else
                    "MISMATCH" if worst == EXIT_FAIL else "INDETERMINATE")
-        _report(args, {"entries": len(tangles.CORPUS)}, overall,
+        _report(args, {"entries": len(words)}, overall,
                 [w for w, v in verdicts.items() if v != tangles.EQUIVALENT],
                 extra={"verdicts": verdicts}, t0=t0)
         return worst
 
     return EXIT_USAGE
-
-
-def _parse_word_or_exit(args):
-    try:
-        return tangles.parse_tangle(args.tangle)
-    except tangles.TangleError as e:
-        sys.stderr.write(f"error: {e}\n")
-        sys.exit(EXIT_USAGE)
-
-
-def _functor_violation(seq):
-    from . import functor as _f
-    tables = _f.default_tables()
-    mu = acat.load_tables()
-    defect = _f._checker(tables, mu)(seq)
-    return f"{' '.join(seq)}: defect {sorted(map(str, defect))}"
 
 
 if __name__ == "__main__":

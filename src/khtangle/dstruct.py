@@ -13,10 +13,9 @@ serialization.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
 
-from . import algebra, f2
+from . import algebra, bimod, f2
 from .algebra import BElem, Vertex, FLAVOR_B, FLAVOR_BT
 
 
@@ -67,12 +66,6 @@ class TypeDStructure:
         for (s, d), label in self.arrows.items():
             inn[d].append((s, label))
         return inn
-
-    def copy(self):
-        out = TypeDStructure(self.flavor)
-        out.gens = dict(self.gens)
-        out.arrows = dict(self.arrows)
-        return out
 
     def gen_counts(self):
         """Generator count per (idempotent, hdeg)."""
@@ -141,10 +134,10 @@ def box_ad(m: TypeDStructure, bim) -> TypeDStructure:
     """Box tensor of a type D structure with an AD bimodule.
 
     Generators are pairs (m-generator, bimodule generator) with matching
-    idempotents.  A bimodule action with j inputs fires on every arrow
-    path of length j whose label monomials match the action's input
-    patterns (with a shared parameter value); j = 0 actions fire on
-    every generator alone.
+    idempotents.  The arrow monomials of m enter `bimod.box_matches` as
+    left actions without inputs, so a concrete action of the bimodule
+    with j inputs fires on every arrow path of length j whose monomials
+    are its inputs, exactly as in `bimod.box_bimods`.
     """
     assert m.flavor == bim.a_flavor
     out = TypeDStructure(bim.d_flavor)
@@ -154,33 +147,21 @@ def box_ad(m: TypeDStructure, bim) -> TypeDStructure:
                 out.add_gen(f"{g.name}*{b.name}", b.right_idem,
                             g.hdeg + b.hdeg)
 
-    outgoing = m.outgoing()
-    max_j = max((len(a.inputs) for a in bim.actions), default=0)
+    left_out = {name: [(d, (), t) for d, label in arrows
+                       for t in sorted(label.terms)]
+                for name, arrows in m.outgoing().items()}
+    # no path of j monomials weighs more than j times the heaviest one
+    depth = max((len(a.inputs) for a in bim.actions), default=0)
+    bound = depth * max((l.max_weight() for l in m.arrows.values()),
+                        default=0)
+    left_idems = {g.name: g.idem for g in m.gens.values()}
     n_arrows = 0
-    for g in m.gens.values():
-        # monomial paths from g: list of (endpoint, tuple of monomials)
-        paths = {0: [(g.name, ())]}
-        for j in range(1, max_j + 1):
-            nxt = []
-            for end, monos in paths[j - 1]:
-                for d, label in outgoing[end]:
-                    for t in sorted(label.terms):
-                        nxt.append((d, monos + (t,)))
-            paths[j] = nxt
-        for act in bim.actions:
-            b = bim.gens[act.src]
-            if b.left_idem != g.idem:
-                continue
-            bdst = bim.gens[act.dst]
-            for end, monos in paths[len(act.inputs)]:
-                outm = act.instantiate_on(monos, bim.gens)
-                if outm is None:
-                    continue
-                out.add_arrow(f"{g.name}*{b.name}", f"{end}*{bdst.name}",
-                              algebra.mono_elem(outm, bim.d_flavor))
-                n_arrows += 1
-                if n_arrows > MAX_BOX_ARROWS:
-                    raise RuntimeError("box tensor diverged: arrow cap hit")
+    for src, dst, _, outm in bimod.box_matches(left_idems, left_out, bim,
+                                                bound):
+        out.add_arrow(src, dst, algebra.mono_elem(outm, bim.d_flavor))
+        n_arrows += 1
+        if n_arrows > MAX_BOX_ARROWS:
+            raise RuntimeError("box tensor diverged: arrow cap hit")
     return out
 
 

@@ -11,20 +11,9 @@ from __future__ import annotations
 ZERO = frozenset()
 
 
-def vec(keys=()):
-    return frozenset(keys)
-
-
 def add(x, y):
     """Sum over F2 = symmetric difference of term sets."""
     return x ^ y
-
-
-def add_all(vectors):
-    acc = frozenset()
-    for v in vectors:
-        acc = acc ^ v
-    return acc
 
 
 def _reduce_row(row, pivots):
@@ -99,8 +88,3 @@ def nullspace(rows):
         else:
             basis.append(combo)
     return basis
-
-
-def kernel_dim(rows, ncols):
-    """dim ker of the matrix whose rows are given, acting on F2^ncols."""
-    return ncols - rank(rows)

@@ -127,7 +127,11 @@ def _checker(tables, mu_tables):
 
 def verify_functor(tables=None, max_len=6, mu_tables=None,
                    stop_at_first=False):
-    """Violating sequences of the functor relations, lengths 1..max_len."""
+    """Violations of the functor relations, lengths 1..max_len.
+
+    Returns ([(sequence, defect)], sequences checked); a defect is the
+    non-zero relation value as an f2 vector of cone basis keys.
+    """
     tables = tables or default_tables()
     mu_tables = mu_tables or acat.load_tables()
     defect = _checker(tables, mu_tables)
@@ -136,8 +140,9 @@ def verify_functor(tables=None, max_len=6, mu_tables=None,
     for n in range(1, max_len + 1):
         for seq in composable_sequences(n):
             checked += 1
-            if defect(seq):
-                violations.append(seq)
+            value = defect(seq)
+            if value:
+                violations.append((seq, value))
                 if stop_at_first:
                     return violations, checked
     return violations, checked

@@ -1,3 +1,4 @@
+import importlib.resources
 import itertools
 
 import pytest
@@ -71,11 +72,17 @@ def test_mu3_mutations_detected(tables):
         assert acat.verify_ainfty(tables.with_entry_removed(key), 5), key
 
 
+def packaged_table_text():
+    return importlib.resources.files("khtangle.data").joinpath(
+        "mu_tables.txt").read_text()
+
+
 def test_table_roundtrip(tables, tmp_path):
     path = tmp_path / "tables.txt"
-    path.write_text("\n".join(acat.default_table_lines()) + "\n")
+    path.write_text(packaged_table_text())
     again = acat.load_tables(path)
     assert again == tables
+    assert len(tables.mu2) == 36 and len(tables.mu3) == 24
 
 
 def test_parse_rejects_unknown_generators():
@@ -83,6 +90,17 @@ def test_parse_rejects_unknown_generators():
         acat.parse_tables(["mu2 a0 zz -> a0"])
     with pytest.raises(ValueError):
         acat.parse_tables(["mu9 a0 a0 -> a0"])
+
+
+def test_parse_rejects_ill_typed_entries():
+    with pytest.raises(ValueError, match="not composable"):
+        acat.parse_tables(["mu2 p01 p01 -> a0"])
+    with pytest.raises(ValueError, match="not composable"):
+        acat.parse_tables(["mu3 a0 a1 a1 -> a0"])
+    with pytest.raises(ValueError, match="is not in Hom"):
+        acat.parse_tables(["mu2 a0 b0 -> p01"])
+    with pytest.raises(ValueError, match="is not in Hom"):
+        acat.parse_tables(["mu3 p01 p10 b0 -> a0 c1"])
 
 
 def test_dictionary_to_subalgebra(tables):

@@ -21,13 +21,7 @@ def test_pattern_parse_rejects_garbage():
 
 def test_pattern_match_and_instantiate():
     p = parse_pattern("S^{2k+1}")
-    assert p.match(BBasis("s", 5, FILLED)) == 2
-    assert p.match(BBasis("s", 4, FILLED)) is None
-    assert p.match(BBasis("d", 1, FILLED)) is None
     assert p.instantiate(2, FILLED) == BBasis("s", 5, FILLED)
-    d = parse_pattern("D^{k+1}")
-    assert d.match(BBasis("d", 1, FILLED)) == 0
-    assert parse_pattern("S^2").match(BBasis("s", 2, HOLLOW)) == "any"
 
 
 def test_shipped_bimodule_shapes():
@@ -49,6 +43,25 @@ def test_degree_rule_enforced():
     with pytest.raises(AssertionError):
         bimod._mk_bim("bad", FLAVOR_B, FLAVOR_B, gens,
                       [Action("a", "b", (), Pattern("D", 1))])
+
+
+def test_ill_typed_actions_rejected():
+    text = bimod.serialize_bimodule(bimod.bimodule_Y())
+    # S leaves the filled vertex, so it cannot run from t back to t
+    with pytest.raises(AssertionError, match="inputs do not run"):
+        bimod.deserialize_bimodule(text + "act t t (S | S)\n")
+    # S^2 returns to the filled vertex, S does not
+    with pytest.raises(AssertionError, match="output does not run"):
+        bimod.deserialize_bimodule(text + "act t t (S^2 | S)\n")
+    # the parameter is free, so the output would grow without limit
+    with pytest.raises(AssertionError, match="growing output"):
+        bimod.deserialize_bimodule(text + "act t t (S^2 | D^{k+1})\n")
+    # S^{k+1} is well typed between t and t only for odd k
+    gens = [bimod.BimGen("a", FILLED, FILLED, 0)]
+    with pytest.raises(AssertionError, match="inputs do not run"):
+        bimod._mk_bim("bad", FLAVOR_B, FLAVOR_B, gens,
+                      [Action("a", "a", (Pattern("S", 1, 1),),
+                              Pattern("S", 1, 1))])
 
 
 def test_structural_and_enumerated_identities_agree():

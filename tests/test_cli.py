@@ -1,3 +1,4 @@
+import importlib.resources
 import json
 
 from khtangle import cli, dstruct
@@ -32,15 +33,48 @@ def test_json_after_subcommand(capsys):
     assert json.loads(out)["verdict"] == "PASS"
 
 
+def packaged_table_lines():
+    return importlib.resources.files("khtangle.data").joinpath(
+        "mu_tables.txt").read_text().splitlines()
+
+
 def test_verify_algebra_a_bad_table_fails(capsys, tmp_path):
-    from khtangle import acat
-    lines = [l for l in acat.default_table_lines()
+    lines = [l for l in packaged_table_lines()
              if not l.startswith("mu2 p01 p10 ")]
     path = tmp_path / "broken.txt"
     path.write_text("\n".join(lines) + "\n")
     code, out, _ = run(capsys, "verify", "algebra-a", "--table", str(path))
     assert code == cli.EXIT_FAIL
     assert "FAIL" in out and "violation" in out
+
+
+def test_verify_algebra_a_missing_table_is_usage_error(capsys, tmp_path):
+    path = tmp_path / "absent.txt"
+    code, out, err = run(capsys, "verify", "algebra-a", "--table", str(path))
+    assert code == cli.EXIT_USAGE
+    assert err.startswith("error: ") and "absent.txt" in err
+    assert out == ""
+
+
+def test_verify_algebra_a_malformed_table_is_usage_error(capsys, tmp_path):
+    path = tmp_path / "malformed.txt"
+    path.write_text("\n".join(packaged_table_lines() + ["mu2 a0 zz -> a0"]))
+    code, out, err = run(capsys, "verify", "algebra-a", "--table", str(path))
+    assert code == cli.EXIT_USAGE
+    assert err == "error: unknown generator 'zz' in 'mu2 a0 zz -> a0'\n"
+    assert out == ""
+
+
+def test_verify_functor_reports_defects(capsys, monkeypatch):
+    from khtangle import functor
+    monkeypatch.setattr(functor, "F2_TABLE", {
+        k: v for k, v in functor.F2_TABLE.items() if k != ("p01", "p10")})
+    code, out, _ = run(capsys, "verify", "functor", "--max-len", "2")
+    assert code == cli.EXIT_FAIL
+    assert "   violation: p01 p10: defect [\"('bb', BBasis(kind='d', n=1, " \
+        "vertex=FILLED))\", \"('bb', BBasis(kind='s', n=2, vertex=FILLED))\", " \
+        "\"('tt', BBasis(kind='d', n=1, vertex=FILLED))\", " \
+        "\"('tt', BBasis(kind='s', n=2, vertex=FILLED))\"]\n" in out
 
 
 def test_verify_bimodules(capsys):
@@ -109,6 +143,20 @@ def test_max_crossings_guard(capsys):
                        "--max-crossings", "2")
     assert code == cli.EXIT_USAGE
     assert "exceeds the guard" in err
+
+
+def test_corpus_runs_given_words(capsys):
+    code, out, _ = run(capsys, "--json", "corpus", "x1 x1", "")
+    assert code == cli.EXIT_PASS
+    rep = json.loads(out)
+    assert rep["config"] == {"entries": 2}
+    assert rep["verdicts"] == {"x1 x1": "EQUIVALENT", "(empty)": "EQUIVALENT"}
+
+
+def test_corpus_bad_word_is_usage_error(capsys):
+    code, out, err = run(capsys, "corpus", "x1 x1", "z9")
+    assert code == cli.EXIT_USAGE
+    assert "bad token" in err and out == ""
 
 
 def test_unknown_command_is_usage_error(capsys):

@@ -1,6 +1,7 @@
 import pytest
 
 from khtangle import acat, cones, functor
+from khtangle.algebra import BBasis, FILLED
 from khtangle.cones import BasisName
 
 
@@ -52,6 +53,17 @@ def test_functor_relations_hold_to_length_six():
     violations, checked = functor.verify_functor(max_len=6)
     assert violations == []
     assert checked == 111972
+
+
+def test_violations_carry_their_defect(tables):
+    f2 = {k: v for k, v in functor.F2_TABLE.items() if k != ("p01", "p10")}
+    bad, _ = functor.verify_functor(functor.FunctorTables(f2=f2), max_len=3)
+    assert bad and all(defect for _, defect in bad)
+    # without F2(p01, p10) its relation keeps the differential of the
+    # hatted A_0: H on both diagonal slots of the filled cone
+    h = [BBasis("d", 1, FILLED), BBasis("s", 2, FILLED)]
+    assert dict(bad)["p01", "p10"] == {(slot, t) for slot in ("bb", "tt")
+                                       for t in h}
 
 
 def test_mutation_suite_kills_at_least_ninety_percent(mu_tables):

@@ -3,8 +3,11 @@
 `data/serialize_digests.json` holds sha256 digests, recorded before the
 algebra labels were packed into integers, of three outputs per word:
 the serialized reduced complex, the serialized two-layer image, and the
-`compare` verdict with its witness.  Any change to generator names,
-arrow labels, label order or witnesses shows up here.
+`compare` verdict with its witness.  Digests of the unreduced box
+tensors of the reduced complex with `Y` (after the quotient map), `I`
+and `Q` were recorded before `box_ad` moved onto the concrete actions
+of `bimod`.  Any change to generator names, arrow labels, label order
+or witnesses shows up here.
 
 Regenerate (only when an output is meant to change) with
 `PYTHONPATH=src python3 tests/test_serialize_gate.py`.
@@ -17,7 +20,7 @@ from pathlib import Path
 
 import pytest
 
-from khtangle import dstruct, tangles
+from khtangle import algebra, bimod, dstruct, tangles
 
 FIXTURE = Path(__file__).parent / "data" / "serialize_digests.json"
 
@@ -36,11 +39,19 @@ def _sha(text):
 
 def digests(text):
     word = tangles.parse_tangle(text)
+    m = tangles.tangle_complex(word)
+    mq = m.map_labels(algebra.q_map, algebra.FLAVOR_BT)
     return {
-        "complex": _sha(dstruct.serialize(tangles.tangle_complex(word))),
+        "complex": _sha(dstruct.serialize(m)),
         "lt": _sha(dstruct.serialize(tangles.compute_lt_image(word))),
         "compare": _sha(json.dumps(tangles.compare(word), sort_keys=True,
                                    default=str)),
+        "box_y": _sha(dstruct.serialize(
+            dstruct.box_ad(mq, bimod.bimodule_Y()))),
+        "box_i": _sha(dstruct.serialize(
+            dstruct.box_ad(m, bimod.bimodule_I()))),
+        "box_q": _sha(dstruct.serialize(
+            dstruct.box_ad(m, bimod.bimodule_Q()))),
     }
 
 
