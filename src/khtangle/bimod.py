@@ -16,7 +16,6 @@ truncated verification that they are chain isomorphisms.
 from __future__ import annotations
 
 import functools
-import re
 from dataclasses import dataclass, field, replace
 
 from .algebra import (BBasis, Vertex, FILLED, HOLLOW, FLAVOR_B, FLAVOR_BT,
@@ -61,26 +60,6 @@ class Pattern:
         return f"{self.letter}^{{{coef}k{tail}}}"
 
 
-_PAT_RE = re.compile(
-    r"^(?:1|([SD])(?:\^(?:(\d+)|\{([12]?)k(?:\+(\d+))?\}))?)$")
-
-
-def parse_pattern(text: str) -> Pattern:
-    m = _PAT_RE.match(text.strip())
-    if not m:
-        raise ValueError(f"bad pattern {text!r}")
-    letter, const, coef, off = m.groups()
-    if letter is None:
-        return Pattern("i")
-    if const is not None:
-        return Pattern(letter, int(const), 0)
-    if coef is None and off is None and "k" not in text:
-        return Pattern(letter, 1, 0)
-    if "k" in text:
-        return Pattern(letter, int(off or 0), int(coef) if coef else 1)
-    return Pattern(letter, 1, 0)
-
-
 @dataclass(frozen=True)
 class BimGen:
     name: str
@@ -120,7 +99,7 @@ class ADBimodule:
 
     def __post_init__(self):
         # raised, not asserted, so that python -O still refuses an
-        # ill-typed bimodule read by deserialize_bimodule
+        # ill-typed family: the box tensor trusts every concrete action
         for a in self.actions:
             s, d = self.gens[a.src], self.gens[a.dst]
             where = f"action {a.src}->{a.dst} {a}"
@@ -575,52 +554,3 @@ def verify_lemma_main(bound=16, margin=8):
         max(shifts.values()) <= 4
     report["pass"] = all(report["checks"].values())
     return report
-
-
-# --- serialization ------------------------------------------------------
-
-_IDEM_TOKEN = {FILLED: "filled", HOLLOW: "hollow"}
-_TOKEN_IDEM = {v: k for k, v in _IDEM_TOKEN.items()}
-
-
-def serialize_bimodule(bim: ADBimodule) -> str:
-    lines = [f"bimodule {bim.name} {bim.a_flavor} {bim.d_flavor}"]
-    for g in sorted(bim.gens.values(), key=lambda g: g.name):
-        lines.append(f"gen {g.name} {_IDEM_TOKEN[g.left_idem]} "
-                     f"{_IDEM_TOKEN[g.right_idem]} {g.hdeg}")
-    for a in bim.actions:
-        lines.append(f"act {a.src} {a.dst} {a}")
-    return "\n".join(lines) + "\n"
-
-
-def deserialize_bimodule(text: str) -> ADBimodule:
-    name = a_flavor = d_flavor = None
-    gens, actions = [], []
-    for raw in text.splitlines():
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        parts = line.split(None, 3)
-        if parts[0] == "bimodule":
-            name, a_flavor, d_flavor = parts[1:4]
-        elif parts[0] == "gen":
-            fields = line.split()
-            gens.append(BimGen(fields[1], _TOKEN_IDEM[fields[2]],
-                               _TOKEN_IDEM[fields[3]], int(fields[4])))
-        elif parts[0] == "act":
-            actions.append(_parse_action_line(parts[1], parts[2], parts[3]))
-        else:
-            raise ValueError(f"bad line: {raw!r}")
-    return _mk_bim(name, a_flavor, d_flavor, gens, actions)
-
-
-def _parse_action_line(src, dst, body) -> Action:
-    m = re.match(r"^\(\s*(.*?)\s*\|\s*(\S+)\s*\)$", body)
-    if not m:
-        raise ValueError(f"bad action body {body!r}")
-    ins_text, out_text = m.groups()
-    if ins_text in ("", "-"):
-        inputs = ()
-    else:
-        inputs = tuple(parse_pattern(t) for t in ins_text.split(","))
-    return Action(src, dst, inputs, parse_pattern(out_text))

@@ -8,19 +8,15 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 import time
 
-from . import acat, bimod, cones, dstruct, functor, tangles
-from .algebra import Vertex
+from . import acat, bimod, dstruct, functor, tangles
 
 EXIT_PASS = 0
 EXIT_FAIL = 1
 EXIT_INDET = 2
 EXIT_USAGE = 64
-
-BOUND_ENV = "KHTANGLE_BOUND"
 
 _VERDICT_EXIT = {tangles.EQUIVALENT: EXIT_PASS, tangles.MISMATCH: EXIT_FAIL,
                  tangles.INDETERMINATE: EXIT_INDET}
@@ -31,11 +27,6 @@ class _Parser(argparse.ArgumentParser):
         self.print_usage(sys.stderr)
         sys.stderr.write(f"error: {message}\n")
         sys.exit(EXIT_USAGE)
-
-
-def _default_bound():
-    raw = os.environ.get(BOUND_ENV)
-    return int(raw) if raw else 16
 
 
 def build_parser():
@@ -63,7 +54,7 @@ def build_parser():
     vf = leaf(vsub, "functor")
     vf.add_argument("--max-len", type=int, default=6)
     vb = leaf(vsub, "bimodules")
-    vb.add_argument("--bound", type=int, default=_default_bound())
+    vb.add_argument("--bound", type=int, default=16)
     vb.add_argument("--margin", type=int, default=8)
     vh = leaf(vsub, "homology-c")
     vh.add_argument("--max-weight", type=int, default=10)
@@ -88,12 +79,9 @@ def build_parser():
 def _tangle_args(p):
     p.add_argument("--tangle", required=True)
     p.add_argument("--star", choices=tangles.STAR_CHOICES, default="nw")
-    p.add_argument("--max-crossings", type=int,
-                   default=tangles.MAX_CROSSINGS)
 
 
-def _report(args, config, verdict, violations, extra=None, payload=None,
-            t0=None):
+def _report(args, config, verdict, violations, extra=None, t0=None):
     rep = {
         "command": " ".join(sys.argv[1:]) or args.command,
         "config": config,
@@ -112,8 +100,6 @@ def _report(args, config, verdict, violations, extra=None, payload=None,
         if extra:
             for k, v in extra.items():
                 print(f"   {k}: {v}")
-        if payload is not None:
-            print(payload, end="")
         for v in violations[:20]:
             print(f"   violation: {v}")
         if len(violations) > 20:
@@ -184,7 +170,7 @@ def _run(args, t0):
         word = tangles.parse_tangle(args.tangle)
         fn = (tangles.compute_dd1 if args.what == "dd1"
               else tangles.compute_lt_image)
-        m = fn(word, args.star, args.max_crossings)
+        m = fn(word, args.star)
         text = dstruct.serialize(m)
         if args.json:
             print(json.dumps({"tangle": str(word), "what": args.what,
@@ -195,7 +181,7 @@ def _run(args, t0):
 
     if args.command == "compare":
         verdict, info = tangles.compare(tangles.parse_tangle(args.tangle),
-                                        args.star, args.max_crossings)
+                                        args.star)
         _report(args, {"tangle": args.tangle, "star": args.star}, verdict,
                 [], extra={"witness" if verdict == tangles.EQUIVALENT
                            else "diagnostic": info}, t0=t0)

@@ -75,11 +75,6 @@ def compose_C(f: ConeMorphism, g: ConeMorphism) -> ConeMorphism:
     )
 
 
-def mu2_C(x: ConeMorphism, y: ConeMorphism) -> ConeMorphism:
-    """Binary operation in composition-reads-right-to-left order."""
-    return compose_C(y, x)
-
-
 def diff_C(f: ConeMorphism) -> ConeMorphism:
     """Commutator with the H-labeled cone arrows of source and target.
 

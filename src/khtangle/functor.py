@@ -9,7 +9,6 @@ are verified exhaustively on composable sequences up to length six.
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass, field
 
 from . import acat, cones, f2
@@ -85,41 +84,35 @@ def apply_F(tables: FunctorTables, seq) -> cones.ConeMorphism:
 
 
 def _checker(tables, mu_tables):
-    """A memoized evaluator of the functor relation defect."""
+    """An evaluator of the functor relation defect by table lookup.
 
-    @functools.lru_cache(maxsize=None)
-    def fval(seq):
-        return apply_F(tables, seq)
-
-    @functools.lru_cache(maxsize=None)
-    def vec(seq_or_mor):
-        return cones._mor_to_vec(seq_or_mor)
-
-    @functools.lru_cache(maxsize=None)
-    def compose_vec(f, g):
-        return cones._mor_to_vec(cones.compose_C(f, g))
-
-    @functools.lru_cache(maxsize=None)
-    def diff_vec(f):
-        return cones._mor_to_vec(cones.diff_C(f))
+    F vanishes off its table keys, all of length <= 3, so only blocks
+    contracting to a key and splits into two keys contribute.
+    """
+    keys = [(g,) for g in tables.f1] + list(tables.f2) + list(tables.f3)
+    F = {seq: apply_F(tables, seq) for seq in keys}
+    vec = {seq: cones._mor_to_vec(f) for seq, f in F.items()}
+    diff = {seq: cones._mor_to_vec(cones.diff_C(f)) for seq, f in F.items()}
+    # "earlier then later", for every pair that composes
+    comp = {(later, earlier): cones._mor_to_vec(cones.compose_C(fe, fl))
+            for later, fl in F.items() for earlier, fe in F.items()
+            if src(later[-1]) == dst(earlier[0])}
 
     def defect(seq):
         n = len(seq)
-        acc = frozenset()
+        acc = f2.ZERO
         # source-side: contract a block with an inner operation, apply F
         for ln in (2, 3):
+            if n - ln + 1 > 3:
+                continue
             for i in range(n - ln + 1):
                 for g in mu_tables.mu(seq[i:i + ln]):
-                    inner_seq = seq[:i] + (g,) + seq[i + ln:]
-                    if len(inner_seq) <= 3:
-                        acc = acc ^ vec(fval(inner_seq))
+                    acc = acc ^ vec.get(seq[:i] + (g,) + seq[i + ln:],
+                                        f2.ZERO)
         # target-side: differential of F, plus all two-block splittings
-        if n <= 3:
-            acc = acc ^ diff_vec(fval(seq))
-        for i in range(1, n):
-            later, earlier = seq[:i], seq[i:]
-            if len(later) <= 3 and len(earlier) <= 3:
-                acc = acc ^ compose_vec(fval(earlier), fval(later))
+        acc = acc ^ diff.get(seq, f2.ZERO)
+        for i in range(max(1, n - 3), min(n, 4)):
+            acc = acc ^ comp.get((seq[:i], seq[i:]), f2.ZERO)
         return acc
 
     return defect

@@ -21,7 +21,7 @@ import random
 from dataclasses import dataclass
 
 from . import algebra, bimod, dstruct
-from .algebra import BElem, Vertex, FILLED, HOLLOW, FLAVOR_B
+from .algebra import Vertex, FILLED, HOLLOW, FLAVOR_B
 
 STAR_CHOICES = ("nw", "ne", "sw", "se")
 
@@ -170,17 +170,27 @@ class ResolutionCube:
     star: str = "nw"
 
 
-MAX_CROSSINGS = 20
+# Each resolution deloops to 2^(its loops) generators, so a cube deloops
+# to at least 2^c of them.  The cap admits x1^10 (29,525 generators;
+# `compare` takes 9.2 s and 136 MB on a 2-vCPU Xeon VM) and the worst
+# criterion-6 word (26,244), and refuses x1^11 (88,574 generators,
+# 35.8 s: over the 30 s per-tangle budget) before any delooping.
+MAX_GENERATORS = 50_000
 
 
-def build_cube(word: TangleWord, star="nw",
-               max_crossings=MAX_CROSSINGS) -> ResolutionCube:
+def build_cube(word: TangleWord, star="nw") -> ResolutionCube:
+    """Simulate every resolution; refuse a cube that would deloop to more
+    than MAX_GENERATORS generators."""
     assert star in STAR_CHOICES
     c = word.crossings
-    if c > max_crossings:
-        raise TangleError(f"{c} crossings exceeds the guard "
-                          f"({max_crossings}); raise --max-crossings")
+    if 1 << c > MAX_GENERATORS:
+        raise TangleError(f"{c} crossings deloop to at least {1 << c:,} "
+                          f"generators, over the cap of {MAX_GENERATORS:,}")
     resolutions = {bits: _simulate(word, bits) for bits in range(1 << c)}
+    gens = sum(1 << len(r.loops) for r in resolutions.values())
+    if gens > MAX_GENERATORS:
+        raise TangleError(f"the cube deloops to {gens:,} generators, "
+                          f"over the cap of {MAX_GENERATORS:,}")
     return ResolutionCube(word, resolutions, star)
 
 
@@ -226,9 +236,11 @@ def _add_saddle_arrows(out, src, tgt, bits, tbits, j, star):
     src_touch = {src.component_of[p] for p in (a, b, c1, c2)}
     tgt_touch = {tgt.component_of[p] for p in (a, b, c1, c2)}
     src_loops = src.loops
-    star_src = _starred_component(src, star)
     star_tgt = _starred_component(tgt, star)
     v = src.matching
+
+    def dotted(decor, comp):
+        return comp in src_loops and (decor >> src_loops.index(comp)) & 1
 
     def carry(decor, skip):
         """Transfer decorations on loops not involved in the saddle."""
@@ -263,27 +275,21 @@ def _add_saddle_arrows(out, src, tgt, bits, tbits, j, star):
             label = algebra.spow(1, v)
             emit(decor, carry(decor, skip=src_touch), label)
         elif len(src_touch) == 2:
-            # merge of two components into one
-            x = _merge_inputs(src, src_loops, decor, src_touch, star_src)
-            if x is None:
-                continue
-            dotted, extra = x
+            # merge of two components into one; arcs carry no dot, and
+            # two dots meeting give H times a dot
+            ndots = sum(1 for comp in src_touch if dotted(decor, comp))
             dots = carry(decor, skip=src_touch)
             label = algebra.idem(v)
-            target_comp = next(iter(tgt_touch))
-            if extra == "H":
+            if ndots == 2:
                 label = algebra.h_mul(label)
-            if dotted:
-                dots[target_comp] = True
+            if ndots:
+                dots[next(iter(tgt_touch))] = True
             emit(decor, dots, label)
         else:
             # split of one component into two
-            src_comp = next(iter(src_touch))
-            src_dotted = (src_comp in src_loops
-                          and (decor >> src_loops.index(src_comp)) & 1)
             base = carry(decor, skip=src_touch)
             t_a, t_b = sorted(tgt_touch)
-            if src_dotted:
+            if dotted(decor, next(iter(src_touch))):
                 # a dot comes in: both offspring dotted
                 dots = dict(base)
                 dots[t_a] = True
@@ -298,42 +304,21 @@ def _add_saddle_arrows(out, src, tgt, bits, tbits, j, star):
                 emit(decor, dict(base), algebra.h_mul(algebra.idem(v)))
 
 
-def _merge_inputs(src, src_loops, decor, touch, star_src):
-    """Frobenius multiplication inputs for a merge saddle.
-
-    Returns (output dotted?, extra) where extra is "H" when two dots
-    meet, or None when a dotted starred arc kills the term.
-    """
-    dots = 0
-    for comp in touch:
-        if comp in src_loops:
-            if (decor >> src_loops.index(comp)) & 1:
-                dots += 1
-        # arcs carry no decoration
-    if dots == 0:
-        return (False, None)
-    if dots == 1:
-        return (True, None)
-    return (True, "H")
-
-
 # --- pipelines ----------------------------------------------------------
 
-def tangle_complex(word: TangleWord, star="nw", max_crossings=MAX_CROSSINGS):
+def tangle_complex(word: TangleWord, star="nw"):
     """Reduced type D structure of the delooped resolution cube."""
-    return dstruct.reduce(deloop_translate(build_cube(word, star,
-                                                      max_crossings)))
+    return dstruct.reduce(deloop_translate(build_cube(word, star)))
 
 
-def compute_dd1(word: TangleWord, star="nw", max_crossings=MAX_CROSSINGS):
+def compute_dd1(word: TangleWord, star="nw"):
     """The H-cone invariant of the tangle."""
-    return dstruct.cone_h(tangle_complex(word, star, max_crossings))
+    return dstruct.cone_h(tangle_complex(word, star))
 
 
-def compute_lt_image(word: TangleWord, star="nw",
-                     max_crossings=MAX_CROSSINGS):
+def compute_lt_image(word: TangleWord, star="nw"):
     """The quotient-then-two-layer image of the tangle invariant."""
-    return _two_layer_image(tangle_complex(word, star, max_crossings))
+    return _two_layer_image(tangle_complex(word, star))
 
 
 def _two_layer_image(m):
@@ -346,14 +331,14 @@ INDETERMINATE = "INDETERMINATE"
 MISMATCH = "MISMATCH"
 
 
-def compare(word: TangleWord, star="nw", max_crossings=MAX_CROSSINGS):
+def compare(word: TangleWord, star="nw"):
     """Verdict on whether the two invariants agree for this tangle.
 
     Both invariants come from one reduced complex.  Its H-cone needs no
     further reduction: no arrow of a reduced complex, and neither H,
     has an idempotent summand.
     """
-    m = tangle_complex(word, star, max_crossings)
+    m = tangle_complex(word, star)
     lhs = dstruct.cone_h(m)
     rhs = _two_layer_image(m)
     witness = dstruct.iso_check(lhs, rhs)

@@ -2,25 +2,27 @@ import pytest
 
 from khtangle import bimod
 from khtangle.algebra import BBasis, FILLED, HOLLOW, FLAVOR_B, FLAVOR_BT
-from khtangle.bimod import Action, Pattern, parse_pattern
+from khtangle.bimod import Action, Pattern
 
 
-def test_pattern_parse_format_roundtrip():
-    samples = ["1", "S", "D", "S^2", "D^3", "S^{k}", "S^{2k}", "S^{2k+1}",
-               "D^{k+1}", "S^{2k+2}", "D^{k+2}", "S^{2k+3}"]
-    for text in samples:
-        p = parse_pattern(text)
-        assert parse_pattern(str(p)) == p, text
+def test_pattern_format():
+    samples = {"1": ("i",), "S": ("S", 1), "D": ("D", 1), "S^2": ("S", 2),
+               "D^3": ("D", 3), "S^{k}": ("S", 0, 1), "S^{2k}": ("S", 0, 2),
+               "S^{2k+1}": ("S", 1, 2), "D^{k+1}": ("D", 1, 1),
+               "S^{2k+2}": ("S", 2, 2), "D^{k+2}": ("D", 2, 1),
+               "S^{2k+3}": ("S", 3, 2)}
+    for text, fields in samples.items():
+        assert str(Pattern(*fields)) == text
 
 
-def test_pattern_parse_rejects_garbage():
-    for bad in ["E", "S^", "S^{3k}", "Sk", ""]:
-        with pytest.raises(ValueError):
-            parse_pattern(bad)
+def test_pattern_rejects_garbage():
+    for bad in [("E",), ("S", -1), ("S", 0, 3), ("i", 1), ("i", 0, 1)]:
+        with pytest.raises(AssertionError):
+            Pattern(*bad)
 
 
 def test_pattern_match_and_instantiate():
-    p = parse_pattern("S^{2k+1}")
+    p = Pattern("S", 1, 2)
     assert p.instantiate(2, FILLED) == BBasis("s", 5, FILLED)
 
 
@@ -46,16 +48,22 @@ def test_degree_rule_enforced():
 
 
 def test_ill_typed_actions_rejected():
-    text = bimod.serialize_bimodule(bimod.bimodule_Y())
+    y = bimod.bimodule_Y()
+
+    def with_loop_at_t(inputs, output):
+        bad = Action("t", "t", inputs, output)
+        return bimod._mk_bim("bad", y.a_flavor, y.d_flavor, y.gens.values(),
+                             y.actions + (bad,))
+
     # S leaves the filled vertex, so it cannot run from t back to t
     with pytest.raises(AssertionError, match="inputs do not run"):
-        bimod.deserialize_bimodule(text + "act t t (S | S)\n")
+        with_loop_at_t((Pattern("S", 1),), Pattern("S", 1))
     # S^2 returns to the filled vertex, S does not
     with pytest.raises(AssertionError, match="output does not run"):
-        bimod.deserialize_bimodule(text + "act t t (S^2 | S)\n")
+        with_loop_at_t((Pattern("S", 2),), Pattern("S", 1))
     # the parameter is free, so the output would grow without limit
     with pytest.raises(AssertionError, match="growing output"):
-        bimod.deserialize_bimodule(text + "act t t (S^2 | D^{k+1})\n")
+        with_loop_at_t((Pattern("S", 2),), Pattern("D", 1, 1))
     # S^{k+1} is well typed between t and t only for odd k
     gens = [bimod.BimGen("a", FILLED, FILLED, 0)]
     with pytest.raises(AssertionError, match="inputs do not run"):
@@ -155,12 +163,3 @@ def test_verify_lemma_main_passes():
 def test_verify_lemma_rejects_tight_bounds():
     with pytest.raises(AssertionError):
         bimod.verify_lemma_main(8, 8)
-
-
-def test_serialization_roundtrip():
-    for bim in bimod.shipped_bimodules().values():
-        text = bimod.serialize_bimodule(bim)
-        again = bimod.deserialize_bimodule(text)
-        assert again.gens == bim.gens
-        assert again.actions == bim.actions
-        assert bimod.serialize_bimodule(again) == text

@@ -1,5 +1,6 @@
 import importlib.resources
 import json
+import time
 
 from khtangle import cli, dstruct
 
@@ -88,15 +89,6 @@ def test_verify_bimodules_bound_guard(capsys):
     assert "--bound must exceed --margin" in err
 
 
-def test_bound_env_var(monkeypatch):
-    monkeypatch.setenv(cli.BOUND_ENV, "24")
-    args = cli.build_parser().parse_args(["verify", "bimodules"])
-    assert args.bound == 24
-    monkeypatch.delenv(cli.BOUND_ENV)
-    args = cli.build_parser().parse_args(["verify", "bimodules"])
-    assert args.bound == 16
-
-
 def test_verify_homology_c(capsys):
     code, out, _ = run(capsys, "verify", "homology-c", "--json")
     assert code == cli.EXIT_PASS
@@ -139,10 +131,13 @@ def test_bad_tangle_is_usage_error(capsys):
 
 
 def test_max_crossings_guard(capsys):
-    code, _, err = run(capsys, "compute", "dd1", "--tangle", "x1 x1 x1",
-                       "--max-crossings", "2")
+    t0 = time.perf_counter()
+    code, out, err = run(capsys, "compute", "dd1", "--tangle",
+                         " ".join(["x1"] * 11))
+    assert time.perf_counter() - t0 < 5
     assert code == cli.EXIT_USAGE
-    assert "exceeds the guard" in err
+    assert err.startswith("error: ") and "88,574 generators" in err
+    assert out == ""
 
 
 def test_corpus_runs_given_words(capsys):

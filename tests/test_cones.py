@@ -50,12 +50,6 @@ def test_compose_associative_and_unital():
                 == cones.compose_C(f, cones.compose_C(g, h)))
 
 
-def test_mu2_is_reversed_composition():
-    a = cones.to_positional(BasisName("P", False, 1, "10"))
-    b = cones.to_positional(BasisName("P", False, 1, "01"))
-    assert cones.mu2_C(b, a) == cones.compose_C(a, b)
-
-
 def test_named_basis_roundtrip():
     for name in all_names(10):
         f = cones.to_positional(name)

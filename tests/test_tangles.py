@@ -41,10 +41,24 @@ def test_build_cube_examples():
     assert only.matching == FILLED and len(only.loops) == 1
 
 
-def test_build_cube_crossing_guard():
-    word = tangles.parse_tangle("x1 x1 x1")
-    with pytest.raises(tangles.TangleError, match="exceeds the guard"):
-        tangles.build_cube(word, max_crossings=2)
+def twist(n):
+    return tangles.parse_tangle(" ".join(["x1"] * n))
+
+
+def test_build_cube_crossing_guard(monkeypatch):
+    cap = f"over the cap of {tangles.MAX_GENERATORS:,}"
+    # 2^11 resolutions pass the first test; their loops do not
+    with pytest.raises(tangles.TangleError, match=f"88,574 generators, {cap}"):
+        tangles.build_cube(twist(11))
+    cube = tangles.build_cube(twist(10))
+    assert sum(1 << len(r.loops) for r in cube.resolutions.values()) == 29_525
+
+    def simulate(word, bits):
+        raise AssertionError("simulated a cube refused by its size")
+
+    monkeypatch.setattr(tangles, "_simulate", simulate)
+    with pytest.raises(tangles.TangleError, match=f"at least 131,072 .*{cap}"):
+        tangles.build_cube(twist(17))
 
 
 def test_deloop_examples():
@@ -123,6 +137,15 @@ def test_random_word_generator_is_valid():
         word = tangles.random_word(rng, max_crossings=6)
         assert word.crossings <= 6
         assert tangles.parse_tangle(str(word)) == word
+
+
+def test_compare_refuses_an_oversized_cube_before_delooping(monkeypatch):
+    def deloop(cube):
+        raise AssertionError("delooped a cube refused by its size")
+
+    monkeypatch.setattr(tangles, "deloop_translate", deloop)
+    with pytest.raises(tangles.TangleError, match="88,574 generators"):
+        tangles.compare(twist(11))
 
 
 def test_compare_deloops_once_and_keeps_the_d_squared_guard(monkeypatch):
