@@ -11,7 +11,6 @@ and kills S^3.
 from __future__ import annotations
 
 import enum
-import re
 from dataclasses import dataclass
 from functools import total_ordering
 
@@ -203,9 +202,6 @@ class BElem:
         dh = _clmul(xdh | (xsh & 1), ydh | (ysh & 1)) & ~1
         return _packed((sf, df, sh, dh), FLAVOR_B)
 
-    def has_idem(self):
-        return bool((self.packed[0] | self.packed[2]) & 1)
-
     def is_idem(self):
         """Whether the element is exactly one vertex's idempotent."""
         return self.packed in ((1, 0, 0, 0), (0, 0, 1, 0))
@@ -325,33 +321,3 @@ def basis_up_to_weight(w: int, flavor=FLAVOR_B):
 
 def mono_elem(t: BBasis, flavor=FLAVOR_B):
     return BElem((t,), flavor)
-
-
-# --- label serialization (tokens i, S^n, D^l, joined by '+') ------------
-
-_TOKEN_RE = re.compile(r"^(i|S(\^\d+)?|D(\^\d+)?)$")
-
-
-def format_label(x: BElem) -> str:
-    return str(x)
-
-
-def parse_label(text: str, src_vertex: Vertex, flavor=FLAVOR_B) -> BElem:
-    """Parse a '+'-joined label; vertices are inferred from src_vertex.
-
-    Every monomial in a well-formed arrow label starts at the same
-    vertex, so the source vertex determines the rest.
-    """
-    terms = set()
-    for tok in text.split("+"):
-        tok = tok.strip()
-        if not _TOKEN_RE.match(tok):
-            raise ValueError(f"bad label token {tok!r}")
-        if tok == "i":
-            terms ^= {BBasis("i", 0, src_vertex)}
-        else:
-            letter, _, exp = tok.partition("^")
-            n = int(exp) if exp else 1
-            kind = "s" if letter == "S" else "d"
-            terms ^= {BBasis(kind, n, src_vertex)}
-    return BElem(frozenset(terms), flavor)

@@ -232,12 +232,6 @@ def bimodule_QY_expected() -> ADBimodule:
     return _mk_bim("QY", FLAVOR_B, FLAVOR_B, gens, acts)
 
 
-def shipped_bimodules():
-    return {"I": bimodule_I(), "Q": bimodule_Q(), "Y": bimodule_Y(),
-            "id_B": identity_bimodule(FLAVOR_B),
-            "id_Bt": identity_bimodule(FLAVOR_BT)}
-
-
 # --- morphisms ----------------------------------------------------------
 
 @dataclass(frozen=True)
@@ -259,9 +253,7 @@ class ADMorphism:
             c for c in self.components if len(c.inputs) == j))
 
 
-def morphism_f(source=None, target=None) -> ADMorphism:
-    source = source or bimodule_I()
-    target = target or bimodule_QY_expected()
+def morphism_f() -> ADMorphism:
     comps = [Action("l", "z*t", (), _IOTA), Action("b", "w*u", (), _IOTA),
              Action("m", "z*k", (), _IOTA), Action("y", "w*v", (), _IOTA)]
     for a, b in [("m", "z*t"), ("y", "w*u")]:
@@ -269,12 +261,10 @@ def morphism_f(source=None, target=None) -> ADMorphism:
         comps.append(Action(a, b, (_D(2, 1),), _D(1, 1)))
     comps.append(Action("m", "w*u", (_S(3, 2),), _S(1, 2)))
     comps.append(Action("y", "z*t", (_S(3, 2),), _S(1, 2)))
-    return ADMorphism("f", source, target, tuple(comps))
+    return ADMorphism("f", bimodule_I(), bimodule_QY_expected(), tuple(comps))
 
 
-def morphism_g(source=None, target=None) -> ADMorphism:
-    source = source or bimodule_QY_expected()
-    target = target or bimodule_I()
+def morphism_g() -> ADMorphism:
     comps = [Action("z*t", "l", (), _IOTA), Action("w*u", "b", (), _IOTA),
              Action("z*k", "m", (), _IOTA), Action("w*v", "y", (), _IOTA)]
     for a, b in [("z*k", "l"), ("w*v", "b")]:
@@ -282,12 +272,7 @@ def morphism_g(source=None, target=None) -> ADMorphism:
         comps.append(Action(a, b, (_D(2, 1),), _D(1, 1)))
     comps.append(Action("z*k", "b", (_S(3, 2),), _S(1, 2)))
     comps.append(Action("w*v", "l", (_S(3, 2),), _S(1, 2)))
-    return ADMorphism("g", source, target, tuple(comps))
-
-
-def shipped_morphisms():
-    qy = bimodule_QY_expected()
-    return {"f": morphism_f(target=qy), "g": morphism_g(source=qy)}
+    return ADMorphism("g", bimodule_QY_expected(), bimodule_I(), tuple(comps))
 
 
 # --- instantiation ------------------------------------------------------
@@ -367,23 +352,11 @@ def diff_ad_morphism(mor: ADMorphism, bound):
     non-idempotent factors (the A-side multiplication terms).
     """
     h = instantiate_morphism(mor, bound)
-    src_acts = instantiate_actions(mor.source, bound)
-    tgt_acts = instantiate_actions(mor.target, bound)
-    acc = set()
-
-    def emit(src, dst, inputs, out1, out2):
-        prod = _mono_mul(out1, out2, mor.target.d_flavor)
-        if prod is not None:
-            acc.symmetric_difference_update({(src, dst, inputs, prod)})
-
-    for (cs, cd, cin, cout) in h:
-        for (as_, ad, ain, aout) in tgt_acts:
-            if cd == as_:
-                emit(cs, ad, cin + ain, cout, aout)
-    for (as_, ad, ain, aout) in src_acts:
-        for (cs, cd, cin, cout) in h:
-            if ad == cs:
-                emit(as_, cd, ain + cin, aout, cout)
+    flavor = mor.target.d_flavor
+    acc = set(compose_concrete(instantiate_actions(mor.target, bound), h,
+                               flavor, bound)
+              ^ compose_concrete(h, instantiate_actions(mor.source, bound),
+                                 flavor, bound))
     for (cs, cd, cin, cout) in h:
         for i, mono in enumerate(cin):
             for first, second in _mono_factorizations(mono):
@@ -480,17 +453,6 @@ def box_bimods(left: ADBimodule, right: ADBimodule, bound) -> frozenset:
     return frozenset(acc)
 
 
-def box_gen_pairs(left: ADBimodule, right: ADBimodule):
-    out = {}
-    for lg in left.gens.values():
-        for rg in right.gens.values():
-            if lg.right_idem == rg.left_idem:
-                name = f"{lg.name}*{rg.name}"
-                out[name] = BimGen(name, lg.left_idem, rg.right_idem,
-                                   lg.hdeg + rg.hdeg)
-    return out
-
-
 # --- lemma verification -------------------------------------------------
 
 def max_weight_shift(bim_or_mor, bound=12):
@@ -513,8 +475,8 @@ def verify_lemma_main(bound=16, margin=8):
     """
     assert bound > margin >= 8
     report = {"checks": {}, "pass": True}
-    qy = bimodule_QY_expected()
-    f, g = morphism_f(target=qy), morphism_g(source=qy)
+    f, g = morphism_f(), morphism_g()
+    qy = f.target
     eff = bound - margin
 
     computed = _filter_weight(box_bimods(bimodule_Q(), bimodule_Y(), bound),

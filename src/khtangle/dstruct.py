@@ -7,7 +7,7 @@ two-step path products between any generator pair gives zero.
 
 Provides the well-definedness check, the mapping cone of H times the
 identity, the box tensor with an AD bimodule, reduction by cancellation
-of invertible components, isomorphism testing, and a line-oriented text
+of idempotent arrows, isomorphism testing, and a line-oriented text
 serialization.
 """
 
@@ -16,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from . import algebra, bimod, f2
-from .algebra import BElem, Vertex, FLAVOR_B, FLAVOR_BT
+from .algebra import BElem, Vertex, FLAVOR_B
 
 
 @dataclass(frozen=True)
@@ -165,52 +165,39 @@ def box_ad(m: TypeDStructure, bim) -> TypeDStructure:
     return out
 
 
-class ReduceError(RuntimeError):
-    pass
-
-
 def reduce(m: TypeDStructure) -> TypeDStructure:
-    """Cancel invertible arrow components until none remain.
+    """Cancel arrows labelled exactly by an idempotent until none remain.
 
-    Prefers arrows whose label is exactly the idempotent, where the
-    cancellation is plain Gaussian elimination.  Arrows whose label
-    merely contains an idempotent summand are cancelled with the same
-    zig-zag formula and the result is re-validated; a failure there
-    means the naive formula was insufficient and is reported.
+    Each cancellation is Gaussian elimination: it is a homotopy
+    equivalence because its label is a unit.  The idempotents are the
+    only units of e_v B e_v: i + x with x of positive weight is not
+    invertible in B, so an arrow with such a label is kept.
     """
     import heapq
 
     gens = dict(m.gens)
     out_adj = {name: {} for name in gens}
     in_adj = {name: {} for name in gens}
-    pure, mixed = set(), set()
-    heap = []  # lazy-keyed fill-in costs for pure cancellations
+    pure = set()
+    heap = []  # lazy-keyed fill-in costs of the cancellable arrows
 
     def cost(s, d):
         return (len(in_adj[d]) - 1) * (len(out_adj[s]) - 1)
 
-    def classify(s, d, label):
-        if label.is_idem():
-            pure.add((s, d))
-            heapq.heappush(heap, (cost(s, d), s, d))
-        elif label.has_idem():
-            mixed.add((s, d))
-
     def set_arrow(s, d, label):
         pure.discard((s, d))
-        mixed.discard((s, d))
         if label.is_zero():
             out_adj[s].pop(d, None)
             in_adj[d].pop(s, None)
-        else:
-            out_adj[s][d] = label
-            in_adj[d][s] = label
-            classify(s, d, label)
-
-    for (s, d), label in m.arrows.items():
+            return
         out_adj[s][d] = label
         in_adj[d][s] = label
-        classify(s, d, label)
+        if label.is_idem():
+            pure.add((s, d))
+            heapq.heappush(heap, (cost(s, d), s, d))
+
+    for (s, d), label in m.arrows.items():
+        set_arrow(s, d, label)
 
     def drop_gen(g):
         for d in list(out_adj[g]):
@@ -220,9 +207,9 @@ def reduce(m: TypeDStructure) -> TypeDStructure:
         del gens[g], out_adj[g], in_adj[g]
 
     def pick():
-        # cheapest pure cancellation by current fill-in cost; heap keys
-        # are refreshed lazily, so stale entries get re-pushed
-        while heap:
+        # cheapest cancellation by current fill-in cost; heap keys are
+        # refreshed lazily, so stale entries get re-pushed
+        while True:
             c, s, d = heapq.heappop(heap)
             if (s, d) not in pure:
                 continue
@@ -231,13 +218,9 @@ def reduce(m: TypeDStructure) -> TypeDStructure:
                 heapq.heappush(heap, (actual, s, d))
                 continue
             return s, d
-        return min(mixed)
 
-    used_fallback = False
-    while pure or mixed:
+    while pure:
         x, y = pick()
-        if (x, y) not in pure:
-            used_fallback = True
         into_y = [(p, l) for p, l in in_adj[y].items() if p != x]
         from_x = [(q, l) for q, l in out_adj[x].items() if q != y]
         drop_gen(x)
@@ -254,9 +237,6 @@ def reduce(m: TypeDStructure) -> TypeDStructure:
     res.gens = gens
     res.arrows = {(s, d): l for s, adj in out_adj.items()
                   for d, l in adj.items()}
-    if used_fallback and check_d_squared(res):
-        raise ReduceError(
-            "cancellation of a non-pure invertible arrow broke d^2 = 0")
     return res
 
 
@@ -265,20 +245,20 @@ def reduce(m: TypeDStructure) -> TypeDStructure:
 NOT_FOUND = "NOT_FOUND"
 
 
-def _signatures(m: TypeDStructure, shift, n: TypeDStructure, adj,
-                rounds=3):
+def _signatures(m: TypeDStructure, shift, n: TypeDStructure, adj):
     """Joint iterated neighborhood signatures over both structures.
 
-    Seeded from (idem, shifted hdeg) and refined by arrow labels and
-    neighbor signatures; canonicalization is shared so signatures are
-    comparable between the two structures.  `adj` maps "m" and "n" to
-    the (outgoing, incoming) indexes of the two structures.
+    Seeded from (idem, shifted hdeg) and refined three times by arrow
+    labels and neighbor signatures; canonicalization is shared so
+    signatures are comparable between the two structures.  `adj` maps
+    "m" and "n" to the (outgoing, incoming) indexes of the two
+    structures.
     """
     sig = {}
     for tag, st, sh in (("m", m, shift), ("n", n, 0)):
         for g in st.gens.values():
             sig[tag, g.name] = (g.idem.value, g.hdeg + sh)
-    for _ in range(rounds):
+    for _ in range(3):
         nxt = {}
         for tag, st in (("m", m), ("n", n)):
             out, inn = adj[tag]
@@ -295,36 +275,28 @@ def _signatures(m: TypeDStructure, shift, n: TypeDStructure, adj,
 def iso_check(m: TypeDStructure, n: TypeDStructure):
     """Isomorphism search, allowing one global hdeg shift.
 
-    Tries a generator bijection preserving idempotents, degrees, and
-    arrow labels first; failing that, searches for a general invertible
-    chain map (a triangular base change) by linear algebra.  Returns a
-    witness (a generator bijection, or a dict describing the chain
-    map's matrix entries) or NOT_FOUND.
+    The generator counts per (idempotent, hdeg) must agree after the
+    shift, so the lowest degree of m lands on the lowest degree of n:
+    that fixes the one shift worth trying.  Tries a generator bijection
+    preserving idempotents, degrees, and arrow labels first; failing
+    that, searches for a general invertible chain map (a triangular
+    base change) by linear algebra.  Returns a witness (a generator
+    bijection, or a dict describing the chain map's matrix entries) or
+    NOT_FOUND.
     """
     if m.flavor != n.flavor or len(m.gens) != len(n.gens):
         return NOT_FOUND
     if not m.gens:
         return {}
-    shifts = set()
-    mdeg = [g.hdeg for g in m.gens.values()]
-    ndeg = [g.hdeg for g in n.gens.values()]
-    shifts.add(min(ndeg) - min(mdeg))
-    shifts.add(max(ndeg) - max(mdeg))
-    candidates = []
-    for shift in sorted(shifts):
-        counts_m = {(i, h + shift): c
-                    for (i, h), c in m.gen_counts().items()}
-        if counts_m != n.gen_counts():
-            continue
-        candidates.append(shift)
-        witness = _iso_search(m, n, shift)
-        if witness is not None:
-            return witness
-    for shift in candidates:
+    shift = (min(g.hdeg for g in n.gens.values())
+             - min(g.hdeg for g in m.gens.values()))
+    counts_m = {(i, h + shift): c for (i, h), c in m.gen_counts().items()}
+    if counts_m != n.gen_counts():
+        return NOT_FOUND
+    witness = _iso_search(m, n, shift)
+    if witness is None:
         witness = _chain_iso_search(m, n, shift)
-        if witness is not None:
-            return witness
-    return NOT_FOUND
+    return NOT_FOUND if witness is None else witness
 
 
 def _label_monomials(src: Vertex, dst: Vertex, max_weight: int, flavor):
@@ -333,14 +305,15 @@ def _label_monomials(src: Vertex, dst: Vertex, max_weight: int, flavor):
             if t.src == src and t.dst == dst]
 
 
-def _chain_iso_search(m, n, shift, tries=512, seed=7):
+def _chain_iso_search(m, n, shift):
     """Invertible chain map search by F2 linear algebra.
 
     Unknowns are monomial matrix entries of a degree-preserving map;
     the chain-map condition is linear, so its solution space is
     computed exactly and searched for a member whose weight-zero part
     is blockwise invertible (which forces invertibility, since all
-    positive-weight terms are filtration-raising).
+    positive-weight terms are filtration-raising).  Members tried: each
+    basis vector, their sum, and 512 random sums drawn with seed 7.
     """
     import random as _random
 
@@ -394,11 +367,11 @@ def _chain_iso_search(m, n, shift, tries=512, seed=7):
                 return False
         return True
 
-    rng = _random.Random(seed)
+    rng = _random.Random(7)
     nb = len(basis)
     candidates = [frozenset([i]) for i in range(nb)]
     candidates.append(frozenset(range(nb)))
-    for _ in range(tries):
+    for _ in range(512):
         candidates.append(frozenset(
             i for i in range(nb) if rng.random() < 0.5))
     for combo in candidates:
@@ -464,7 +437,6 @@ def _iso_search(m, n, shift):
 # --- serialization ------------------------------------------------------
 
 _IDEM_TO_TOKEN = {Vertex.FILLED: "filled", Vertex.HOLLOW: "hollow"}
-_TOKEN_TO_IDEM = {v: k for k, v in _IDEM_TO_TOKEN.items()}
 
 
 def serialize(m: TypeDStructure) -> str:
@@ -472,27 +444,5 @@ def serialize(m: TypeDStructure) -> str:
     for g in sorted(m.gens.values(), key=lambda g: g.name):
         lines.append(f"gen {g.name} {_IDEM_TO_TOKEN[g.idem]} {g.hdeg}")
     for (s, d) in sorted(m.arrows):
-        lines.append(f"arrow {s} {d} {algebra.format_label(m.arrows[s, d])}")
+        lines.append(f"arrow {s} {d} {m.arrows[s, d]}")
     return "\n".join(lines) + "\n"
-
-
-def deserialize(text: str) -> TypeDStructure:
-    out = None
-    for raw in text.splitlines():
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        parts = line.split()
-        if parts[0] == "flavor":
-            out = TypeDStructure(parts[1])
-        elif parts[0] == "gen":
-            out.add_gen(parts[1], _TOKEN_TO_IDEM[parts[2]], int(parts[3]))
-        elif parts[0] == "arrow":
-            src = out.gens[parts[1]]
-            label = algebra.parse_label(parts[3], src.idem, out.flavor)
-            out.add_arrow(parts[1], parts[2], label)
-        else:
-            raise ValueError(f"bad line: {raw!r}")
-    if out is None:
-        raise ValueError("empty serialization")
-    return out

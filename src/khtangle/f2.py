@@ -11,11 +11,6 @@ from __future__ import annotations
 ZERO = frozenset()
 
 
-def add(x, y):
-    """Sum over F2 = symmetric difference of term sets."""
-    return x ^ y
-
-
 def _reduce_row(row, pivots):
     """Eliminate row against a pivot dict {pivot key: row}."""
     while row:
@@ -36,36 +31,6 @@ def rank(rows):
             pivots[max(row)] = row
             r += 1
     return r
-
-
-def solve(rows, target):
-    """Indices I with sum(rows[i] for i in I) == target, or None.
-
-    Returns a frozenset of row indices (a preimage witness under the
-    linear map sending unit vectors to rows).
-    """
-    pivots = {}  # pivot key -> (row, combo of indices)
-    for i, raw in enumerate(rows):
-        row, combo = frozenset(raw), frozenset([i])
-        while row:
-            p = max(row)
-            if p not in pivots:
-                pivots[p] = (row, combo)
-                break
-            prow, pcombo = pivots[p]
-            row, combo = row ^ prow, combo ^ pcombo
-    t, combo = frozenset(target), frozenset()
-    while t:
-        p = max(t)
-        if p not in pivots:
-            return None
-        prow, pcombo = pivots[p]
-        t, combo = t ^ prow, combo ^ pcombo
-    return combo
-
-
-def in_span(rows, target):
-    return solve(rows, target) is not None
 
 
 def nullspace(rows):

@@ -180,17 +180,22 @@ MAX_GENERATORS = 50_000
 
 def build_cube(word: TangleWord, star="nw") -> ResolutionCube:
     """Simulate every resolution; refuse a cube that would deloop to more
-    than MAX_GENERATORS generators."""
+    than MAX_GENERATORS generators as soon as its resolutions so far
+    pass the cap."""
     assert star in STAR_CHOICES
     c = word.crossings
     if 1 << c > MAX_GENERATORS:
         raise TangleError(f"{c} crossings deloop to at least {1 << c:,} "
                           f"generators, over the cap of {MAX_GENERATORS:,}")
-    resolutions = {bits: _simulate(word, bits) for bits in range(1 << c)}
-    gens = sum(1 << len(r.loops) for r in resolutions.values())
-    if gens > MAX_GENERATORS:
-        raise TangleError(f"the cube deloops to {gens:,} generators, "
-                          f"over the cap of {MAX_GENERATORS:,}")
+    resolutions = {}
+    gens = 0
+    for bits in range(1 << c):
+        res = resolutions[bits] = _simulate(word, bits)
+        gens += 1 << len(res.loops)
+        if gens > MAX_GENERATORS:
+            raise TangleError(f"the cube deloops to at least {gens:,} "
+                              f"generators, over the cap of "
+                              f"{MAX_GENERATORS:,}")
     return ResolutionCube(word, resolutions, star)
 
 

@@ -72,19 +72,12 @@ def test_q_kernel_is_exactly_h_multiples():
     # q(x) = 0 iff x lies in the span of H*b over basis monomials b
     h_rows = [frozenset(h_mul(mono_elem(t)).terms)
               for t in basis_up_to_weight(12)]
+    h_rank = f2.rank(h_rows)
     for t in basis_up_to_weight(12):
         in_ker = q_map(mono_elem(t)).is_zero()
-        in_span = f2.in_span(h_rows, frozenset([t]))
+        in_span = f2.rank(h_rows + [frozenset([t])]) == h_rank
         if t.weight <= 10:  # stay below the truncation boundary
             assert in_ker == in_span, str(t)
-
-
-def test_label_roundtrip():
-    for t in basis_up_to_weight(7):
-        e = mono_elem(t)
-        assert algebra.parse_label(algebra.format_label(e), t.src) == e
-    e = h_elem(FILLED) + spow(4, FILLED)
-    assert algebra.parse_label(algebra.format_label(e), FILLED) == e
 
 
 def test_flavor_guard():
@@ -159,9 +152,9 @@ def test_h_mul_and_q_map_match_termwise_definitions():
 
 def test_str_orders_d_then_i_then_s():
     assert str(h_elem(FILLED)) == "D+S^2"
-    assert str(algebra.parse_label("i+D", HOLLOW)) == "D+i"
-    assert str(algebra.parse_label("S^3+i+D^2+S+D", FILLED)) == \
-        "D+D^2+i+S+S^3"
+    assert str(idem(HOLLOW) + dpow(1, HOLLOW)) == "D+i"
+    assert str(spow(3, FILLED) + idem(FILLED) + dpow(2, FILLED)
+               + spow(1, FILLED) + dpow(1, FILLED)) == "D+D^2+i+S+S^3"
     assert str(algebra.zero()) == "0"
     assert str(spow(1, FILLED) + spow(1, HOLLOW)) == "S+S"
 

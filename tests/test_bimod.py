@@ -27,7 +27,8 @@ def test_pattern_match_and_instantiate():
 
 
 def test_shipped_bimodule_shapes():
-    bims = bimod.shipped_bimodules()
+    bims = {"I": bimod.bimodule_I(), "Q": bimod.bimodule_Q(),
+            "Y": bimod.bimodule_Y()}
     assert set(bims["I"].gens) == {"l", "b", "m", "y"}
     assert set(bims["Q"].gens) == {"z", "w"}
     assert set(bims["Y"].gens) == {"t", "u", "k", "v"}
@@ -106,12 +107,6 @@ def test_box_with_identity_is_identity_on_actions():
     assert renamed == bimod.instantiate_actions(q, 10)
 
 
-def test_box_gen_pairs():
-    pairs = bimod.box_gen_pairs(bimod.bimodule_Q(), bimod.bimodule_Y())
-    assert set(pairs) == {"z*t", "w*u", "z*k", "w*v"}
-    assert pairs["z*k"].hdeg == 1 and pairs["z*t"].hdeg == 0
-
-
 def test_morphisms_are_cycles():
     assert bimod.diff_ad_morphism(bimod.morphism_f(), 16) == frozenset()
     assert bimod.diff_ad_morphism(bimod.morphism_g(), 16) == frozenset()
@@ -131,8 +126,7 @@ def test_deleting_a_component_breaks_the_cycle_condition():
 
 
 def test_composites_are_identities():
-    mors = bimod.shipped_morphisms()
-    f, g = mors["f"], mors["g"]
+    f, g = bimod.morphism_f(), bimod.morphism_g()
     eff = 8
     gof = bimod._filter_weight(bimod.compose_ad_morphisms(g, f, 16), eff)
     fog = bimod._filter_weight(bimod.compose_ad_morphisms(f, g, 16), eff)
@@ -141,16 +135,17 @@ def test_composites_are_identities():
 
 
 def test_arity_two_composite_vanishes():
-    mors = bimod.shipped_morphisms()
-    f1, g1 = mors["f"].arity_part(1), mors["g"].arity_part(1)
+    f1, g1 = bimod.morphism_f().arity_part(1), bimod.morphism_g().arity_part(1)
     assert bimod._filter_weight(
         bimod.compose_ad_morphisms(g1, f1, 16), 8) == frozenset()
 
 
 def test_weight_shifts_bounded_by_four():
-    for bim in bimod.shipped_bimodules().values():
+    for bim in (bimod.bimodule_I(), bimod.bimodule_Q(), bimod.bimodule_Y(),
+                bimod.identity_bimodule(FLAVOR_B),
+                bimod.identity_bimodule(FLAVOR_BT)):
         assert bimod.max_weight_shift(bim) <= 4, bim.name
-    for mor in bimod.shipped_morphisms().values():
+    for mor in (bimod.morphism_f(), bimod.morphism_g()):
         assert bimod.max_weight_shift(mor) <= 4, mor.name
 
 

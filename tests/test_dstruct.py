@@ -116,12 +116,36 @@ def test_iso_check_identity_and_permutation():
     assert w == {"a": "aa", "b": "bb"}  # global shift by 3
 
 
+def test_reduce_keeps_a_non_unit_arrow():
+    # i + D is not a unit in B, so cancelling x -> y would not be a
+    # homotopy equivalence
+    m = dstruct.TypeDStructure(FLAVOR_B)
+    m.add_gen("x", FILLED, 0)
+    m.add_gen("y", FILLED, 1)
+    label = algebra.idem(FILLED) + algebra.dpow(1, FILLED)
+    m.add_arrow("x", "y", label)
+    r = dstruct.reduce(m)
+    assert set(r.gens) == {"x", "y"}
+    assert r.arrows == {("x", "y"): label}
+
+
 def test_iso_check_count_mismatch():
     m = dstruct.TypeDStructure(FLAVOR_B)
     m.add_gen("a", FILLED, 0)
     n = dstruct.TypeDStructure(FLAVOR_B)
     n.add_gen("a", HOLLOW, 0)
     assert dstruct.iso_check(m, n) == dstruct.NOT_FOUND
+
+
+def test_iso_check_degree_spreads_differ():
+    # the same counts per idempotent, but no one shift aligns the degrees
+    m = dstruct.TypeDStructure(FLAVOR_B)
+    n = dstruct.TypeDStructure(FLAVOR_B)
+    for s, top in ((m, 1), (n, 2)):
+        s.add_gen("a", FILLED, 0)
+        s.add_gen("b", FILLED, top)
+    assert dstruct.iso_check(m, n) == dstruct.NOT_FOUND
+    assert dstruct.iso_check(n, m) == dstruct.NOT_FOUND
 
 
 def test_iso_check_finds_base_change():
@@ -157,7 +181,11 @@ def test_serialization_roundtrip():
     m.add_gen("c", FILLED, 1)
     m.add_arrow("a", "b", algebra.spow(1, FILLED))
     m.add_arrow("a", "c", algebra.h_elem(FILLED))
-    text = dstruct.serialize(m)
-    again = dstruct.deserialize(text)
-    assert again.gens == m.gens and again.arrows == m.arrows
-    assert dstruct.serialize(again) == text
+    assert dstruct.serialize(m) == (
+        "flavor B\n"
+        "gen a filled 0\n"
+        "gen b hollow 1\n"
+        "gen c filled 1\n"
+        "arrow a b S\n"
+        "arrow a c D+S^2\n")
+    assert dstruct.serialize(dstruct.TypeDStructure(FLAVOR_B)) == "flavor B\n"
