@@ -6,8 +6,12 @@ the serialized reduced complex, the serialized two-layer image, and the
 `compare` verdict with its witness.  Digests of the unreduced box
 tensors of the reduced complex with `Y` (after the quotient map), `I`
 and `Q` were recorded before `box_ad` moved onto the concrete actions
-of `bimod`.  Any change to generator names, arrow labels, label order
-or witnesses shows up here.
+of `bimod`.  Serialization sorts the arrows, but chain-map witnesses
+depend on the order in which the reduced complex holds them, so the
+"order" digest, recorded before `reduce` moved onto integer generator
+ids, covers `list(m.arrows)` of the reduced complex.  Any change to
+generator names, arrow labels, label order, arrow order or witnesses
+shows up here.
 
 Regenerate (only when an output is meant to change) with
 `PYTHONPATH=src python3 tests/test_serialize_gate.py`.
@@ -52,6 +56,7 @@ def digests(text):
             dstruct.box_ad(m, bimod.bimodule_I()))),
         "box_q": _sha(dstruct.serialize(
             dstruct.box_ad(m, bimod.bimodule_Q()))),
+        "order": _sha(json.dumps(list(m.arrows))),
     }
 
 
