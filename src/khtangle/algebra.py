@@ -156,9 +156,14 @@ class BElem:
     `packed` is (s_F, d_F, s_H, d_H), see the encoding above; elements
     are immutable.  `BElem(terms, flavor)` builds one from an iterable
     of BBasis monomials; `terms` gives them back.
+
+    Every value exists once (see `_packed`), so equality is identity
+    and the zero test compares with the interned zero.  Each value
+    memoizes its products, sums and `runs` answers, keyed by the other
+    operand's serial number (or by the endpoints).
     """
 
-    __slots__ = ("packed", "flavor")
+    __slots__ = ("packed", "flavor", "_hash", "_n", "_mul", "_add", "_runs")
 
     def __new__(cls, terms=(), flavor=FLAVOR_B):
         parts = [0, 0, 0, 0]
@@ -172,35 +177,43 @@ class BElem:
         return _terms_of(self.packed)
 
     def __eq__(self, other):
-        try:
-            return self.packed == other.packed and self.flavor == other.flavor
-        except AttributeError:
-            return NotImplemented
+        return self is other
 
     def __hash__(self):
-        return hash(self.packed)
+        return self._hash
 
     def is_zero(self):
-        return not any(self.packed)
+        return self is _ZERO[self.flavor]
 
     def __add__(self, other):
+        try:
+            return self._add[other._n]
+        except KeyError:
+            pass
         assert self.flavor == other.flavor
         a, b = self.packed, other.packed
-        return _packed((a[0] ^ b[0], a[1] ^ b[1], a[2] ^ b[2], a[3] ^ b[3]),
-                       self.flavor)
+        r = self._add[other._n] = _packed(
+            (a[0] ^ b[0], a[1] ^ b[1], a[2] ^ b[2], a[3] ^ b[3]), self.flavor)
+        return r
 
     def __mul__(self, other):
+        try:
+            return self._mul[other._n]
+        except KeyError:
+            pass
         assert self.flavor == other.flavor, "flavor mismatch in product"
         xsf, xdf, xsh, xdh = self.packed
         ysf, ydf, ysh, ydh = other.packed
         sf = _s_mul(xsf, ysf, ysh)
         sh = _s_mul(xsh, ysh, ysf)
         if self.flavor == FLAVOR_BT:
-            return _packed((sf & _QUOTIENT_S, 0, sh & _QUOTIENT_S, 0),
-                           FLAVOR_BT)
-        df = _clmul(xdf | (xsf & 1), ydf | (ysf & 1)) & ~1
-        dh = _clmul(xdh | (xsh & 1), ydh | (ysh & 1)) & ~1
-        return _packed((sf, df, sh, dh), FLAVOR_B)
+            r = _packed((sf & _QUOTIENT_S, 0, sh & _QUOTIENT_S, 0), FLAVOR_BT)
+        else:
+            df = _clmul(xdf | (xsf & 1), ydf | (ysf & 1)) & ~1
+            dh = _clmul(xdh | (xsh & 1), ydh | (ysh & 1)) & ~1
+            r = _packed((sf, df, sh, dh), FLAVOR_B)
+        self._mul[other._n] = r
+        return r
 
     def is_idem(self):
         """Whether the element is exactly one vertex's idempotent."""
@@ -208,16 +221,12 @@ class BElem:
 
     def runs(self, src: Vertex, dst: Vertex):
         """Whether every term is a path from src to dst."""
-        for v, s, d in _by_vertex(self.packed):
-            if v is not src:
-                if s or d:
-                    return False
-            elif src is dst:
-                if _has_parity(s, 1):
-                    return False   # odd S powers change vertex
-            elif d or _has_parity(s, 0):
-                return False       # only odd S powers change vertex
-        return True
+        key = (src is FILLED, dst is FILLED)
+        try:
+            return self._runs[key]
+        except KeyError:
+            r = self._runs[key] = _runs(self.packed, src, dst)
+            return r
 
     def max_weight(self):
         return max((max(s.bit_length() - 1, 2 * (d.bit_length() - 1))
@@ -243,6 +252,19 @@ def _by_vertex(packed):
     return zip(_VERTICES, packed[0::2], packed[1::2])
 
 
+def _runs(packed, src, dst):
+    for v, s, d in _by_vertex(packed):
+        if v is not src:
+            if s or d:
+                return False
+        elif src is dst:
+            if _has_parity(s, 1):
+                return False   # odd S powers change vertex
+        elif d or _has_parity(s, 0):
+            return False       # only odd S powers change vertex
+    return True
+
+
 def _terms_of(packed):
     out = []
     for v, s, d in _by_vertex(packed):
@@ -252,8 +274,15 @@ def _terms_of(packed):
     return frozenset(out)
 
 
+_INTERNED = {}   # (packed, flavor) -> the one BElem of that value
+
+
 def _packed(packed, flavor):
-    """Every element, from terms or from arithmetic, is made here."""
+    """Every element, from terms or from arithmetic, is made here, once
+    per value."""
+    e = _INTERNED.get((packed, flavor))
+    if e is not None:
+        return e
     if flavor == FLAVOR_BT and (packed[1] or packed[3] or
                                 (packed[0] | packed[2]) > _QUOTIENT_S):
         bad = next(t for t in _terms_of(packed)
@@ -262,11 +291,18 @@ def _packed(packed, flavor):
     e = object.__new__(BElem)
     e.packed = packed
     e.flavor = flavor
+    e._hash = hash(packed)
+    e._n = len(_INTERNED)
+    e._mul, e._add, e._runs = {}, {}, {}
+    _INTERNED[packed, flavor] = e
     return e
 
 
+_ZERO = {f: _packed((0, 0, 0, 0), f) for f in (FLAVOR_B, FLAVOR_BT)}
+
+
 def zero(flavor=FLAVOR_B):
-    return _packed((0, 0, 0, 0), flavor)
+    return _ZERO[flavor]
 
 
 def idem(v: Vertex, flavor=FLAVOR_B):

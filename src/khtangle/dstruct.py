@@ -172,20 +172,26 @@ def reduce(m: TypeDStructure) -> TypeDStructure:
     equivalence because its label is a unit.  The idempotents are the
     only units of e_v B e_v: i + x with x of positive weight is not
     invertible in B, so an arrow with such a label is kept.
+
+    Inside, generators are numbered in sorted-name order, so that heap
+    ties break as the names would; the result keeps m's order of
+    generators and arrows.
     """
     import heapq
 
-    gens = dict(m.gens)
-    out_adj = {name: {} for name in gens}
-    in_adj = {name: {} for name in gens}
-    pure = set()
-    heap = []  # lazy-keyed fill-in costs of the cancellable arrows
+    names = sorted(m.gens)
+    index = {name: i for i, name in enumerate(names)}
+    n = len(names)
+    out_adj = [{} for _ in range(n)]
+    in_adj = [{} for _ in range(n)]
+    pure = set()   # s * n + d of each cancellable arrow s -> d
+    heap = []      # lazy-keyed fill-in costs of the cancellable arrows
 
     def cost(s, d):
         return (len(in_adj[d]) - 1) * (len(out_adj[s]) - 1)
 
     def set_arrow(s, d, label):
-        pure.discard((s, d))
+        pure.discard(s * n + d)
         if label.is_zero():
             out_adj[s].pop(d, None)
             in_adj[d].pop(s, None)
@@ -193,25 +199,35 @@ def reduce(m: TypeDStructure) -> TypeDStructure:
         out_adj[s][d] = label
         in_adj[d][s] = label
         if label.is_idem():
-            pure.add((s, d))
+            pure.add(s * n + d)
             heapq.heappush(heap, (cost(s, d), s, d))
 
+    # the heap gets the keys set_arrow would push, in one heapify
     for (s, d), label in m.arrows.items():
-        set_arrow(s, d, label)
+        if label.is_zero():
+            continue
+        s, d = index[s], index[d]
+        out_adj[s][d] = in_adj[d][s] = label
+        if label.is_idem():
+            pure.add(s * n + d)
+            heap.append((cost(s, d), s, d))
+    heapq.heapify(heap)
 
     def drop_gen(g):
-        for d in list(out_adj[g]):
-            set_arrow(g, d, algebra.zero(m.flavor))
-        for s in list(in_adj[g]):
-            set_arrow(s, g, algebra.zero(m.flavor))
-        del gens[g], out_adj[g], in_adj[g]
+        for d in out_adj[g]:
+            del in_adj[d][g]
+            pure.discard(g * n + d)
+        for s in in_adj[g]:
+            del out_adj[s][g]
+            pure.discard(s * n + g)
+        out_adj[g] = in_adj[g] = None
 
     def pick():
         # cheapest cancellation by current fill-in cost; heap keys are
         # refreshed lazily, so stale entries get re-pushed
         while True:
             c, s, d = heapq.heappop(heap)
-            if (s, d) not in pure:
+            if s * n + d not in pure:
                 continue
             actual = cost(s, d)
             if actual != c:
@@ -226,17 +242,19 @@ def reduce(m: TypeDStructure) -> TypeDStructure:
         drop_gen(x)
         drop_gen(y)
         for p, beta in into_y:
+            adj = out_adj[p]
             for q, gamma in from_x:
                 prod = beta * gamma
                 if prod.is_zero():
                     continue
-                cur = out_adj[p].get(q)
+                cur = adj.get(q)
                 set_arrow(p, q, prod if cur is None else cur + prod)
 
     res = TypeDStructure(m.flavor)
-    res.gens = gens
-    res.arrows = {(s, d): l for s, adj in out_adj.items()
-                  for d, l in adj.items()}
+    res.gens = {name: g for name, g in m.gens.items()
+                if out_adj[index[name]] is not None}
+    res.arrows = {(s, names[d]): l for s in res.gens
+                  for d, l in out_adj[index[s]].items()}
     return res
 
 

@@ -215,10 +215,12 @@ def deloop_translate(cube: ResolutionCube) -> dstruct.TypeDStructure:
     word, star = cube.word, cube.star
     c = word.crossings
 
+    names = {}
     for bits, res in cube.resolutions.items():
-        for decor in range(1 << len(res.loops)):
-            out.add_gen(_gen_name(bits, decor), res.matching,
-                        bin(bits).count("1"))
+        names[bits] = [_gen_name(bits, decor)
+                       for decor in range(1 << len(res.loops))]
+        for name in names[bits]:
+            out.add_gen(name, res.matching, bin(bits).count("1"))
 
     for bits, src in cube.resolutions.items():
         for j in range(c):
@@ -226,7 +228,8 @@ def deloop_translate(cube: ResolutionCube) -> dstruct.TypeDStructure:
                 continue
             tbits = bits | (1 << j)
             tgt = cube.resolutions[tbits]
-            _add_saddle_arrows(out, src, tgt, bits, tbits, j, star)
+            _add_saddle_arrows(out, src, tgt, names[bits], names[tbits], j,
+                               star)
 
     bad = dstruct.check_d_squared(out)
     if bad:
@@ -234,79 +237,69 @@ def deloop_translate(cube: ResolutionCube) -> dstruct.TypeDStructure:
     return out
 
 
-def _add_saddle_arrows(out, src, tgt, bits, tbits, j, star):
+def _add_saddle_arrows(out, src, tgt, src_names, tgt_names, j, star):
     """Arrows for the cube edge flipping crossing j, for every source
-    dot decoration."""
+    dot decoration.
+
+    The saddle rule depends on a decoration only through the number of
+    dotted source loops the saddle touches, so it is worked out once per
+    edge as `rules[n]`: the (target loop bits, label) of each arrow when
+    n of them are dotted.  Dots on untouched loops move to the same loop
+    in the target.
+    """
     a, b, c1, c2 = src.site_ports[j]
     src_touch = {src.component_of[p] for p in (a, b, c1, c2)}
-    tgt_touch = {tgt.component_of[p] for p in (a, b, c1, c2)}
-    src_loops = src.loops
+    tgt_touch = sorted({tgt.component_of[p] for p in (a, b, c1, c2)})
     star_tgt = _starred_component(tgt, star)
+    tgt_bit = {lid: 1 << i for i, lid in enumerate(tgt.loops)}
     v = src.matching
 
-    def dotted(decor, comp):
-        return comp in src_loops and (decor >> src_loops.index(comp)) & 1
-
-    def carry(decor, skip):
-        """Transfer decorations on loops not involved in the saddle."""
-        dots = {}
-        for idx, lid in enumerate(src_loops):
-            if lid in skip:
-                continue
-            if (decor >> idx) & 1:
-                dots[tgt.component_of[lid]] = True
-        return dots
-
-    def emit(decor, dots, label):
-        """dots: map target component -> dotted; convert to a decoration
-        index over tgt.loops, turning dots on arcs into algebra."""
-        if label.is_zero():
-            return
-        tdecor = 0
-        for comp, _ in dots.items():
-            if comp in tgt.loops:
-                tdecor |= 1 << tgt.loops.index(comp)
+    def dotted(comps, label):
+        """(target loop bits, label) with a dot on each component: a dot
+        on the starred arc kills the term, one on the other arc is D."""
+        bits = 0
+        for comp in comps:
+            if comp in tgt_bit:
+                bits |= tgt_bit[comp]
             elif comp == star_tgt:
-                return  # dot on the starred arc kills the term
+                return None
             else:
                 label = label * algebra.dpow(1, tgt.matching)
-                if label.is_zero():
-                    return
-        out.add_arrow(_gen_name(bits, decor), _gen_name(tbits, tdecor), label)
+        return bits, label
 
-    for decor in range(1 << len(src_loops)):
-        if len(src_touch) == 2 and len(tgt_touch) == 2:
-            # arc-arc reconnection: the saddle cobordism
-            label = algebra.spow(1, v)
-            emit(decor, carry(decor, skip=src_touch), label)
-        elif len(src_touch) == 2:
-            # merge of two components into one; arcs carry no dot, and
-            # two dots meeting give H times a dot
-            ndots = sum(1 for comp in src_touch if dotted(decor, comp))
-            dots = carry(decor, skip=src_touch)
-            label = algebra.idem(v)
-            if ndots == 2:
-                label = algebra.h_mul(label)
-            if ndots:
-                dots[next(iter(tgt_touch))] = True
-            emit(decor, dots, label)
+    idem = algebra.idem(v)
+    if len(src_touch) == 2 and len(tgt_touch) == 2:
+        # arc-arc reconnection: the saddle cobordism
+        rules = [[dotted((), algebra.spow(1, v))]]
+    elif len(src_touch) == 2:
+        # merge of two components into one; arcs carry no dot, and two
+        # dots meeting give H times a dot
+        rules = [[dotted((), idem)], [dotted(tgt_touch, idem)],
+                 [dotted(tgt_touch, algebra.h_mul(idem))]]
+    else:
+        # split of one component into two: a dot coming in dots both
+        # offspring; otherwise one offspring is dotted, or H
+        t_a, t_b = tgt_touch
+        rules = [[dotted((t_a,), idem), dotted((t_b,), idem),
+                  dotted((), algebra.h_mul(idem))],
+                 [dotted((t_a, t_b), idem)]]
+    rules = [[r for r in rule if r is not None] for rule in rules]
+
+    touched = 0
+    carried = []   # (source loop bit, target loop bit) of untouched loops
+    for i, lid in enumerate(src.loops):
+        if lid in src_touch:
+            touched |= 1 << i
         else:
-            # split of one component into two
-            base = carry(decor, skip=src_touch)
-            t_a, t_b = sorted(tgt_touch)
-            if dotted(decor, next(iter(src_touch))):
-                # a dot comes in: both offspring dotted
-                dots = dict(base)
-                dots[t_a] = True
-                dots[t_b] = True
-                emit(decor, dots, algebra.idem(v))
-            else:
-                for dotted_side in (t_a, t_b):
-                    dots = dict(base)
-                    dots[dotted_side] = True
-                    # dot on the starred arc vanishes inside emit
-                    emit(decor, dots, algebra.idem(v))
-                emit(decor, dict(base), algebra.h_mul(algebra.idem(v)))
+            carried.append((1 << i, tgt_bit[tgt.component_of[lid]]))
+
+    for decor, name in enumerate(src_names):
+        tdecor = 0
+        for sbit, tbit in carried:
+            if decor & sbit:
+                tdecor |= tbit
+        for bits, label in rules[(decor & touched).bit_count()]:
+            out.add_arrow(name, tgt_names[tdecor | bits], label)
 
 
 # --- pipelines ----------------------------------------------------------
