@@ -172,9 +172,9 @@ class ResolutionCube:
 
 # Each resolution deloops to 2^(its loops) generators, so a cube deloops
 # to at least 2^c of them.  The cap admits x1^10 (29,525 generators;
-# `compare` takes 9.2 s and 136 MB on a 2-vCPU Xeon VM) and the worst
-# criterion-6 word (26,244), and refuses x1^11 (88,574 generators,
-# 35.8 s: over the 30 s per-tangle budget) before any delooping.
+# `compare` takes 3.0-3.3 s and 84 MB on a 2-vCPU Xeon VM) and the worst
+# criterion-6 word (26,244), and refuses x1^11 (88,574 generators; with
+# the cap lifted, 11.4 s and 241 MB) before any delooping.
 MAX_GENERATORS = 50_000
 
 

@@ -103,11 +103,13 @@ def termwise_mul(x, y):
 @pytest.mark.parametrize("flavor", [FLAVOR_B, FLAVOR_BT])
 def test_packed_product_matches_monomial_rule(flavor):
     basis = basis_up_to_weight(10, flavor)
-    for a, b in itertools.product(basis, basis):
-        got = mono_elem(a, flavor) * mono_elem(b, flavor)
-        want = algebra._mono_mul(a, b, flavor)
-        assert got.terms == (frozenset() if want is None
-                             else frozenset([want])), (str(a), str(b))
+    # the second pass reads every product from the memo of the first
+    for _ in range(2):
+        for a, b in itertools.product(basis, basis):
+            got = mono_elem(a, flavor) * mono_elem(b, flavor)
+            want = algebra._mono_mul(a, b, flavor)
+            assert got.terms == (frozenset() if want is None
+                                 else frozenset([want])), (str(a), str(b))
 
 
 @pytest.mark.parametrize("flavor", [FLAVOR_B, FLAVOR_BT])
@@ -117,11 +119,15 @@ def test_packed_product_of_mixed_vertex_sums(flavor):
     unit = idem(FILLED, flavor) + idem(HOLLOW, flavor)
     assert unit.terms == {BBasis("i", 0, FILLED), BBasis("i", 0, HOLLOW)}
     assert str(unit) == "i+i"
-    for _ in range(300):
-        x = algebra.BElem(rng.sample(basis, rng.randint(0, 5)), flavor)
-        y = algebra.BElem(rng.sample(basis, rng.randint(0, 5)), flavor)
-        assert x * y == termwise_mul(x, y)
-        assert unit * x == x == x * unit
+    pairs = [tuple(algebra.BElem(rng.sample(basis, rng.randint(0, 5)),
+                                 flavor) for _ in range(2))
+             for _ in range(300)]
+    # the second pass reads every product and sum from the memo
+    for _ in range(2):
+        for x, y in pairs:
+            assert x * y == termwise_mul(x, y)
+            assert (x + y).terms == x.terms ^ y.terms
+            assert unit * x == x == x * unit
 
 
 def test_h_mul_and_q_map_match_termwise_definitions():
@@ -167,3 +173,17 @@ def test_flavor_guard_names_the_monomial():
                       FLAVOR_BT)
     assert spow(2, FILLED, FLAVOR_BT) * spow(1, FILLED, FLAVOR_BT) == \
         algebra.zero(FLAVOR_BT)
+
+
+def test_equal_values_are_one_object():
+    for v in (FILLED, HOLLOW):
+        assert spow(1, v) * spow(1, v.other()) is spow(2, v)
+        assert algebra.BElem([BBasis("s", 2, v)]) is spow(2, v)
+        assert idem(v) + dpow(1, v) + dpow(1, v) is idem(v)
+        assert (dpow(1, v) * spow(1, v)) is algebra.zero()
+        assert h_mul(idem(v)) is h_elem(v)
+        assert q_map(dpow(1, v)) is spow(2, v, FLAVOR_BT)
+    assert algebra.BElem((), FLAVOR_BT) is algebra.zero(FLAVOR_BT)
+    # the flavor is part of the value
+    assert spow(1, FILLED) != spow(1, FILLED, FLAVOR_BT)
+    assert not algebra.zero(FLAVOR_BT) == algebra.zero()

@@ -44,6 +44,20 @@ def test_arrow_validation():
         m.add_arrow("a", "c", algebra.dpow(1, FILLED))  # endpoint mismatch
 
 
+def test_arrow_validation_reads_both_endpoints():
+    # S from FILLED ends at HOLLOW: the label check of one endpoint pair
+    # must not answer for another
+    m = dstruct.TypeDStructure(FLAVOR_B)
+    m.add_gen("a", FILLED, 0)
+    m.add_gen("b", HOLLOW, 1)
+    m.add_gen("c", FILLED, 1)
+    m.add_arrow("a", "b", algebra.spow(1, FILLED))
+    with pytest.raises(AssertionError, match="does not run"):
+        m.add_arrow("a", "c", algebra.spow(1, FILLED))
+    m.add_arrow("a", "b", algebra.spow(1, FILLED))
+    assert m.arrows == {}
+
+
 def test_cone_h_point():
     m = dstruct.TypeDStructure(FLAVOR_B)
     m.add_gen("p", FILLED, 0)

@@ -94,10 +94,57 @@ def test_reduced_complex_sizes():
         assert dstruct.check_d_squared(m) == []
 
 
-def test_second_reidemeister_move_is_trivial():
-    lhs = tangles.tangle_complex(tangles.parse_tangle("x1 y1"))
-    rhs = tangles.tangle_complex(tangles.parse_tangle(""))
-    assert dstruct.iso_check(lhs, rhs) != dstruct.NOT_FOUND
+# (move, one side, the other side): each pair differs by one move
+MOVES = [
+    ("R1", "u1 x2 n1", ""),
+    ("R2", "x1 y1", ""),
+    ("R2-cup", "u1 x2 y2 n1", "u1 n1"),
+    ("R3", "u1 x1 x2 x1 n3", "u1 x2 x1 x2 n3"),
+    ("R3-cup", "x1 u3 x2 x1 x2 n3", "x1 u3 x1 x2 x1 n3"),
+    ("zig-zag", "u2 n1", ""),
+]
+
+
+@pytest.mark.parametrize("lhs,rhs", [m[1:] for m in MOVES],
+                         ids=[m[0] for m in MOVES])
+def test_moves_give_isomorphic_complexes(lhs, rhs):
+    m = tangles.tangle_complex(tangles.parse_tangle(lhs))
+    n = tangles.tangle_complex(tangles.parse_tangle(rhs))
+    assert dstruct.iso_check(m, n) != dstruct.NOT_FOUND
+
+
+def test_twist_ladder_reduces_to_an_arc():
+    # x1^n is rational: its complex is n + 1 generators, for every n the
+    # generator cap admits
+    for n in range(1, 11):
+        assert len(tangles.tangle_complex(twist(n)).gens) == n + 1, n
+    with pytest.raises(tangles.TangleError):
+        tangles.build_cube(twist(11))
+
+
+# name -> (algebra function, replacement): each makes a wrong deloop
+DELOOP_BUGS = {
+    "H is the identity": ("h_mul", lambda x: x),
+    "H is zero": ("h_mul", lambda x: algebra.zero(x.flavor)),
+    "dot on an arc is the identity": ("dpow", lambda n, v: algebra.idem(v)),
+}
+
+
+@pytest.mark.parametrize("bug", DELOOP_BUGS)
+def test_deloop_guard_catches_seeded_bugs(monkeypatch, bug):
+    # on the corpus alone, a merge that drops its H goes uncaught
+    rng = random.Random(0)
+    cubes = [tangles.build_cube(tangles.random_word(rng, 5))
+             for _ in range(40)]
+    monkeypatch.setattr(algebra, *DELOOP_BUGS[bug])
+    caught = 0
+    for cube in cubes:
+        try:
+            tangles.deloop_translate(cube)
+        except AssertionError as err:
+            assert "d^2 != 0" in str(err)
+            caught += 1
+    assert caught > 0
 
 
 def test_star_choice_changes_nothing_essential():
