@@ -13,6 +13,15 @@ ids, covers `list(m.arrows)` of the reduced complex.  Any change to
 generator names, arrow labels, label order, arrow order or witnesses
 shows up here.
 
+The fixture's last entry, under `BIMOD`, holds digests of the concrete
+action sets of the bimodule calculus, recorded before it moved onto
+packed monomials: the box tensor of `Q` and `Y`, the instantiated
+actions of `I`, `Q`, `Y` and `QY`, the differentials of `f` and `g`,
+their two composites, and the differential of `f` without its
+`m->w*u` component (whose factorization terms no longer cancel), all
+at weight bound 16.  Each item is written
+`src->dst (in,... | out)` and the lines are sorted.
+
 Regenerate (only when an output is meant to change) with
 `PYTHONPATH=src python3 tests/test_serialize_gate.py`.
 """
@@ -27,6 +36,7 @@ import pytest
 from khtangle import algebra, bimod, dstruct, tangles
 
 FIXTURE = Path(__file__).parent / "data" / "serialize_digests.json"
+BIMOD = "(bimodule calculus)"
 
 
 def gate_words():
@@ -60,8 +70,31 @@ def digests(text):
     }
 
 
+def bimod_digests():
+    def sha_items(items):
+        return _sha("\n".join(sorted(
+            f"{s}->{d} ({','.join(map(str, ins)) or '-'} | {out})"
+            for s, d, ins, out in items)))
+
+    f, g = bimod.morphism_f(), bimod.morphism_g()
+    out = {"box_qy": sha_items(bimod.box_bimods(bimod.bimodule_Q(),
+                                                bimod.bimodule_Y(), 16))}
+    for name, bim in (("I", bimod.bimodule_I()), ("Q", bimod.bimodule_Q()),
+                      ("Y", bimod.bimodule_Y()),
+                      ("QY", bimod.bimodule_QY_expected())):
+        out[f"actions_{name}"] = sha_items(bimod.instantiate_actions(bim, 16))
+    out["diff_f"] = sha_items(bimod.diff_ad_morphism(f, 16))
+    out["diff_g"] = sha_items(bimod.diff_ad_morphism(g, 16))
+    out["g_after_f"] = sha_items(bimod.compose_ad_morphisms(g, f, 16))
+    out["f_after_g"] = sha_items(bimod.compose_ad_morphisms(f, g, 16))
+    broken = bimod.ADMorphism("f'", f.source, f.target, tuple(
+        c for c in f.components if (c.src, c.dst) != ("m", "w*u")))
+    out["diff_f_broken"] = sha_items(bimod.diff_ad_morphism(broken, 16))
+    return out
+
+
 def test_fixture_covers_the_gate_words():
-    assert list(json.loads(FIXTURE.read_text())) == gate_words()
+    assert list(json.loads(FIXTURE.read_text())) == gate_words() + [BIMOD]
 
 
 @pytest.mark.parametrize("text", gate_words())
@@ -69,6 +102,11 @@ def test_outputs_are_byte_identical(text):
     assert digests(text) == json.loads(FIXTURE.read_text())[text]
 
 
+def test_bimodule_calculus_is_byte_identical():
+    assert bimod_digests() == json.loads(FIXTURE.read_text())[BIMOD]
+
+
 if __name__ == "__main__":
-    FIXTURE.write_text(json.dumps({w: digests(w) for w in gate_words()},
-                                  indent=1) + "\n")
+    fixture = {w: digests(w) for w in gate_words()}
+    fixture[BIMOD] = bimod_digests()
+    FIXTURE.write_text(json.dumps(fixture, indent=1) + "\n")
