@@ -180,17 +180,17 @@ def bt_to_sub(x):
     Input is a BElem of the H=0 flavor; output an f2 vector of generator
     names.  FILLED corresponds to L0, HOLLOW to L1.
     """
-    from . import algebra
+    from .algebra import FILLED, HOLLOW, FLAVOR_BT, idem, spow
 
     out = set()
     table = {
-        ("i", 0, algebra.FILLED): "a0",
-        ("i", 0, algebra.HOLLOW): "a1",
-        ("s", 2, algebra.FILLED): "c0",
-        ("s", 2, algebra.HOLLOW): "c1",
-        ("s", 1, algebra.HOLLOW): "p01",
-        ("s", 1, algebra.FILLED): "p10",
+        idem(FILLED, FLAVOR_BT): "a0",
+        idem(HOLLOW, FLAVOR_BT): "a1",
+        spow(2, FILLED, FLAVOR_BT): "c0",
+        spow(2, HOLLOW, FLAVOR_BT): "c1",
+        spow(1, HOLLOW, FLAVOR_BT): "p01",
+        spow(1, FILLED, FLAVOR_BT): "p10",
     }
-    for t in x.terms:
-        out ^= {table[(t.kind, t.n, t.vertex)]}
+    for t in x.monomials():
+        out ^= {table[t]}
     return frozenset(out)

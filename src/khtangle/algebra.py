@@ -3,7 +3,8 @@
 Basis monomials are paths in the quiver with vertices FILLED and HOLLOW:
 idempotents, powers of the connecting arrow S (which alternates between
 the vertices), and powers of the loop D.  Mixed S.D words vanish by the
-quiver relations.  The full algebra carries the central element
+quiver relations.  There is one element type, `BElem`; a monomial is a
+one-term element.  The full algebra carries the central element
 H = D + S^2; the quotient sets H = 0, equivalently identifies D with S^2
 and kills S^3.
 """
@@ -11,8 +12,6 @@ and kills S^3.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
-from functools import total_ordering
 
 
 class Vertex(enum.Enum):
@@ -32,67 +31,6 @@ HOLLOW = Vertex.HOLLOW
 # algebra flavors
 FLAVOR_B = "B"    # full algebra, with H
 FLAVOR_BT = "Bt"  # quotient by H = 0
-
-
-@total_ordering
-@dataclass(frozen=True)
-class BBasis:
-    """A path-basis monomial: kind 'i' (idempotent), 's' or 'd'."""
-
-    kind: str
-    n: int          # 0 for idempotents, else the exponent
-    vertex: Vertex  # source vertex of the path
-
-    @property
-    def src(self):
-        return self.vertex
-
-    @property
-    def dst(self):
-        if self.kind == "s" and self.n % 2 == 1:
-            return self.vertex.other()
-        return self.vertex
-
-    @property
-    def weight(self):
-        if self.kind == "s":
-            return self.n
-        if self.kind == "d":
-            return 2 * self.n
-        return 0
-
-    def _key(self):
-        return (self.kind, self.n, self.vertex.value)
-
-    def __lt__(self, other):
-        return self._key() < other._key()
-
-    def __str__(self):
-        if self.kind == "i":
-            return "i"
-        return _power("S" if self.kind == "s" else "D", self.n)
-
-
-def _power(letter, n):
-    return letter if n == 1 else f"{letter}^{n}"
-
-
-def _mono_mul(x: BBasis, y: BBasis, flavor: str):
-    """Concatenate paths x then y; None means the product is zero."""
-    if x.dst != y.src:
-        return None
-    if x.kind == "i":
-        return y
-    if y.kind == "i":
-        return x
-    if x.kind != y.kind:
-        return None  # DS = SD = 0
-    n = x.n + y.n
-    if x.kind == "s":
-        if flavor == FLAVOR_BT and n >= 3:
-            return None  # S^3 = 0 in the quotient
-        return BBasis("s", n, x.vertex)
-    return BBasis("d", n, x.vertex)
 
 
 # --- packed elements ------------------------------------------------------
@@ -154,33 +92,29 @@ class BElem:
     """An F2 linear combination of path monomials in one flavor.
 
     `packed` is (s_F, d_F, s_H, d_H), see the encoding above; elements
-    are immutable.  `BElem(terms, flavor)` builds one from an iterable
-    of BBasis monomials; `terms` gives them back.
+    are immutable.  Values are built by `zero`, `idem`, `spow`, `dpow`
+    and arithmetic; a monomial is a one-term value, and `monomials`
+    splits a value into them.
 
     Every value exists once (see `_packed`), so equality is identity
     and the zero test compares with the interned zero.  Each value
-    memoizes its products, sums and `runs` answers, keyed by the other
-    operand's serial number (or by the endpoints).
+    memoizes its products, sums, `runs` answers and monomials, keyed by
+    the other operand's serial number (or by the endpoints).
     """
 
-    __slots__ = ("packed", "flavor", "_hash", "_n", "_mul", "_add", "_runs")
-
-    def __new__(cls, terms=(), flavor=FLAVOR_B):
-        parts = [0, 0, 0, 0]
-        for t in terms:
-            assert t.kind == "i" or t.n >= 1, t
-            parts[2 * _VERTICES.index(t.vertex) + (t.kind == "d")] ^= 1 << t.n
-        return _packed(tuple(parts), flavor)
-
-    @property
-    def terms(self):
-        return _terms_of(self.packed)
+    __slots__ = ("packed", "flavor", "_hash", "_n", "_mul", "_add", "_runs",
+                 "_monos")
 
     def __eq__(self, other):
         return self is other
 
     def __hash__(self):
         return self._hash
+
+    def __lt__(self, other):
+        """Monomial order: D powers, then idempotents, then S powers,
+        each by exponent and then vertex (FILLED first)."""
+        return _mono_key(self.packed) < _mono_key(other.packed)
 
     def is_zero(self):
         return self is _ZERO[self.flavor]
@@ -233,23 +167,68 @@ class BElem:
                     for _, s, d in _by_vertex(self.packed) if s or d),
                    default=0)
 
-    def __str__(self):
-        # terms sort by (kind, exponent, vertex): D^n < i < S^n
+    def monomials(self):
+        """The terms as one-term values, in monomial order (see
+        `__lt__`), which is also the order `str` prints them in."""
+        if self._monos is None:
+            self._monos = tuple(
+                _packed(_one_term(d, n, v), self.flavor)
+                for d, n, v in _terms(self.packed))
+        return self._monos
+
+    def ends(self):
+        """(source, target) vertex of a monomial: an odd S power changes
+        vertex, every other monomial stays."""
         sf, df, sh, dh = self.packed
-        toks = [_power("D", n) for n in _exponents(df | dh)
-                for d in (df, dh) if d >> n & 1]
-        toks += ["i" for s in (sf, sh) if s & 1]
-        toks += [_power("S", n) for n in _exponents((sf | sh) & ~1)
-                 for s in (sf, sh) if s >> n & 1]
+        src = FILLED if sf | df else HOLLOW
+        s = sf | sh
+        return src, (src.other() if s and not s.bit_length() & 1 else src)
+
+    def __str__(self):
+        toks = [_power("D" if d else "S", n) if n else "i"
+                for d, n, _ in _terms(self.packed)]
         return "+".join(toks) if toks else "0"
 
     def __repr__(self):
         return f"BElem({str(self)!r}, flavor={self.flavor!r})"
 
 
+def _power(letter, n):
+    return letter if n == 1 else f"{letter}^{n}"
+
+
 def _by_vertex(packed):
     """(vertex, s_v, d_v) for both source vertices."""
     return zip(_VERTICES, packed[0::2], packed[1::2])
+
+
+def _terms(packed):
+    """(is a D power, exponent, source vertex) of every term: D powers,
+    then idempotents, then S powers, each by exponent and then vertex."""
+    sf, df, sh, dh = packed
+    out = [(True, n, v) for n in _exponents(df | dh)
+           for v, d in ((FILLED, df), (HOLLOW, dh)) if d >> n & 1]
+    out += [(False, 0, v) for v, s in ((FILLED, sf), (HOLLOW, sh)) if s & 1]
+    out += [(False, n, v) for n in _exponents((sf | sh) & ~1)
+            for v, s in ((FILLED, sf), (HOLLOW, sh)) if s >> n & 1]
+    return out
+
+
+def _one_term(d_power, n, v):
+    """The packed form of one monomial: S^n (S^0 the idempotent) or D^n
+    from v."""
+    parts = [0, 0, 0, 0]
+    parts[2 * _VERTICES.index(v) + d_power] = 1 << n
+    return tuple(parts)
+
+
+def _mono_key(packed):
+    """Sort key of a monomial: kind (D, idempotent, S), exponent, and
+    whether it starts at HOLLOW."""
+    sf, df, sh, dh = packed
+    d = df | dh
+    n = (d or sf | sh).bit_length() - 1
+    return (0 if d else 2 if n else 1), n, not (sf | df)
 
 
 def _runs(packed, src, dst):
@@ -265,28 +244,22 @@ def _runs(packed, src, dst):
     return True
 
 
-def _terms_of(packed):
-    out = []
-    for v, s, d in _by_vertex(packed):
-        out += [BBasis("s", n, v) if n else BBasis("i", 0, v)
-                for n in _exponents(s)]
-        out += [BBasis("d", n, v) for n in _exponents(d)]
-    return frozenset(out)
+def _in_quotient(packed):
+    return not (packed[1] or packed[3] or (packed[0] | packed[2]) > _QUOTIENT_S)
 
 
 _INTERNED = {}   # (packed, flavor) -> the one BElem of that value
 
 
 def _packed(packed, flavor):
-    """Every element, from terms or from arithmetic, is made here, once
-    per value."""
+    """Every element, from a builder or from arithmetic, is made here,
+    once per value."""
     e = _INTERNED.get((packed, flavor))
     if e is not None:
         return e
-    if flavor == FLAVOR_BT and (packed[1] or packed[3] or
-                                (packed[0] | packed[2]) > _QUOTIENT_S):
-        bad = next(t for t in _terms_of(packed)
-                   if t.kind == "d" or (t.kind == "s" and t.n >= 3))
+    if flavor == FLAVOR_BT and not _in_quotient(packed):
+        bad = next(t for t in _packed(packed, FLAVOR_B).monomials()
+                   if not _in_quotient(t.packed))
         raise ValueError(f"monomial {bad} is not in the quotient algebra")
     e = object.__new__(BElem)
     e.packed = packed
@@ -294,6 +267,7 @@ def _packed(packed, flavor):
     e._hash = hash(packed)
     e._n = len(_INTERNED)
     e._mul, e._add, e._runs = {}, {}, {}
+    e._monos = None
     _INTERNED[packed, flavor] = e
     return e
 
@@ -306,17 +280,17 @@ def zero(flavor=FLAVOR_B):
 
 
 def idem(v: Vertex, flavor=FLAVOR_B):
-    return mono_elem(BBasis("i", 0, v), flavor)
+    return _packed(_one_term(False, 0, v), flavor)
 
 
 def spow(n: int, v: Vertex, flavor=FLAVOR_B):
     assert n >= 1
-    return mono_elem(BBasis("s", n, v), flavor)
+    return _packed(_one_term(False, n, v), flavor)
 
 
-def dpow(n: int, v: Vertex):
+def dpow(n: int, v: Vertex, flavor=FLAVOR_B):
     assert n >= 1
-    return mono_elem(BBasis("d", n, v), FLAVOR_B)
+    return _packed(_one_term(True, n, v), flavor)
 
 
 def h_elem(v: Vertex):
@@ -341,19 +315,14 @@ def q_map(x: BElem) -> BElem:
                     (sh & _QUOTIENT_S) ^ ((dh & 2) << 1), 0), FLAVOR_BT)
 
 
-def basis_up_to_weight(w: int, flavor=FLAVOR_B):
-    """All basis monomials of weight at most w, both vertices."""
-    out = []
-    for v in (FILLED, HOLLOW):
-        out.append(BBasis("i", 0, v))
-        smax = min(w, 2) if flavor == FLAVOR_BT else w
-        for n in range(1, smax + 1):
-            out.append(BBasis("s", n, v))
-        if flavor == FLAVOR_B:
-            for n in range(1, w // 2 + 1):
-                out.append(BBasis("d", n, v))
+def monomials_between(src: Vertex, dst: Vertex, max_weight: int,
+                      flavor=FLAVOR_B):
+    """The monomials from src to dst of weight at most max_weight: the
+    idempotent, then S powers, then D powers, each by exponent."""
+    out = [idem(src, flavor)] if src is dst and max_weight >= 0 else []
+    smax = min(max_weight, 2) if flavor == FLAVOR_BT else max_weight
+    out += [spow(n, src, flavor)
+            for n in range(2 if src is dst else 1, smax + 1, 2)]
+    if flavor == FLAVOR_B and src is dst:
+        out += [dpow(n, src) for n in range(1, max_weight // 2 + 1)]
     return out
-
-
-def mono_elem(t: BBasis, flavor=FLAVOR_B):
-    return BElem((t,), flavor)

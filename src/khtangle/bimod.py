@@ -18,8 +18,8 @@ from __future__ import annotations
 import functools
 from dataclasses import dataclass, field, replace
 
-from .algebra import (BBasis, Vertex, FILLED, HOLLOW, FLAVOR_B, FLAVOR_BT,
-                      _mono_mul)
+from . import algebra
+from .algebra import BElem, Vertex, FILLED, HOLLOW, FLAVOR_B, FLAVOR_BT
 
 
 @dataclass(frozen=True)
@@ -39,12 +39,12 @@ class Pattern:
     def exponent(self, k):
         return self.offset + self.stride * k
 
-    def instantiate(self, k, vertex: Vertex) -> BBasis:
+    def instantiate(self, k, vertex: Vertex, flavor) -> BElem:
         e = self.exponent(k)
         if self.letter == "i" or e == 0:
-            return BBasis("i", 0, vertex)
-        kind = "s" if self.letter == "S" else "d"
-        return BBasis(kind, e, vertex)
+            return algebra.idem(vertex, flavor)
+        power = algebra.spow if self.letter == "S" else algebra.dpow
+        return power(e, vertex, flavor)
 
     def weight(self, k):
         e = self.exponent(k)
@@ -111,12 +111,12 @@ class ADBimodule:
             for k in (0, 1):
                 v = s.left_idem
                 for p in a.inputs:
-                    v = p.instantiate(k, v).dst
+                    v = p.instantiate(k, v, self.a_flavor).ends()[1]
                 _require(v == d.left_idem, f"{where} inputs do not run "
                          f"{s.left_idem!r} -> {d.left_idem!r}")
-                _require(a.output.instantiate(k, s.right_idem).dst
-                         == d.right_idem, f"{where} output does not run "
-                         f"{s.right_idem!r} -> {d.right_idem!r}")
+                _require(a.output.instantiate(k, s.right_idem, self.d_flavor)
+                         .ends()[1] == d.right_idem, f"{where} output does "
+                         f"not run {s.right_idem!r} -> {d.right_idem!r}")
 
 
 def _require(ok, message):
@@ -277,8 +277,9 @@ def morphism_g() -> ADMorphism:
 
 # --- instantiation ------------------------------------------------------
 
-def _instantiate_component(comp: Action, gens, bound):
-    """Concrete tuples (src, dst, input monomials, output monomial)."""
+def _instantiate_component(comp: Action, gens, a_flavor, d_flavor, bound):
+    """Concrete tuples (src, dst, input monomials, output monomial), the
+    inputs in a_flavor and the output in d_flavor."""
     sgen = gens[comp.src]
     out = []
     strides = [p.stride for p in comp.inputs] + [comp.output.stride]
@@ -289,26 +290,27 @@ def _instantiate_component(comp: Action, gens, bound):
             break
         monos, v, ok = [], sgen.left_idem, True
         for p in comp.inputs:
-            mono = p.instantiate(k, v)
-            if mono.kind == "i" and p.letter != "i":
+            mono = p.instantiate(k, v, a_flavor)
+            if mono.is_idem() and p.letter != "i":
                 ok = False  # exponent collapsed to zero: not a valid input
                 break
             monos.append(mono)
-            v = mono.dst
+            v = mono.ends()[1]
         if not ok:
             continue
-        outm = comp.output.instantiate(k, sgen.right_idem)
+        outm = comp.output.instantiate(k, sgen.right_idem, d_flavor)
         out.append((comp.src, comp.dst, tuple(monos), outm))
     return out
 
 
-def _instantiate_all(families, gens, bound):
+def _instantiate_all(families, gens, a_flavor, d_flavor, bound):
     """Concrete actions of the families, F2-reduced, in family order
     (not set order, which varies between processes), so a box tensor
     adds its arrows in the same order in every run."""
     acc = {}
     for fam in families:
-        for item in _instantiate_component(fam, gens, bound):
+        for item in _instantiate_component(fam, gens, a_flavor, d_flavor,
+                                           bound):
             if item in acc:
                 del acc[item]
             else:
@@ -316,31 +318,38 @@ def _instantiate_all(families, gens, bound):
     return list(acc)
 
 
+def _actions(bim: ADBimodule, bound):
+    return _instantiate_all(bim.actions, bim.gens, bim.a_flavor,
+                            bim.d_flavor, bound)
+
+
 def instantiate_actions(bim: ADBimodule, bound):
     """All concrete actions with total input weight <= bound, F2-reduced."""
-    return frozenset(_instantiate_all(bim.actions, bim.gens, bound))
+    return frozenset(_actions(bim, bound))
 
 
 def instantiate_morphism(mor: ADMorphism, bound):
-    return frozenset(_instantiate_all(mor.components, mor.source.gens,
-                                      bound))
+    return frozenset(_instantiate_all(
+        mor.components, mor.source.gens, mor.source.a_flavor,
+        mor.target.d_flavor, bound))
 
 
-def _mono_factorizations(mono: BBasis):
-    """Two-factor splittings into non-idempotent monomials, path order."""
+def _factorizations(mono: BElem):
+    """The pairs of non-idempotent monomials whose product is mono."""
+    src, dst = mono.ends()
+    w = mono.max_weight() - 1
     out = []
-    if mono.kind == "i":
-        return out
-    for a in range(1, mono.n):
-        first = BBasis(mono.kind, a, mono.src)
-        second = BBasis(mono.kind, mono.n - a, first.dst)
-        out.append((first, second))
+    for v in (FILLED, HOLLOW):
+        firsts = algebra.monomials_between(src, v, w, mono.flavor)
+        seconds = algebra.monomials_between(v, dst, w, mono.flavor)
+        out += [(a, b) for a in firsts for b in seconds
+                if not (a.is_idem() or b.is_idem()) and a * b is mono]
     return out
 
 
 def _filter_weight(items, bound):
     return frozenset(i for i in items
-                     if sum(m.weight for m in i[2]) <= bound)
+                     if sum(m.max_weight() for m in i[2]) <= bound)
 
 
 def diff_ad_morphism(mor: ADMorphism, bound):
@@ -352,28 +361,27 @@ def diff_ad_morphism(mor: ADMorphism, bound):
     non-idempotent factors (the A-side multiplication terms).
     """
     h = instantiate_morphism(mor, bound)
-    flavor = mor.target.d_flavor
     acc = set(compose_concrete(instantiate_actions(mor.target, bound), h,
-                               flavor, bound)
+                               bound)
               ^ compose_concrete(h, instantiate_actions(mor.source, bound),
-                                 flavor, bound))
+                                 bound))
     for (cs, cd, cin, cout) in h:
         for i, mono in enumerate(cin):
-            for first, second in _mono_factorizations(mono):
+            for first, second in _factorizations(mono):
                 item = (cs, cd, cin[:i] + (first, second) + cin[i + 1:], cout)
                 acc.symmetric_difference_update({item})
     return _filter_weight(acc, bound)
 
 
-def compose_concrete(h2_items, h1_items, d_flavor, bound):
+def compose_concrete(h2_items, h1_items, bound):
     """Concrete composition: h1 first, then h2."""
     acc = set()
     for (s1, d1, in1, out1) in h1_items:
         for (s2, d2, in2, out2) in h2_items:
             if d1 != s2:
                 continue
-            prod = _mono_mul(out1, out2, d_flavor)
-            if prod is not None:
+            prod = out1 * out2
+            if not prod.is_zero():
                 acc.symmetric_difference_update({(s1, d2, in1 + in2, prod)})
     return _filter_weight(acc, bound)
 
@@ -381,13 +389,12 @@ def compose_concrete(h2_items, h1_items, d_flavor, bound):
 def compose_ad_morphisms(h2: ADMorphism, h1: ADMorphism, bound):
     assert h1.target.name == h2.source.name
     return compose_concrete(instantiate_morphism(h2, bound),
-                            instantiate_morphism(h1, bound),
-                            h2.target.d_flavor, bound)
+                            instantiate_morphism(h1, bound), bound)
 
 
 def identity_components(bim: ADBimodule):
     return frozenset(
-        (g.name, g.name, (), BBasis("i", 0, g.right_idem))
+        (g.name, g.name, (), algebra.idem(g.right_idem, bim.d_flavor))
         for g in bim.gens.values())
 
 
@@ -399,7 +406,7 @@ def _action_index(bim: ADBimodule, bound):
     index = bim._index.get(bound)
     if index is None:
         index = {}
-        for s, d, ins, out in _instantiate_all(bim.actions, bim.gens, bound):
+        for s, d, ins, out in _actions(bim, bound):
             index.setdefault((s, ins), []).append((d, out))
         bim._index[bound] = index
     return index
@@ -443,12 +450,12 @@ def box_bimods(left: ADBimodule, right: ADBimodule, bound) -> frozenset:
     """Concrete action set of the box tensor, truncated by input weight."""
     assert left.d_flavor == right.a_flavor
     left_out = {name: [] for name in left.gens}
-    for s, d, ins, out in _instantiate_all(left.actions, left.gens, bound):
+    for s, d, ins, out in _actions(left, bound):
         left_out[s].append((d, ins, out))
     left_idems = {g.name: g.right_idem for g in left.gens.values()}
     acc = set()
     for item in box_matches(left_idems, left_out, right, bound):
-        if sum(m.weight for m in item[2]) <= bound:
+        if sum(m.max_weight() for m in item[2]) <= bound:
             acc ^= {item}
     return frozenset(acc)
 
@@ -461,7 +468,7 @@ def max_weight_shift(bim_or_mor, bound=12):
         items = instantiate_actions(bim_or_mor, bound)
     else:
         items = instantiate_morphism(bim_or_mor, bound)
-    return max((abs(out.weight - sum(m.weight for m in ins))
+    return max((abs(out.max_weight() - sum(m.max_weight() for m in ins))
                 for (_, _, ins, out) in items), default=0)
 
 

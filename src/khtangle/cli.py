@@ -140,7 +140,8 @@ def _run(args, t0):
         bad, checked = functor.verify_functor(max_len=args.max_len)
         verdict = "PASS" if not bad else "FAIL"
         _report(args, {"max_len": args.max_len}, verdict,
-                [f"{' '.join(seq)}: defect {sorted(map(str, defect))}"
+                [f"{' '.join(seq)}: defect "
+                 f"{sorted(f'{slot}:{t}' for slot, t in defect)}"
                  for seq, defect in bad],
                 extra={"sequences": checked}, t0=t0)
         return EXIT_PASS if not bad else EXIT_FAIL

@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from . import algebra, f2
-from .algebra import BBasis, BElem, Vertex, FLAVOR_B
+from .algebra import BElem, Vertex, FLAVOR_B
 
 SLOTS = ("tt", "tb", "bt", "bb")
 
@@ -131,13 +131,13 @@ class BasisName:
         return f"{self.family}{hat}{self.index}_{self.sub}"
 
 
-def _family_monomial(name: BasisName) -> BBasis:
+def _family_monomial(name: BasisName) -> BElem:
     v, k = name.src, name.index
     if name.family in ("A", "B"):
-        return BBasis("i", 0, v) if k == 0 else BBasis("s", 2 * k, v)
+        return algebra.idem(v) if k == 0 else algebra.spow(2 * k, v)
     if name.family in ("C", "D"):
-        return BBasis("d", k, v)
-    return BBasis("s", 2 * k - 1, v)
+        return algebra.dpow(k, v)
+    return algebra.spow(2 * k - 1, v)
 
 
 # which positional slots a family occupies: diagonal families sit in
@@ -150,25 +150,27 @@ _HAT_SLOTS = {"A": ("bt",), "C": ("bt",), "P": ("bt",),
 
 
 def to_positional(name: BasisName) -> ConeMorphism:
-    mono = algebra.mono_elem(_family_monomial(name))
+    mono = _family_monomial(name)
     slots = (_HAT_SLOTS if name.hatted else _PLAIN_SLOTS)[name.family]
     comps = {s: (mono if s in slots else _zero()) for s in SLOTS}
     return ConeMorphism(name.src, name.dst, **comps)
 
 
-def _classify(t: BBasis, hatted: bool, slot: str):
+def _classify(t: BElem, hatted: bool, slot: str):
     """The family name owning monomial t in the given slot."""
     diag = slot in ("tt", "bt")
-    if t.kind == "d":
-        family, index = ("C", t.n) if diag else ("D", t.n)
-    elif t.kind == "i" or t.n % 2 == 0:
-        family, index = ("A", t.n // 2) if diag else ("B", t.n // 2)
+    w = t.max_weight()
+    src, dst = t.ends()
+    if src != dst:
+        family, index = ("P" if diag else "Q"), (w + 1) // 2
+    elif w and t is algebra.dpow(w // 2, src):
+        family, index = ("C" if diag else "D"), w // 2
     else:
-        family, index = ("P", (t.n + 1) // 2) if diag else ("Q", (t.n + 1) // 2)
-    if t.src == t.dst:
-        sub = "0" if t.src is Vertex.FILLED else "1"
+        family, index = ("A" if diag else "B"), w // 2
+    if src == dst:
+        sub = "0" if src is Vertex.FILLED else "1"
     else:
-        sub = "10" if t.src is Vertex.FILLED else "01"
+        sub = "10" if src is Vertex.FILLED else "01"
     return BasisName(family, hatted, index, sub)
 
 
@@ -182,14 +184,14 @@ def from_positional(f: ConeMorphism):
     """
     names = set()
     bb_left = f.bb
-    for t in f.tt.terms:
+    for t in f.tt.monomials():
         names.add(_classify(t, False, "tt"))
-        bb_left = bb_left + algebra.mono_elem(t)
-    for t in bb_left.terms:
+        bb_left = bb_left + t
+    for t in bb_left.monomials():
         names.add(_classify(t, True, "bb"))
-    for t in f.tb.terms:
+    for t in f.tb.monomials():
         names.add(_classify(t, False, "tb"))
-    for t in f.bt.terms:
+    for t in f.bt.monomials():
         names.add(_classify(t, True, "bt"))
     return frozenset(names)
 
@@ -208,36 +210,20 @@ def in_subcategory(f: ConeMorphism) -> bool:
 
 # --- weight-truncated homology ------------------------------------------
 
-def _slot_monomials(src: Vertex, dst: Vertex, weight: int):
-    """Basis monomials src -> dst of the given weight."""
-    out = []
-    if weight < 0:
-        return out
-    if src == dst:
-        if weight == 0:
-            out.append(BBasis("i", 0, src))
-        elif weight % 2 == 0:
-            out.append(BBasis("s", weight, src))
-            out.append(BBasis("d", weight // 2, src))
-    else:
-        if weight % 2 == 1:
-            out.append(BBasis("s", weight, src))
-    return out
-
-
 def _weight_basis(src, dst, weight):
-    return [(slot, t) for slot in SLOTS
-            for t in _slot_monomials(src, dst, weight)]
+    """(slot, monomial) for the monomials src -> dst of the given weight."""
+    monos = [t for t in algebra.monomials_between(src, dst, weight)
+             if t.max_weight() == weight]
+    return [(slot, t) for slot in SLOTS for t in monos]
 
 
 def _mor_to_vec(f: ConeMorphism):
     return frozenset((slot, t) for slot in SLOTS
-                     for t in getattr(f, slot).terms)
+                     for t in getattr(f, slot).monomials())
 
 
 def _basis_mor(src, dst, slot, t):
-    mono = algebra.mono_elem(t)
-    comps = {s: (mono if s == slot else _zero()) for s in SLOTS}
+    comps = {s: (t if s == slot else _zero()) for s in SLOTS}
     return ConeMorphism(src, dst, **comps)
 
 

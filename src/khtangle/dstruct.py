@@ -148,7 +148,7 @@ def box_ad(m: TypeDStructure, bim) -> TypeDStructure:
                             g.hdeg + b.hdeg)
 
     left_out = {name: [(d, (), t) for d, label in arrows
-                       for t in sorted(label.terms)]
+                       for t in label.monomials()]
                 for name, arrows in m.outgoing().items()}
     # no path of j monomials weighs more than j times the heaviest one
     depth = max((len(a.inputs) for a in bim.actions), default=0)
@@ -158,7 +158,7 @@ def box_ad(m: TypeDStructure, bim) -> TypeDStructure:
     n_arrows = 0
     for src, dst, _, outm in bimod.box_matches(left_idems, left_out, bim,
                                                 bound):
-        out.add_arrow(src, dst, algebra.mono_elem(outm, bim.d_flavor))
+        out.add_arrow(src, dst, outm)
         n_arrows += 1
         if n_arrows > MAX_BOX_ARROWS:
             raise RuntimeError("box tensor diverged: arrow cap hit")
@@ -281,8 +281,9 @@ def _signatures(m: TypeDStructure, shift, n: TypeDStructure, adj):
         for tag, st in (("m", m), ("n", n)):
             out, inn = adj[tag]
             for name in st.gens:
-                outs = sorted((str(l), sig[tag, d]) for d, l in out[name])
-                ins = sorted((str(l), sig[tag, s]) for s, l in inn[name])
+                # labels are interned, so id() tells them apart
+                outs = sorted((id(l), sig[tag, d]) for d, l in out[name])
+                ins = sorted((id(l), sig[tag, s]) for s, l in inn[name])
                 nxt[tag, name] = (sig[tag, name], tuple(outs), tuple(ins))
         canon = {v: i for i, v in enumerate(sorted(set(nxt.values())))}
         sig = {k: canon[v] for k, v in nxt.items()}
@@ -317,12 +318,6 @@ def iso_check(m: TypeDStructure, n: TypeDStructure):
     return NOT_FOUND if witness is None else witness
 
 
-def _label_monomials(src: Vertex, dst: Vertex, max_weight: int, flavor):
-    """All basis monomials src -> dst up to the weight cap."""
-    return [t for t in algebra.basis_up_to_weight(max_weight, flavor)
-            if t.src == src and t.dst == dst]
-
-
 def _chain_iso_search(m, n, shift):
     """Invertible chain map search by F2 linear algebra.
 
@@ -335,27 +330,26 @@ def _chain_iso_search(m, n, shift):
     """
     import random as _random
 
-    max_label = max((t.weight for l in list(m.arrows.values())
-                     + list(n.arrows.values()) for t in l.terms), default=0)
+    max_label = max((l.max_weight() for l in list(m.arrows.values())
+                     + list(n.arrows.values())), default=0)
     max_w = max_label + 2
     unknowns = []
     for x in m.gens.values():
         for y in n.gens.values():
             if y.hdeg != x.hdeg + shift:
                 continue
-            for t in _label_monomials(x.idem, y.idem, max_w, m.flavor):
+            for t in algebra.monomials_between(x.idem, y.idem, max_w,
+                                               m.flavor):
                 unknowns.append((x.name, y.name, t))
     m_in, n_out = m.incoming(), n.outgoing()
     rows = []
     for (x, y, a) in unknowns:
         vec = set()
-        amono = algebra.mono_elem(a, m.flavor)
         for z, label in n_out[y]:
-            for t in (amono * label).terms:
+            for t in (a * label).monomials():
                 vec ^= {(x, z, t)}
         for x0, label in m_in[x]:
-            prod = label * amono
-            for t in prod.terms:
+            for t in (label * a).monomials():
                 vec ^= {(x0, y, t)}
         rows.append(frozenset(vec))
     basis = f2.nullspace(rows)
@@ -364,7 +358,7 @@ def _chain_iso_search(m, n, shift):
 
     blocks = {}
     for i, (x, y, t) in enumerate(unknowns):
-        if t.kind == "i":
+        if t.is_idem():
             key = (m.gens[x].idem, m.gens[x].hdeg)
             blocks.setdefault(key, []).append(i)
 

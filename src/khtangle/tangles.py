@@ -99,10 +99,9 @@ class Resolution:
 def _simulate(word: TangleWord, bits: int) -> Resolution:
     """Resolve every crossing per its bit and compute the pairing."""
     uf = _UnionFind()
-    fresh = iter(range(10 ** 6))
 
     def new_port():
-        p = next(fresh)
+        p = len(uf)
         uf[p] = p
         return p
 
@@ -191,7 +190,9 @@ def build_cube(word: TangleWord, star="nw") -> ResolutionCube:
     gens = 0
     for bits in range(1 << c):
         res = resolutions[bits] = _simulate(word, bits)
-        gens += 1 << len(res.loops)
+        # 2^64 is far past the cap, so clamping there keeps "at least"
+        # true and the count printable: str refuses ints of 4,300+ digits
+        gens += 1 << min(len(res.loops), 64)
         if gens > MAX_GENERATORS:
             raise TangleError(f"the cube deloops to at least {gens:,} "
                               f"generators, over the cap of "

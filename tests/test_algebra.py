@@ -4,13 +4,84 @@ import random
 import pytest
 
 from khtangle import algebra, f2
-from khtangle.algebra import (FILLED, HOLLOW, FLAVOR_B, FLAVOR_BT, BBasis,
-                              basis_up_to_weight, dpow, h_elem, h_mul, idem,
-                              mono_elem, q_map, spow)
+from khtangle.algebra import (FILLED, HOLLOW, FLAVOR_B, FLAVOR_BT, dpow,
+                              h_elem, h_mul, idem, monomials_between, q_map,
+                              spow)
+
+VERTICES = (FILLED, HOLLOW)
+
+
+# --- reference: monomials as plain (kind, n, vertex) paths ----------------
+
+def path_basis(w, flavor=FLAVOR_B):
+    """Every path of weight at most w, per vertex: i, S^1.., D^1.."""
+    smax = min(w, 2) if flavor == FLAVOR_BT else w
+    out = []
+    for v in VERTICES:
+        out.append(("i", 0, v))
+        out += [("s", n, v) for n in range(1, smax + 1)]
+        if flavor == FLAVOR_B:
+            out += [("d", n, v) for n in range(1, w // 2 + 1)]
+    return out
+
+
+def path_key(t):
+    """Paths sort by kind (d < i < s), exponent, then vertex."""
+    kind, n, v = t
+    return kind, n, v.value
+
+
+def path_ends(t):
+    kind, n, v = t
+    return v, (v.other() if kind == "s" and n % 2 else v)
+
+
+def path_weight(t):
+    kind, n, _ = t
+    return {"i": 0, "s": n, "d": 2 * n}[kind]
+
+
+def concat(x, y, flavor):
+    """Concatenate paths x then y; None means the product is zero."""
+    if path_ends(x)[1] != y[2]:
+        return None
+    if x[0] == "i":
+        return y
+    if y[0] == "i":
+        return x
+    if x[0] != y[0]:
+        return None  # DS = SD = 0
+    n = x[1] + y[1]
+    if x[0] == "s" and flavor == FLAVOR_BT and n >= 3:
+        return None  # S^3 = 0 in the quotient
+    return x[0], n, x[2]
+
+
+def elem(paths, flavor=FLAVOR_B):
+    """The F2 sum of the given paths."""
+    out = algebra.zero(flavor)
+    for kind, n, v in paths:
+        out = out + (idem(v, flavor) if kind == "i" else
+                     spow(n, v, flavor) if kind == "s" else
+                     dpow(n, v, flavor))
+    return out
+
+
+def path_of(t):
+    """The path of a monomial, read from its text and its source."""
+    text, v = str(t), t.ends()[0]
+    if text == "i":
+        return "i", 0, v
+    letter, _, e = text.partition("^")
+    return letter.lower(), int(e or 1), v
+
+
+def paths_of(x):
+    return frozenset(path_of(t) for t in x.monomials())
 
 
 def elems(w, flavor=FLAVOR_B):
-    return [mono_elem(t, flavor) for t in basis_up_to_weight(w, flavor)]
+    return [elem([t], flavor) for t in path_basis(w, flavor)]
 
 
 def test_mul_examples():
@@ -38,7 +109,7 @@ def test_associative_and_unital(flavor):
 
 
 def test_associative_spot_checks_weight_12():
-    es = [mono_elem(t) for t in basis_up_to_weight(12) if t.weight >= 5]
+    es = [elem([t]) for t in path_basis(12) if path_weight(t) >= 5]
     for x, y, z in itertools.product(es[:6], es[:6], es[:6]):
         assert (x * y) * z == x * (y * z)
 
@@ -70,90 +141,94 @@ def test_q_map_is_algebra_homomorphism():
 
 def test_q_kernel_is_exactly_h_multiples():
     # q(x) = 0 iff x lies in the span of H*b over basis monomials b
-    h_rows = [frozenset(h_mul(mono_elem(t)).terms)
-              for t in basis_up_to_weight(12)]
+    h_rows = [frozenset(h_mul(t).monomials()) for t in elems(12)]
     h_rank = f2.rank(h_rows)
-    for t in basis_up_to_weight(12):
-        in_ker = q_map(mono_elem(t)).is_zero()
+    for t in elems(12):
+        in_ker = q_map(t).is_zero()
         in_span = f2.rank(h_rows + [frozenset([t])]) == h_rank
-        if t.weight <= 10:  # stay below the truncation boundary
+        if t.max_weight() <= 10:  # stay below the truncation boundary
             assert in_ker == in_span, str(t)
 
 
 def test_flavor_guard():
     with pytest.raises(ValueError):
-        algebra.BElem(frozenset([BBasis("d", 1, FILLED)]), FLAVOR_BT)
+        dpow(1, FILLED, FLAVOR_BT)
     with pytest.raises(ValueError):
-        algebra.BElem(frozenset([BBasis("s", 3, FILLED)]), FLAVOR_BT)
+        spow(3, FILLED, FLAVOR_BT)
 
 
-# --- the packed encoding against the monomial rules ----------------------
+# --- the packed encoding against the path rules ---------------------------
 
 def termwise_mul(x, y):
-    """Reference product: the monomial rule summed over term pairs."""
+    """Reference product: path concatenation summed over term pairs."""
     acc = set()
-    for a in x.terms:
-        for b in y.terms:
-            m = algebra._mono_mul(a, b, x.flavor)
+    for a in paths_of(x):
+        for b in paths_of(y):
+            m = concat(a, b, x.flavor)
             if m is not None:
                 acc ^= {m}
-    return algebra.BElem(acc, x.flavor)
+    return elem(acc, x.flavor)
 
 
 @pytest.mark.parametrize("flavor", [FLAVOR_B, FLAVOR_BT])
-def test_packed_product_matches_monomial_rule(flavor):
-    basis = basis_up_to_weight(10, flavor)
+def test_packed_product_matches_path_rule(flavor):
+    basis = path_basis(10, flavor)
     # the second pass reads every product from the memo of the first
     for _ in range(2):
         for a, b in itertools.product(basis, basis):
-            got = mono_elem(a, flavor) * mono_elem(b, flavor)
-            want = algebra._mono_mul(a, b, flavor)
-            assert got.terms == (frozenset() if want is None
-                                 else frozenset([want])), (str(a), str(b))
+            got = elem([a], flavor) * elem([b], flavor)
+            want = concat(a, b, flavor)
+            assert paths_of(got) == (frozenset() if want is None
+                                     else frozenset([want])), (a, b)
+
+
+def random_elems(rng, flavor, count):
+    basis = path_basis(8, flavor)
+    return [elem(rng.sample(basis, rng.randint(0, 5)), flavor)
+            for _ in range(count)]
 
 
 @pytest.mark.parametrize("flavor", [FLAVOR_B, FLAVOR_BT])
 def test_packed_product_of_mixed_vertex_sums(flavor):
     rng = random.Random(3)
-    basis = basis_up_to_weight(8, flavor)
     unit = idem(FILLED, flavor) + idem(HOLLOW, flavor)
-    assert unit.terms == {BBasis("i", 0, FILLED), BBasis("i", 0, HOLLOW)}
+    assert paths_of(unit) == {("i", 0, FILLED), ("i", 0, HOLLOW)}
     assert str(unit) == "i+i"
-    pairs = [tuple(algebra.BElem(rng.sample(basis, rng.randint(0, 5)),
-                                 flavor) for _ in range(2))
-             for _ in range(300)]
+    pairs = list(zip(*[iter(random_elems(rng, flavor, 600))] * 2))
     # the second pass reads every product and sum from the memo
     for _ in range(2):
         for x, y in pairs:
             assert x * y == termwise_mul(x, y)
-            assert (x + y).terms == x.terms ^ y.terms
+            assert paths_of(x + y) == paths_of(x) ^ paths_of(y)
             assert unit * x == x == x * unit
 
 
 def test_h_mul_and_q_map_match_termwise_definitions():
     def h_mono(t):
-        if t.kind == "i":
-            return {BBasis("d", 1, t.vertex), BBasis("s", 2, t.vertex)}
-        return {BBasis(t.kind, t.n + (2 if t.kind == "s" else 1), t.vertex)}
+        kind, n, v = t
+        if kind == "i":
+            return {("d", 1, v), ("s", 2, v)}
+        return {(kind, n + (2 if kind == "s" else 1), v)}
 
     def q_mono(t):
-        if t.kind == "i" or (t.kind == "s" and t.n <= 2):
+        kind, n, v = t
+        if kind == "i" or (kind == "s" and n <= 2):
             return {t}
-        if t.kind == "d" and t.n == 1:
-            return {BBasis("s", 2, t.vertex)}
+        if kind == "d" and n == 1:
+            return {("s", 2, v)}
         return set()
 
-    basis = basis_up_to_weight(12)
+    basis = path_basis(12)
     for t in basis:
-        assert h_mul(mono_elem(t)).terms == h_mono(t)
-        assert q_map(mono_elem(t)) == algebra.BElem(q_mono(t), FLAVOR_BT)
-    x = algebra.BElem(basis[::3])  # a sum over both vertices
+        assert paths_of(h_mul(elem([t]))) == h_mono(t)
+        assert q_map(elem([t])) == elem(q_mono(t), FLAVOR_BT)
+    x = elem(basis[::3])  # a sum over both vertices
     hx, qx = set(), set()
-    for t in x.terms:
+    for t in paths_of(x):
         hx ^= h_mono(t)
         qx ^= q_mono(t)
-    assert h_mul(x).terms == hx
-    assert q_map(x) == algebra.BElem(qx, FLAVOR_BT)
+    assert paths_of(h_mul(x)) == hx
+    assert q_map(x) == elem(qx, FLAVOR_BT)
 
 
 def test_str_orders_d_then_i_then_s():
@@ -167,10 +242,13 @@ def test_str_orders_d_then_i_then_s():
 
 def test_flavor_guard_names_the_monomial():
     with pytest.raises(ValueError, match="S\\^3"):
-        algebra.BElem([BBasis("s", 3, HOLLOW)], FLAVOR_BT)
-    with pytest.raises(ValueError, match="D"):
-        algebra.BElem([BBasis("i", 0, FILLED), BBasis("d", 2, HOLLOW)],
-                      FLAVOR_BT)
+        spow(3, HOLLOW, FLAVOR_BT)
+    with pytest.raises(ValueError, match="D\\^2"):
+        dpow(2, HOLLOW, FLAVOR_BT)
+    # i from FILLED plus D^2 from HOLLOW, packed directly: the guard
+    # names the one term outside the quotient
+    with pytest.raises(ValueError, match="monomial D\\^2 is not"):
+        algebra._packed((1, 0, 0, 0b100), FLAVOR_BT)
     assert spow(2, FILLED, FLAVOR_BT) * spow(1, FILLED, FLAVOR_BT) == \
         algebra.zero(FLAVOR_BT)
 
@@ -178,12 +256,57 @@ def test_flavor_guard_names_the_monomial():
 def test_equal_values_are_one_object():
     for v in (FILLED, HOLLOW):
         assert spow(1, v) * spow(1, v.other()) is spow(2, v)
-        assert algebra.BElem([BBasis("s", 2, v)]) is spow(2, v)
+        assert (idem(v) + spow(2, v)).monomials()[1] is spow(2, v)
         assert idem(v) + dpow(1, v) + dpow(1, v) is idem(v)
         assert (dpow(1, v) * spow(1, v)) is algebra.zero()
         assert h_mul(idem(v)) is h_elem(v)
         assert q_map(dpow(1, v)) is spow(2, v, FLAVOR_BT)
-    assert algebra.BElem((), FLAVOR_BT) is algebra.zero(FLAVOR_BT)
+    assert elem([], FLAVOR_BT) is algebra.zero(FLAVOR_BT)
     # the flavor is part of the value
     assert spow(1, FILLED) != spow(1, FILLED, FLAVOR_BT)
     assert not algebra.zero(FLAVOR_BT) == algebra.zero()
+
+
+# --- monomials: one-term values ------------------------------------------
+
+@pytest.mark.parametrize("flavor", [FLAVOR_B, FLAVOR_BT])
+def test_monomials_come_in_path_order_and_sum_to_the_element(flavor):
+    rng = random.Random(5)
+    for x in random_elems(rng, flavor, 500) + elems(8, flavor):
+        monos = x.monomials()
+        assert [path_of(t) for t in monos] == sorted(paths_of(x),
+                                                     key=path_key)
+        assert list(monos) == sorted(monos)
+        total = algebra.zero(flavor)
+        for t in monos:
+            assert t.monomials() == (t,)
+            total = total + t
+        assert total is x
+        assert str(x) == ("+".join(map(str, monos)) or "0")
+
+
+@pytest.mark.parametrize("flavor", [FLAVOR_B, FLAVOR_BT])
+def test_monomial_order_and_ends_match_the_paths(flavor):
+    basis = path_basis(12, flavor)
+    by_path = {t: elem([t], flavor) for t in basis}
+    assert ([path_of(t) for t in sorted(by_path.values())]
+            == sorted(basis, key=path_key))
+    for t, mono in by_path.items():
+        assert mono.ends() == path_ends(t)
+        assert mono.max_weight() == path_weight(t)
+
+
+@pytest.mark.parametrize("flavor", [FLAVOR_B, FLAVOR_BT])
+def test_enumerator_lists_each_monomial_once_in_path_order(flavor):
+    seen = []
+    for src, dst in itertools.product(VERTICES, repeat=2):
+        got = monomials_between(src, dst, 12, flavor)
+        want = [t for t in path_basis(12, flavor)
+                if path_ends(t) == (src, dst)]
+        assert [path_of(t) for t in got] == want
+        for t in got:
+            assert t.runs(src, dst) and t.ends() == (src, dst)
+            assert not t.runs(src, dst.other())
+        seen += got
+    assert len(seen) == len(set(seen)) == len(path_basis(12, flavor))
+    assert monomials_between(FILLED, FILLED, -1, flavor) == []

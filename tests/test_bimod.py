@@ -1,7 +1,10 @@
 import pytest
 
+import itertools
+
 from khtangle import bimod
-from khtangle.algebra import BBasis, FILLED, HOLLOW, FLAVOR_B, FLAVOR_BT
+from khtangle.algebra import (FILLED, HOLLOW, FLAVOR_B, FLAVOR_BT, dpow, idem,
+                              monomials_between, spow)
 from khtangle.bimod import Action, Pattern
 
 
@@ -23,7 +26,9 @@ def test_pattern_rejects_garbage():
 
 def test_pattern_match_and_instantiate():
     p = Pattern("S", 1, 2)
-    assert p.instantiate(2, FILLED) == BBasis("s", 5, FILLED)
+    assert p.instantiate(2, FILLED, FLAVOR_B) is spow(5, FILLED)
+    assert p.instantiate(0, HOLLOW, FLAVOR_BT) is spow(1, HOLLOW, FLAVOR_BT)
+    assert Pattern("D", 0, 1).instantiate(0, HOLLOW, FLAVOR_B) is idem(HOLLOW)
 
 
 def test_shipped_bimodule_shapes():
@@ -84,11 +89,9 @@ def test_structural_and_enumerated_identities_agree():
 
 def test_box_qy_contains_expected_actions():
     items = bimod.box_bimods(bimod.bimodule_Q(), bimod.bimodule_Y(), 12)
-    s1 = BBasis("s", 1, FILLED)
-    assert ("z*k", "z*t", (s1, BBasis("s", 1, HOLLOW)),
-            BBasis("i", 0, FILLED)) in items
-    assert ("z*t", "z*t", (BBasis("d", 1, FILLED),),
-            BBasis("d", 1, FILLED)) in items
+    assert ("z*k", "z*t", (spow(1, FILLED), spow(1, HOLLOW)),
+            idem(FILLED)) in items
+    assert ("z*t", "z*t", (dpow(1, FILLED),), dpow(1, FILLED)) in items
     # and matches the transcription exactly below the margin
     eff = 12 - 8
     assert (bimod._filter_weight(items, eff)
@@ -105,6 +108,21 @@ def test_box_with_identity_is_identity_on_actions():
         (s.split("*", 1)[1], d.split("*", 1)[1], ins, out)
         for (s, d, ins, out) in boxed)
     assert renamed == bimod.instantiate_actions(q, 10)
+
+
+@pytest.mark.parametrize("flavor", [FLAVOR_B, FLAVOR_BT])
+def test_factorizations_multiply_back(flavor):
+    for src, dst in itertools.product((FILLED, HOLLOW), repeat=2):
+        for mono in monomials_between(src, dst, 12, flavor):
+            pairs = bimod._factorizations(mono)
+            for a, b in pairs:
+                assert a * b is mono
+                assert not a.is_idem() and not b.is_idem()
+            # S^n and D^n split after each of their n - 1 inner steps
+            w = mono.max_weight()
+            is_d = (flavor == FLAVOR_B and w > 0 and w % 2 == 0
+                    and mono is dpow(w // 2, src))
+            assert len(pairs) == max((w // 2 if is_d else w) - 1, 0)
 
 
 def test_morphisms_are_cycles():

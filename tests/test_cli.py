@@ -72,10 +72,8 @@ def test_verify_functor_reports_defects(capsys, monkeypatch):
         k: v for k, v in functor.F2_TABLE.items() if k != ("p01", "p10")})
     code, out, _ = run(capsys, "verify", "functor", "--max-len", "2")
     assert code == cli.EXIT_FAIL
-    assert "   violation: p01 p10: defect [\"('bb', BBasis(kind='d', n=1, " \
-        "vertex=FILLED))\", \"('bb', BBasis(kind='s', n=2, vertex=FILLED))\", " \
-        "\"('tt', BBasis(kind='d', n=1, vertex=FILLED))\", " \
-        "\"('tt', BBasis(kind='s', n=2, vertex=FILLED))\"]\n" in out
+    assert ("   violation: p01 p10: defect "
+            "['bb:D', 'bb:S^2', 'tt:D', 'tt:S^2']\n") in out
 
 
 def test_verify_bimodules(capsys):

@@ -1,7 +1,7 @@
 import pytest
 
 from khtangle import acat, cones, functor
-from khtangle.algebra import BBasis, FILLED
+from khtangle.algebra import FILLED, dpow, spow
 from khtangle.cones import BasisName
 
 
@@ -61,7 +61,7 @@ def test_violations_carry_their_defect(tables):
     assert bad and all(defect for _, defect in bad)
     # without F2(p01, p10) its relation keeps the differential of the
     # hatted A_0: H on both diagonal slots of the filled cone
-    h = [BBasis("d", 1, FILLED), BBasis("s", 2, FILLED)]
+    h = [dpow(1, FILLED), spow(2, FILLED)]
     assert dict(bad)["p01", "p10"] == {(slot, t) for slot in ("bb", "tt")
                                        for t in h}
 

@@ -75,6 +75,17 @@ def test_build_cube_crossing_guard(monkeypatch):
         tangles.build_cube(twist(17))
 
 
+def test_build_cube_refuses_a_word_of_a_million_ports():
+    # 500,001 cup-cap pairs need over 10^6 ports and make one resolution
+    # of 500,001 loops; 20 pairs already pass the cap
+    cap = f"over the cap of {tangles.MAX_GENERATORS:,}"
+    with pytest.raises(tangles.TangleError,
+                       match=f"at least 1,048,576 generators, {cap}"):
+        tangles.build_cube(tangles.parse_tangle("u1 n1 " * 20))
+    with pytest.raises(tangles.TangleError, match=cap):
+        tangles.build_cube(tangles.parse_tangle("u1 n1 " * 500_001))
+
+
 def test_deloop_examples():
     m = tangles.deloop_translate(
         tangles.build_cube(tangles.parse_tangle("u1 n1")))
