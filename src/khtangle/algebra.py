@@ -252,8 +252,8 @@ _INTERNED = {}   # (packed, flavor) -> the one BElem of that value
 
 
 def _packed(packed, flavor):
-    """Every element, from a builder or from arithmetic, is made here,
-    once per value."""
+    """Every element, from `idem`/`spow`/`dpow` or from arithmetic, is
+    made here, once per value."""
     e = _INTERNED.get((packed, flavor))
     if e is not None:
         return e

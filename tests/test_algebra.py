@@ -171,7 +171,7 @@ def termwise_mul(x, y):
 
 
 @pytest.mark.parametrize("flavor", [FLAVOR_B, FLAVOR_BT])
-def test_packed_product_matches_path_rule(flavor):
+def test_packed_product_matches_monomial_rule(flavor):
     basis = path_basis(10, flavor)
     # the second pass reads every product from the memo of the first
     for _ in range(2):

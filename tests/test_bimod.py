@@ -1,6 +1,6 @@
-import pytest
-
 import itertools
+
+import pytest
 
 from khtangle import bimod
 from khtangle.algebra import (FILLED, HOLLOW, FLAVOR_B, FLAVOR_BT, dpow, idem,
