@@ -98,25 +98,33 @@ class ADBimodule:
                          compare=False)
 
     def __post_init__(self):
-        # raised, not asserted, so that python -O still refuses an
-        # ill-typed family: the box tensor trusts every concrete action
-        for a in self.actions:
-            s, d = self.gens[a.src], self.gens[a.dst]
-            where = f"action {a.src}->{a.dst} {a}"
-            _require(d.hdeg - s.hdeg == 1 - len(a.inputs),
-                     f"{where} breaks the degree rule")
-            _require(any(p.stride for p in a.inputs) or not a.output.stride,
-                     f"{where} has a growing output on fixed inputs")
-            # strides are at most 2, so k = 0 and 1 give every parity
-            for k in (0, 1):
-                v = s.left_idem
-                for p in a.inputs:
-                    v = p.instantiate(k, v, self.a_flavor).ends()[1]
-                _require(v == d.left_idem, f"{where} inputs do not run "
-                         f"{s.left_idem!r} -> {d.left_idem!r}")
-                _require(a.output.instantiate(k, s.right_idem, self.d_flavor)
-                         .ends()[1] == d.right_idem, f"{where} output does "
-                         f"not run {s.right_idem!r} -> {d.right_idem!r}")
+        _check_families("action", self.actions, self.gens, self.gens,
+                        self.a_flavor, self.d_flavor, 1)
+
+
+def _check_families(what, families, src_gens, dst_gens, a_flavor, d_flavor,
+                    degree):
+    """Refuse a family that breaks the degree rule, hdeg(dst) - hdeg(src)
+    = degree - #inputs, or is ill typed for some parameter value.  Raised,
+    not asserted: python -O must refuse it too, as the box tensor and the
+    morphism calculus trust every concrete action."""
+    for a in families:
+        s, d = src_gens[a.src], dst_gens[a.dst]
+        where = f"{what} {a.src}->{a.dst} {a}"
+        _require(d.hdeg - s.hdeg == degree - len(a.inputs),
+                 f"{where} breaks the degree rule")
+        _require(any(p.stride for p in a.inputs) or not a.output.stride,
+                 f"{where} has a growing output on fixed inputs")
+        # strides are at most 2, so k = 0 and 1 give every parity
+        for k in (0, 1):
+            v = s.left_idem
+            for p in a.inputs:
+                v = p.instantiate(k, v, a_flavor).ends()[1]
+            _require(v == d.left_idem, f"{where} inputs do not run "
+                     f"{s.left_idem!r} -> {d.left_idem!r}")
+            _require(a.output.instantiate(k, s.right_idem, d_flavor)
+                     .ends()[1] == d.right_idem, f"{where} output does "
+                     f"not run {s.right_idem!r} -> {d.right_idem!r}")
 
 
 def _require(ok, message):
@@ -242,11 +250,9 @@ class ADMorphism:
     components: tuple    # tuple of Action (src in source, dst in target)
 
     def __post_init__(self):
-        for c in self.components:
-            s = self.source.gens[c.src]
-            d = self.target.gens[c.dst]
-            assert d.hdeg - s.hdeg + len(c.inputs) == 0, \
-                f"component {c.src}->{c.dst} breaks the degree rule"
+        _check_families("component", self.components, self.source.gens,
+                        self.target.gens, self.source.a_flavor,
+                        self.target.d_flavor, 0)
 
     def arity_part(self, j):
         return replace(self, name=f"{self.name}[{j}]", components=tuple(

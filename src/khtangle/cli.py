@@ -22,6 +22,12 @@ _VERDICT_EXIT = {tangles.EQUIVALENT: EXIT_PASS, tangles.MISMATCH: EXIT_FAIL,
                  tangles.INDETERMINATE: EXIT_INDET}
 
 
+# the depth each verifier runs at, reported as its `config`
+_DEPTHS = {"algebra-a": {"max_len": 5}, "functor": {"max_len": 6},
+           "bimodules": {"bound": 16, "margin": 8},
+           "homology-c": {"max_weight": 10}}
+
+
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
         self.print_usage(sys.stderr)
@@ -47,17 +53,10 @@ def build_parser():
 
     ver = sub.add_parser("verify")
     vsub = ver.add_subparsers(dest="check", required=True, parser_class=_Parser)
-    va = leaf(vsub, "algebra-a")
-    va.add_argument("--max-len", type=int, default=5)
-    va.add_argument("--table", default=None,
-                    help="path to an alternative mu-table file")
-    vf = leaf(vsub, "functor")
-    vf.add_argument("--max-len", type=int, default=6)
-    vb = leaf(vsub, "bimodules")
-    vb.add_argument("--bound", type=int, default=16)
-    vb.add_argument("--margin", type=int, default=8)
-    vh = leaf(vsub, "homology-c")
-    vh.add_argument("--max-weight", type=int, default=10)
+    leaf(vsub, "algebra-a").add_argument(
+        "--table", default=None, help="path to an alternative mu-table file")
+    for check in ("functor", "bimodules", "homology-c"):
+        leaf(vsub, check)
 
     comp = sub.add_parser("compute")
     csub = comp.add_subparsers(dest="what", required=True, parser_class=_Parser)
@@ -125,21 +124,22 @@ def _run(args, t0):
         except (ValueError, OSError) as e:
             sys.stderr.write(f"error: {e}\n")
             return EXIT_USAGE
-        bad = acat.verify_ainfty(tables, args.max_len)
+        max_len = _DEPTHS["algebra-a"]["max_len"]
+        bad = acat.verify_ainfty(tables, max_len)
         bad += acat.verify_subalgebra(tables)
         verdict = "PASS" if not bad else "FAIL"
-        _report(args, {"max_len": args.max_len}, verdict,
+        _report(args, _DEPTHS["algebra-a"], verdict,
                 [" ".join(s if isinstance(s, str) else str(s) for s in b)
                  for b in bad],
                 extra={"sequences": sum(
                     len(acat.composable_sequences(n))
-                    for n in range(3, args.max_len + 1))}, t0=t0)
+                    for n in range(3, max_len + 1))}, t0=t0)
         return EXIT_PASS if not bad else EXIT_FAIL
 
     if args.command == "verify" and args.check == "functor":
-        bad, checked = functor.verify_functor(max_len=args.max_len)
+        bad, checked = functor.verify_functor(**_DEPTHS["functor"])
         verdict = "PASS" if not bad else "FAIL"
-        _report(args, {"max_len": args.max_len}, verdict,
+        _report(args, _DEPTHS["functor"], verdict,
                 [f"{' '.join(seq)}: defect "
                  f"{sorted(f'{slot}:{t}' for slot, t in defect)}"
                  for seq, defect in bad],
@@ -147,23 +147,20 @@ def _run(args, t0):
         return EXIT_PASS if not bad else EXIT_FAIL
 
     if args.command == "verify" and args.check == "bimodules":
-        if args.bound <= args.margin:
-            sys.stderr.write("error: --bound must exceed --margin\n")
-            return EXIT_USAGE
-        rep = bimod.verify_lemma_main(args.bound, args.margin)
+        rep = bimod.verify_lemma_main(**_DEPTHS["bimodules"])
         verdict = "PASS" if rep["pass"] else "FAIL"
-        _report(args, {"bound": args.bound, "margin": args.margin}, verdict,
+        _report(args, _DEPTHS["bimodules"], verdict,
                 [k for k, ok in rep["checks"].items() if not ok],
                 extra={"checks": rep["checks"],
                        "max_weight_shifts": rep["max_weight_shifts"]}, t0=t0)
         return EXIT_PASS if rep["pass"] else EXIT_FAIL
 
     if args.command == "verify" and args.check == "homology-c":
-        rep = functor.verify_quasi_iso(args.max_weight)
+        rep = functor.verify_quasi_iso(**_DEPTHS["homology-c"])
         verdict = "PASS" if rep["pass"] else "FAIL"
         dims = {f"Hom(L{s},L{d})": {w: n for w, n in v.items() if n}
                 for (s, d), v in rep["dims"].items()}
-        _report(args, {"max_weight": args.max_weight}, verdict,
+        _report(args, _DEPTHS["homology-c"], verdict,
                 rep["failures"], extra={"homology_dims": dims}, t0=t0)
         return EXIT_PASS if rep["pass"] else EXIT_FAIL
 

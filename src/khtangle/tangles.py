@@ -7,12 +7,13 @@ i and i+1.  The strand count starts and ends at 2; the four boundary
 ends are NW, NE (top) and SW, SE (bottom), with the distinguished end
 at NW by default.
 
-Each of the 2^c resolutions is simulated on a port graph; a vertex of
-the cube records its end-pairing (FILLED = vertical, HOLLOW =
-horizontal) and its closed loops.  Delooping turns the cube into a type
-D structure over the full quiver algebra with dotted-cobordism labels,
-and the two comparison pipelines build the H-cone and the two-layer
-bimodule image from it.
+One walk over the word numbers the ports of a port graph and joins its
+cups and caps; each of the 2^c resolutions adds the two joins of each
+crossing's smoothing.  A vertex of the cube records its end-pairing
+(FILLED = vertical, HOLLOW = horizontal) and its closed loops.
+Delooping turns the cube into a type D structure over the full quiver
+algebra with dotted-cobordism labels, and the two comparison pipelines
+build the H-cone and the two-layer bimodule image from it.
 """
 
 from __future__ import annotations
@@ -49,7 +50,7 @@ def parse_tangle(text: str) -> TangleWord:
     count = 2
     for pos, tok in enumerate(tokens):
         kind, num = tok[:1], tok[1:]
-        if kind not in "xyun" or not num.isdigit():
+        if kind not in "xyun" or not (num.isascii() and num.isdigit()):
             raise TangleError(f"slice {pos}: bad token {tok!r}")
         i = int(num)
         if kind in "xy":
@@ -74,130 +75,121 @@ def parse_tangle(text: str) -> TangleWord:
     return TangleWord(tuple(slices))
 
 
-# --- port-graph simulation of one resolution ----------------------------
+# --- the port graph and its resolutions ----------------------------------
 
-class _UnionFind(dict):
-    def find(self, x):
-        while self[x] != x:
-            self[x] = self[self[x]]
-            x = self[x]
-        return x
+def _find(parent, p):
+    while parent[p] != p:
+        parent[p] = parent[parent[p]]
+        p = parent[p]
+    return p
 
-    def union(self, x, y):
-        self[self.find(x)] = self.find(y)
+
+def _union(parent, p, q):
+    """Join the components of p and q in a flat union-find whose roots
+    are the smallest ports of their components; False if already one."""
+    p, q = sorted((_find(parent, p), _find(parent, q)))
+    parent[q] = p
+    return p != q
 
 
 @dataclass
 class Resolution:
     matching: Vertex
     loops: tuple            # sorted tuple of loop ids (min port)
-    component_of: dict      # port -> component id (min port of component)
-    site_ports: tuple       # per crossing: (a, b, c1, c2)
-    boundary_ports: dict    # "nw"/"ne"/"sw"/"se" -> port
+    component_of: list      # port -> component id (min port of component)
 
 
-def _simulate(word: TangleWord, bits: int) -> Resolution:
-    """Resolve every crossing per its bit and compute the pairing."""
-    uf = _UnionFind()
-
-    def new_port():
-        p = len(uf)
-        uf[p] = p
-        return p
-
-    t1, t2 = new_port(), new_port()
-    ports = [t1, t2]
-    site_ports = []
-    cidx = 0
-    for kind, i in word.slices:
-        if kind == "u":
-            p, q = new_port(), new_port()
-            uf.union(p, q)
-            ports[i - 1:i - 1] = [p, q]
-        elif kind == "n":
-            p, q = ports[i - 1], ports[i]
-            uf.union(p, q)
-            del ports[i - 1:i + 1]
+def _simulate(joined, sites, ends, bits) -> Resolution:
+    """Add the joins of every crossing per its bit to the cup and cap
+    joins and compute the pairing."""
+    parent = joined.copy()
+    for j, (kind, a, b, c1, c2) in enumerate(sites):
+        if (bits >> j) & 1 == (kind == "x"):   # a turns back to b
+            _union(parent, a, b)
+            _union(parent, c1, c2)
         else:
-            a, b = ports[i - 1], ports[i]
-            c1, c2 = new_port(), new_port()
-            bit = (bits >> cidx) & 1
-            smoothing = ("id", "e")[bit] if kind == "x" else ("e", "id")[bit]
-            if smoothing == "id":
-                uf.union(a, c1)
-                uf.union(b, c2)
-            else:
-                uf.union(a, b)
-                uf.union(c1, c2)
-            ports[i - 1:i + 1] = [c1, c2]
-            site_ports.append((a, b, c1, c2))
-            cidx += 1
-    b1, b2 = ports
-    boundary = {"nw": t1, "ne": t2, "sw": b1, "se": b2}
+            _union(parent, a, c1)
+            _union(parent, b, c2)
+    # a parent is never a larger port, so one pass in port order sets
+    # each port to its root, the component id
+    for p in range(len(parent)):
+        parent[p] = parent[parent[p]]
+    t1, t2, b1, b2 = (parent[ends[e]] for e in STAR_CHOICES)
 
-    comps = {}
-    for p in uf:
-        comps.setdefault(uf.find(p), set()).add(p)
-    component_of = {}
-    canon = {}
-    for root, members in comps.items():
-        cid = min(members)
-        canon[root] = cid
-        for p in members:
-            component_of[p] = cid
-
-    if component_of[t1] == component_of[b1]:
+    if t1 == b1:
         matching = FILLED
-        assert component_of[t2] == component_of[b2]
-    elif component_of[t1] == component_of[t2]:
+        assert t2 == b2
+    elif t1 == t2:
         matching = HOLLOW
-        assert component_of[b1] == component_of[b2]
+        assert b1 == b2
     else:
         raise AssertionError("crossing end-pairing; not planar?")
-
-    boundary_comps = {component_of[p] for p in (t1, t2, b1, b2)}
-    loops = tuple(sorted(cid for cid in set(component_of.values())
-                         if cid not in boundary_comps))
-    return Resolution(matching, loops, component_of, tuple(site_ports),
-                      boundary)
+    loops = tuple(sorted(set(parent) - {t1, t2, b1, b2}))
+    return Resolution(matching, loops, parent)
 
 
 @dataclass
 class ResolutionCube:
     word: TangleWord
+    sites: tuple        # per crossing: (kind, a, b, c1, c2), ports a, b above
+    ends: dict          # "nw"/"ne"/"sw"/"se" -> port
     resolutions: dict   # bits -> Resolution
     star: str = "nw"
 
 
-# Each resolution deloops to 2^(its loops) generators, so a cube deloops
-# to at least 2^c of them.  The cap admits x1^10 (29,525 generators;
-# `compare` takes 3.0-3.3 s and 84 MB on a 2-vCPU Xeon VM) and the worst
-# criterion-6 word (26,244), and refuses x1^11 (88,574 generators; with
-# the cap lifted, 11.4 s and 241 MB) before any delooping.
+# Each resolution deloops to 2^(its loops) generators.  A loop of cups
+# and caps alone is a loop of every resolution, so a cube with c
+# crossings and l such loops deloops to at least 2^(c + l) generators.
+# The cap admits x1^10 (29,525 generators; `compare` takes 3.0-3.3 s
+# and 84 MB on a 2-vCPU Xeon VM) and the worst criterion-6 word
+# (26,244), and refuses x1^11 (88,574 generators; with the cap lifted,
+# 11.4 s and 241 MB) before any delooping.
 MAX_GENERATORS = 50_000
 
 
+def _refuse(gens):
+    raise TangleError(f"the cube deloops to at least {gens:,} generators, "
+                      f"over the cap of {MAX_GENERATORS:,}")
+
+
 def build_cube(word: TangleWord, star="nw") -> ResolutionCube:
-    """Simulate every resolution; refuse a cube that would deloop to more
-    than MAX_GENERATORS generators as soon as its resolutions so far
-    pass the cap."""
+    """Number the ports and join cups and caps in one walk over the word,
+    then simulate every resolution; refuse a cube that would deloop to
+    more than MAX_GENERATORS generators up front, or as soon as its
+    resolutions so far pass the cap."""
     assert star in STAR_CHOICES
-    c = word.crossings
-    if 1 << c > MAX_GENERATORS:
-        raise TangleError(f"{c} crossings deloop to at least {1 << c:,} "
-                          f"generators, over the cap of {MAX_GENERATORS:,}")
+    joined = [0, 1]     # ports 0, 1 are the top ends
+    ports = [0, 1]      # the ports crossing the current level
+    sites = []
+    cupcap_loops = 0
+    for kind, i in word.slices:
+        p = len(joined)
+        if kind == "u":
+            joined += [p, p]
+            ports[i - 1:i - 1] = [p, p + 1]
+        elif kind == "n":
+            # a cap on two joined ports closes a loop of cups and caps
+            cupcap_loops += not _union(joined, ports[i - 1], ports[i])
+            del ports[i - 1:i + 1]
+        else:
+            joined += [p, p + 1]
+            sites.append((kind, ports[i - 1], ports[i], p, p + 1))
+            ports[i - 1:i + 1] = [p, p + 1]
+    # 2^64 is far past the cap, so clamping there keeps "at least" true
+    # and the count printable: str refuses ints of 4,300+ digits
+    c = len(sites)
+    floor = 1 << min(c + cupcap_loops, 64)
+    if floor > MAX_GENERATORS:
+        _refuse(floor)
+    ends = dict(zip(STAR_CHOICES, [0, 1] + ports))
     resolutions = {}
     gens = 0
     for bits in range(1 << c):
-        res = resolutions[bits] = _simulate(word, bits)
-        # 2^64 is far past the cap, so clamping there keeps "at least"
-        # true and the count printable: str refuses ints of 4,300+ digits
+        res = resolutions[bits] = _simulate(joined, sites, ends, bits)
         gens += 1 << min(len(res.loops), 64)
         if gens > MAX_GENERATORS:
-            raise TangleError(f"the cube deloops to at least {gens:,} "
-                              f"generators, over the cap of "
-                              f"{MAX_GENERATORS:,}")
-    return ResolutionCube(word, resolutions, star)
+            _refuse(gens)
+    return ResolutionCube(word, tuple(sites), ends, resolutions, star)
 
 
 # --- delooping and translation ------------------------------------------
@@ -206,15 +198,10 @@ def _gen_name(bits, decor):
     return f"v{bits}d{decor}"
 
 
-def _starred_component(res: Resolution, star):
-    return res.component_of[res.boundary_ports[star]]
-
-
 def deloop_translate(cube: ResolutionCube) -> dstruct.TypeDStructure:
     """Expand loops into dot decorations and saddles into algebra labels."""
     out = dstruct.TypeDStructure(FLAVOR_B)
-    word, star = cube.word, cube.star
-    c = word.crossings
+    star_port = cube.ends[cube.star]
 
     names = {}
     for bits, res in cube.resolutions.items():
@@ -224,13 +211,13 @@ def deloop_translate(cube: ResolutionCube) -> dstruct.TypeDStructure:
             out.add_gen(name, res.matching, bin(bits).count("1"))
 
     for bits, src in cube.resolutions.items():
-        for j in range(c):
+        for j, site in enumerate(cube.sites):
             if (bits >> j) & 1:
                 continue
             tbits = bits | (1 << j)
             tgt = cube.resolutions[tbits]
-            _add_saddle_arrows(out, src, tgt, names[bits], names[tbits], j,
-                               star)
+            _add_saddle_arrows(out, src, tgt, names[bits], names[tbits],
+                               site, star_port)
 
     bad = dstruct.check_d_squared(out)
     if bad:
@@ -238,9 +225,10 @@ def deloop_translate(cube: ResolutionCube) -> dstruct.TypeDStructure:
     return out
 
 
-def _add_saddle_arrows(out, src, tgt, src_names, tgt_names, j, star):
-    """Arrows for the cube edge flipping crossing j, for every source
-    dot decoration.
+def _add_saddle_arrows(out, src, tgt, src_names, tgt_names, site,
+                       star_port):
+    """Arrows for the cube edge flipping the crossing at `site`, for
+    every source dot decoration.
 
     The saddle rule depends on a decoration only through the number of
     dotted source loops the saddle touches, so it is worked out once per
@@ -248,10 +236,10 @@ def _add_saddle_arrows(out, src, tgt, src_names, tgt_names, j, star):
     n of them are dotted.  Dots on untouched loops move to the same loop
     in the target.
     """
-    a, b, c1, c2 = src.site_ports[j]
+    _, a, b, c1, c2 = site
     src_touch = {src.component_of[p] for p in (a, b, c1, c2)}
     tgt_touch = sorted({tgt.component_of[p] for p in (a, b, c1, c2)})
-    star_tgt = _starred_component(tgt, star)
+    star_tgt = tgt.component_of[star_port]
     tgt_bit = {lid: 1 << i for i, lid in enumerate(tgt.loops)}
     v = src.matching
 
@@ -374,36 +362,30 @@ CORPUS = (
 
 
 def random_word(rng: random.Random, max_crossings=8) -> TangleWord:
-    """A random valid word with at most the given number of crossings."""
-    while True:
-        slices = []
-        count = 2
-        crossings = 0
-        for _ in range(rng.randint(0, 14)):
-            options = []
-            if count >= 2 and crossings < max_crossings:
-                options += [("x", rng.randint(1, count - 1)),
-                            ("y", rng.randint(1, count - 1))]
-            if count <= 4:
-                options.append(("u", rng.randint(1, count + 1)))
-            if count >= 4:
-                options.append(("n", rng.randint(1, count - 1)))
-            kind, i = rng.choice(options)
-            slices.append((kind, i))
-            if kind == "u":
-                count += 2
-            elif kind == "n":
-                count -= 2
-            else:
-                crossings += 1
-        # close any extra strands
-        while count > 2:
-            i = rng.randint(1, count - 1)
-            slices.append(("n", i))
+    """A random valid word with at most the given number of crossings:
+    the strand count stays even and at least 2, every index is in range,
+    and the extra strands are capped off at the end."""
+    slices = []
+    count = 2
+    crossings = 0
+    for _ in range(rng.randint(0, 14)):
+        options = []
+        if count >= 2 and crossings < max_crossings:
+            options += [("x", rng.randint(1, count - 1)),
+                        ("y", rng.randint(1, count - 1))]
+        if count <= 4:
+            options.append(("u", rng.randint(1, count + 1)))
+        if count >= 4:
+            options.append(("n", rng.randint(1, count - 1)))
+        kind, i = rng.choice(options)
+        slices.append((kind, i))
+        if kind == "u":
+            count += 2
+        elif kind == "n":
             count -= 2
-        word = TangleWord(tuple(slices))
-        try:
-            parse_tangle(str(word))
-        except TangleError:
-            continue
-        return word
+        else:
+            crossings += 1
+    while count > 2:
+        slices.append(("n", rng.randint(1, count - 1)))
+        count -= 2
+    return TangleWord(tuple(slices))

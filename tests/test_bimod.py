@@ -1,4 +1,9 @@
 import itertools
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
 
 import pytest
 
@@ -76,6 +81,54 @@ def test_ill_typed_actions_rejected():
         bimod._mk_bim("bad", FLAVOR_B, FLAVOR_B, gens,
                       [Action("a", "a", (Pattern("S", 1, 1),),
                               Pattern("S", 1, 1))])
+
+
+def test_ill_typed_morphism_components_rejected():
+    f = bimod.morphism_f()
+
+    def with_component(comp):
+        return bimod.ADMorphism("bad", f.source, f.target,
+                                f.components + (comp,))
+
+    # l is filled, w*u hollow: no idempotent output joins them
+    with pytest.raises(AssertionError, match="inputs do not run"):
+        with_component(Action("l", "w*u", (), Pattern("i")))
+    with pytest.raises(AssertionError, match="output does not run"):
+        with_component(Action("l", "z*t", (), Pattern("S", 1)))
+    # l and z*k differ by one in hdeg, so an input-free component breaks
+    # the degree rule
+    with pytest.raises(AssertionError, match="breaks the degree rule"):
+        with_component(Action("l", "z*k", (), Pattern("i")))
+
+
+def test_ill_typed_families_rejected_under_python_O():
+    code = textwrap.dedent("""
+        from khtangle import bimod
+        from khtangle.bimod import Action, Pattern
+        f = bimod.morphism_f()
+        for comp in (Action("l", "w*u", (), Pattern("i")),
+                     Action("l", "z*k", (), Pattern("i"))):
+            try:
+                bimod.ADMorphism("bad", f.source, f.target,
+                                 f.components + (comp,))
+            except AssertionError as e:
+                print("refused:", e)
+        y = bimod.bimodule_Y()
+        try:
+            bimod._mk_bim("bad", y.a_flavor, y.d_flavor, y.gens.values(),
+                          y.actions + (Action("t", "t", (), Pattern("i")),))
+        except AssertionError as e:
+            print("refused:", e)
+    """)
+    src = Path(bimod.__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=str(src))
+    out = subprocess.run([sys.executable, "-O", "-c", code], env=env,
+                         capture_output=True, text=True, check=True).stdout
+    assert out.splitlines() == [
+        "refused: component l->w*u (- | 1) inputs do not run "
+        "FILLED -> HOLLOW",
+        "refused: component l->z*k (- | 1) breaks the degree rule",
+        "refused: action t->t (- | 1) breaks the degree rule"]
 
 
 def test_structural_and_enumerated_identities_agree():

@@ -70,21 +70,26 @@ def test_verify_functor_reports_defects(capsys, monkeypatch):
     from khtangle import functor
     monkeypatch.setattr(functor, "F2_TABLE", {
         k: v for k, v in functor.F2_TABLE.items() if k != ("p01", "p10")})
-    code, out, _ = run(capsys, "verify", "functor", "--max-len", "2")
+    code, out, _ = run(capsys, "verify", "functor")
     assert code == cli.EXIT_FAIL
     assert ("   violation: p01 p10: defect "
             "['bb:D', 'bb:S^2', 'tt:D', 'tt:S^2']\n") in out
 
 
 def test_verify_bimodules(capsys):
-    code, out, _ = run(capsys, "verify", "bimodules")
+    code, out, _ = run(capsys, "verify", "bimodules", "--json")
     assert code == cli.EXIT_PASS
+    assert json.loads(out)["config"] == {"bound": 16, "margin": 8}
 
 
-def test_verify_bimodules_bound_guard(capsys):
-    code, _, err = run(capsys, "verify", "bimodules", "--bound", "8")
-    assert code == cli.EXIT_USAGE
-    assert "--bound must exceed --margin" in err
+def test_verify_depth_options_are_gone(capsys):
+    # each verifier runs at one fixed depth, reported in its config
+    for argv in (("algebra-a", "--max-len", "2"), ("functor", "--max-len", "0"),
+                 ("bimodules", "--bound", "20"), ("bimodules", "--margin", "4"),
+                 ("homology-c", "--max-weight", "3")):
+        code, out, err = run(capsys, "verify", *argv)
+        assert code == cli.EXIT_USAGE, argv
+        assert "unrecognized arguments" in err and out == ""
 
 
 def test_verify_homology_c(capsys):
@@ -126,6 +131,10 @@ def test_compare_star_option(capsys):
 
 def test_bad_tangle_is_usage_error(capsys):
     code, _, err = run(capsys, "compare", "--tangle", "z9")
+    assert code == cli.EXIT_USAGE
+    assert "bad token" in err
+    # a superscript is a digit to str.isdigit, but not to the parser
+    code, _, err = run(capsys, "compare", "--tangle", "x\u00b2")
     assert code == cli.EXIT_USAGE
     assert "bad token" in err
 

@@ -17,6 +17,11 @@ def test_parse_examples():
 def test_parse_errors_report_positions():
     with pytest.raises(tangles.TangleError, match="slice 0.*bad token"):
         tangles.parse_tangle("z1")
+    # digits are ASCII: isdigit() accepts a superscript, which int()
+    # refuses, and an Arabic-Indic digit, which int() reads as 1
+    for bad in ("x\u00b2", "x\u0661"):
+        with pytest.raises(tangles.TangleError, match="slice 0.*bad token"):
+            tangles.parse_tangle(bad)
     with pytest.raises(tangles.TangleError, match="slice 1.*out of range"):
         tangles.parse_tangle("x1 x2")
     with pytest.raises(tangles.TangleError, match="final strand count"):
@@ -58,32 +63,53 @@ def test_build_cube_crossing_guard(monkeypatch):
     calls = []
     simulate = tangles._simulate
 
-    def counting_simulate(word, bits):
+    def counting_simulate(joined, sites, ends, bits):
         calls.append(bits)
-        return simulate(word, bits)
+        return simulate(joined, sites, ends, bits)
 
     monkeypatch.setattr(tangles, "_simulate", counting_simulate)
     with pytest.raises(tangles.TangleError, match=cap):
         tangles.build_cube(twist(15))
     assert 0 < len(calls) < 1 << 15
 
-    def refusing_simulate(word, bits):
+    def refusing_simulate(joined, sites, ends, bits):
         raise AssertionError("simulated a cube refused by its size")
 
     monkeypatch.setattr(tangles, "_simulate", refusing_simulate)
     with pytest.raises(tangles.TangleError, match=f"at least 131,072 .*{cap}"):
         tangles.build_cube(twist(17))
+    # 2^15,000 has more digits than str prints; the bound is clamped
+    with pytest.raises(tangles.TangleError,
+                       match=f"at least {1 << 64:,} generators, {cap}"):
+        tangles.build_cube(twist(15_000))
 
 
-def test_build_cube_refuses_a_word_of_a_million_ports():
+def test_build_cube_refuses_a_word_of_a_million_ports(monkeypatch):
     # 500,001 cup-cap pairs need over 10^6 ports and make one resolution
-    # of 500,001 loops; 20 pairs already pass the cap
+    # of 500,001 loops; 16 pairs already pass the cap.  Loops of cups and
+    # caps alone are loops of every resolution, so both are refused
+    # before any resolution is simulated.
+    def refusing_simulate(joined, sites, ends, bits):
+        raise AssertionError("simulated a cube refused by its size")
+
+    monkeypatch.setattr(tangles, "_simulate", refusing_simulate)
     cap = f"over the cap of {tangles.MAX_GENERATORS:,}"
     with pytest.raises(tangles.TangleError,
-                       match=f"at least 1,048,576 generators, {cap}"):
-        tangles.build_cube(tangles.parse_tangle("u1 n1 " * 20))
-    with pytest.raises(tangles.TangleError, match=cap):
+                       match=f"at least 65,536 generators, {cap}"):
+        tangles.build_cube(tangles.parse_tangle("u1 n1 " * 16))
+    with pytest.raises(tangles.TangleError,
+                       match=f"at least {1 << 64:,} generators, {cap}"):
         tangles.build_cube(tangles.parse_tangle("u1 n1 " * 500_001))
+    # 10 crossings and 6 such loops: 2^16
+    with pytest.raises(tangles.TangleError,
+                       match=f"at least 65,536 generators, {cap}"):
+        tangles.build_cube(tangles.parse_tangle("x1 " * 10 + "u1 n1 " * 6))
+    with pytest.raises(AssertionError, match="simulated"):
+        tangles.build_cube(tangles.parse_tangle("u1 n1 " * 3))
+    monkeypatch.undo()
+    (only,) = tangles.build_cube(
+        tangles.parse_tangle("u1 n1 " * 3)).resolutions.values()
+    assert len(only.loops) == 3
 
 
 def test_deloop_examples():
