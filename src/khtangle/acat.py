@@ -3,16 +3,16 @@
 Two objects L0, L1; morphism spaces spanned by a_i, b_i, c_i, d_i
 (endomorphisms of L_i) and p01, q01 (from L1 to L0), p10, q10 (from L0
 to L1).  The only non-vanishing operations are mu2 and mu3, given by
-finite lookup tables.  mu2(x, y) composes as "y then x".
+one finite lookup table keyed by the input sequence.  mu2(x, y)
+composes as "y then x".
 
-The tables ship as a plain-text data file (one line per non-zero
+The table ships as a plain-text data file (one line per non-zero
 product) so the relation checker can be pointed at mutated tables.
 """
 
 from __future__ import annotations
 
 import importlib.resources
-from dataclasses import dataclass, field
 
 from . import f2
 
@@ -47,62 +47,44 @@ def composable(seq):
     return all(src(seq[i]) == dst(seq[i + 1]) for i in range(len(seq) - 1))
 
 
-@dataclass(frozen=True)
-class MuTables:
-    """mu2/mu3 lookup tables; values are frozensets of generator names."""
+def parse_tables(lines) -> dict:
+    """The table lines as one dict {(x_n, ..., x_1): frozenset of outputs}.
 
-    mu2: dict = field(default_factory=dict)
-    mu3: dict = field(default_factory=dict)
-
-    def mu(self, seq):
-        """Evaluate mu on a tuple; zero for other arities and for tuples
-        that are not composable, which parse_tables never makes keys."""
-        if len(seq) == 2:
-            return self.mu2.get(tuple(seq), f2.ZERO)
-        if len(seq) == 3:
-            return self.mu3.get(tuple(seq), f2.ZERO)
-        return f2.ZERO
-
-    def with_entry_removed(self, key):
-        if key in self.mu2:
-            mu2 = dict(self.mu2)
-            del mu2[key]
-            return MuTables(mu2, self.mu3)
-        mu3 = dict(self.mu3)
-        del mu3[key]
-        return MuTables(self.mu2, mu3)
-
-
-def parse_tables(lines) -> MuTables:
-    mu2, mu3 = {}, {}
+    Keys are composable pairs and triples; every other sequence has
+    mu = 0, so readers look values up with `tables.get(seq, f2.ZERO)`.
+    """
+    tables = {}
     for raw in lines:
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
-        head, _, out = line.partition("->")
-        parts = head.split()
-        outs = frozenset(out.split())
-        if parts[0] == "mu2" and len(parts) == 3:
-            mu2[tuple(parts[1:])] = outs
-        elif parts[0] == "mu3" and len(parts) == 4:
-            mu3[tuple(parts[1:])] = outs
-        else:
+        head, arrow, out = line.partition("->")
+        op, *seq = head.split() or [""]
+        outs = out.split()
+        if not arrow:
+            raise ValueError(f"no '->' in {raw!r}")
+        if (op, len(seq)) not in (("mu2", 2), ("mu3", 3)):
             raise ValueError(f"bad table line: {raw!r}")
-        for g in list(parts[1:]) + list(outs):
+        for g in seq + outs:
             if g not in _HOM:
                 raise ValueError(f"unknown generator {g!r} in {raw!r}")
-        seq = parts[1:]
         if not composable(seq):
             raise ValueError(f"inputs are not composable in {raw!r}")
         # mu(x_n, ..., x_1) maps src(x_1) to dst(x_n)
         hom = (src(seq[-1]), dst(seq[0]))
-        for g in outs:
+        for i, g in enumerate(outs):
             if _HOM[g] != hom:
                 raise ValueError(f"output {g!r} is not in Hom{hom} in {raw!r}")
-    return MuTables(mu2, mu3)
+            if g in outs[:i]:
+                raise ValueError(f"repeated output {g!r} in {raw!r}")
+        key = tuple(seq)
+        if key in tables:
+            raise ValueError(f"repeated entry {op} {' '.join(seq)} in {raw!r}")
+        tables[key] = frozenset(outs)
+    return tables
 
 
-def load_tables(path=None) -> MuTables:
+def load_tables(path=None) -> dict:
     if path is not None:
         with open(path) as fh:
             return parse_tables(fh)
@@ -122,7 +104,7 @@ def composable_sequences(length, generators=GENERATORS):
     return seqs
 
 
-def ainfty_defect(tables: MuTables, seq):
+def ainfty_defect(tables, seq):
     """The A-infinity relation evaluated on one composable sequence.
 
     Sum over all ways of applying an inner mu to a consecutive block and
@@ -132,14 +114,14 @@ def ainfty_defect(tables: MuTables, seq):
     acc = f2.ZERO
     for ln in (2, 3):
         for i in range(n - ln + 1):
-            inner = tables.mu(seq[i:i + ln])
+            inner = tables.get(seq[i:i + ln], f2.ZERO)
             for g in inner:
                 outer_seq = seq[:i] + (g,) + seq[i + ln:]
-                acc = acc ^ tables.mu(outer_seq)
+                acc = acc ^ tables.get(outer_seq, f2.ZERO)
     return acc
 
 
-def verify_ainfty(tables: MuTables, max_len=5, generators=GENERATORS):
+def verify_ainfty(tables, max_len=5, generators=GENERATORS):
     """Violating sequences of the A-infinity relations, lengths 3..max_len."""
     violations = []
     for n in range(3, max_len + 1):
@@ -149,12 +131,19 @@ def verify_ainfty(tables: MuTables, max_len=5, generators=GENERATORS):
     return violations
 
 
+def verify_units(tables):
+    """Generators x failing mu2(1_dst(x), x) = {x} = mu2(x, 1_src(x))."""
+    return [("unit", x) for x in GENERATORS
+            if tables.get((UNITS[dst(x)], x)) != {x}
+            or tables.get((x, UNITS[src(x)])) != {x}]
+
+
 # --- the associative subalgebra on a, c, p generators -------------------
 
 SUB_GENERATORS = ("a0", "c0", "a1", "c1", "p01", "p10")
 
 
-def verify_subalgebra(tables: MuTables):
+def verify_subalgebra(tables):
     """The a/c/p subalgebra is closed under mu2 and has no mu3.
 
     Returns the list of violations (closure failures or non-zero mu3 on
@@ -163,10 +152,10 @@ def verify_subalgebra(tables: MuTables):
     sub = set(SUB_GENERATORS)
     bad = []
     for seq in composable_sequences(2, SUB_GENERATORS):
-        if not tables.mu(seq) <= sub:
+        if not tables.get(seq, f2.ZERO) <= sub:
             bad.append(("mu2-closure",) + seq)
     for seq in composable_sequences(3, SUB_GENERATORS):
-        if tables.mu(seq):
+        if tables.get(seq):
             bad.append(("mu3-nonzero",) + seq)
     bad.extend(("ainfty",) + s for s in verify_ainfty(tables, 5, SUB_GENERATORS))
     return bad

@@ -82,7 +82,7 @@ def _tangle_args(p):
 
 def _report(args, config, verdict, violations, extra=None, t0=None):
     rep = {
-        "command": " ".join(sys.argv[1:]) or args.command,
+        "command": " ".join(args.argv) or args.command,
         "config": config,
         "verdict": verdict,
         "violations": violations,
@@ -109,6 +109,7 @@ def _report(args, config, verdict, violations, extra=None, t0=None):
 
 def main(argv=None):
     args = build_parser().parse_args(argv)
+    args.argv = sys.argv[1:] if argv is None else argv
     try:
         return _run(args, time.time())
     except tangles.TangleError as e:
@@ -127,10 +128,10 @@ def _run(args, t0):
         max_len = _DEPTHS["algebra-a"]["max_len"]
         bad = acat.verify_ainfty(tables, max_len)
         bad += acat.verify_subalgebra(tables)
+        bad += acat.verify_units(tables)
         verdict = "PASS" if not bad else "FAIL"
         _report(args, _DEPTHS["algebra-a"], verdict,
-                [" ".join(s if isinstance(s, str) else str(s) for s in b)
-                 for b in bad],
+                [" ".join(b) for b in bad],
                 extra={"sequences": sum(
                     len(acat.composable_sequences(n))
                     for n in range(3, max_len + 1))}, t0=t0)

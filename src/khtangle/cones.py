@@ -4,9 +4,9 @@ Objects are the mapping cones [v -> H -> v] for the two vertices; a
 morphism between cones is a 2x2 matrix of algebra elements, stored in
 four positional slots TT, TB, BT, BB (top/bottom of source to
 top/bottom of target).  The differential commutes the single H-labeled
-cone arrow past the morphism.  A second, named basis organizes the
-morphism spaces into six plain families (cycles) and six hatted
-families; the translation between the two descriptions is exact.
+cone arrow past the morphism.  A named basis organizes the morphism
+spaces into six plain families (cycles) and six hatted families; it is
+input notation, which `to_positional` writes into the slots.
 """
 
 from __future__ import annotations
@@ -97,7 +97,6 @@ def diff_C(f: ConeMorphism) -> ConeMorphism:
 # families on cross spaces: P, Q (l >= 1); each plain or hatted.
 ENDO_FAMILIES = ("A", "B", "C", "D")
 CROSS_FAMILIES = ("P", "Q")
-SUB_FAMILIES = ("A", "C", "P")  # the subcategory generated by these
 
 _SUB_TO_SRC = {"0": Vertex.FILLED, "1": Vertex.HOLLOW,
                "10": Vertex.FILLED, "01": Vertex.HOLLOW}
@@ -156,46 +155,6 @@ def to_positional(name: BasisName) -> ConeMorphism:
     return ConeMorphism(name.src, name.dst, **comps)
 
 
-def _classify(t: BElem, hatted: bool, slot: str):
-    """The family name owning monomial t in the given slot."""
-    diag = slot in ("tt", "bt")
-    w = t.max_weight()
-    src, dst = t.ends()
-    if src != dst:
-        family, index = ("P" if diag else "Q"), (w + 1) // 2
-    elif w and t is algebra.dpow(w // 2, src):
-        family, index = ("C" if diag else "D"), w // 2
-    else:
-        family, index = ("A" if diag else "B"), w // 2
-    if src == dst:
-        sub = "0" if src is Vertex.FILLED else "1"
-    else:
-        sub = "10" if src is Vertex.FILLED else "01"
-    return BasisName(family, hatted, index, sub)
-
-
-def from_positional(f: ConeMorphism):
-    """Decompose a morphism in the named basis (an f2 vector of names).
-
-    TT monomials determine the plain diagonal families (which also
-    occupy BB); the BB remainder consists of hatted single-slot
-    families, TB of plain single-slot families, BT of hatted diagonal
-    families.
-    """
-    names = set()
-    bb_left = f.bb
-    for t in f.tt.monomials():
-        names.add(_classify(t, False, "tt"))
-        bb_left = bb_left + t
-    for t in bb_left.monomials():
-        names.add(_classify(t, True, "bb"))
-    for t in f.tb.monomials():
-        names.add(_classify(t, False, "tb"))
-    for t in f.bt.monomials():
-        names.add(_classify(t, True, "bt"))
-    return frozenset(names)
-
-
 def combo_to_positional(names, src: Vertex, dst: Vertex) -> ConeMorphism:
     out = zero_mor(src, dst)
     for n in names:
@@ -204,8 +163,12 @@ def combo_to_positional(names, src: Vertex, dst: Vertex) -> ConeMorphism:
 
 
 def in_subcategory(f: ConeMorphism) -> bool:
-    """Membership in the subcategory spanned by A, C, P (plain/hatted)."""
-    return all(n.family in SUB_FAMILIES for n in from_positional(f))
+    """Membership in the subcategory spanned by A, C, P (plain/hatted).
+
+    The plain A/C/P forms fill TT and BB alike and the hatted ones BT,
+    while every B/D/Q form puts a term in TB or in BB alone.
+    """
+    return f.tb.is_zero() and f.bb is f.tt
 
 
 # --- weight-truncated homology ------------------------------------------

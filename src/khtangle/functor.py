@@ -1,15 +1,13 @@
 """The A-infinity functor from the twelve-generator category to the cones.
 
-Objects map L0 to the filled cone and L1 to the hollow cone.  The
-length-1 action sends each generator to the matching plain basis family;
-the length-2 and length-3 actions are finite tables of hatted
-corrections.  All actions of length >= 4 vanish.  The functor relations
+Objects map L0 to the filled cone and L1 to the hollow cone.  One table,
+keyed by the input sequence, holds the whole action: length 1 sends each
+generator to the matching plain basis family, lengths 2 and 3 are hatted
+corrections, and every other sequence maps to zero.  The functor relations
 are verified exhaustively on composable sequences up to length six.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass, field
 
 from . import acat, cones, f2
 from .acat import GENERATORS, SUB_GENERATORS, composable_sequences, dst, src
@@ -22,17 +20,14 @@ def _n(family, hatted, index, sub):
     return cones.BasisName(family, hatted, index, sub)
 
 
-F1_TABLE = {
-    "a0": [_n("A", False, 0, "0")], "a1": [_n("A", False, 0, "1")],
-    "b0": [_n("B", False, 0, "0")], "b1": [_n("B", False, 0, "1")],
-    "c0": [_n("C", False, 1, "0")], "c1": [_n("C", False, 1, "1")],
-    "d0": [_n("D", False, 1, "0")], "d1": [_n("D", False, 1, "1")],
-    "p01": [_n("P", False, 1, "01")], "p10": [_n("P", False, 1, "10")],
-    "q01": [_n("Q", False, 1, "01")], "q10": [_n("Q", False, 1, "10")],
-}
-
-# keys are sequences (x2, x1) with x1 applied first.
-F2_TABLE = {
+# keys are composable sequences (x_n, ..., x_1) with x_1 applied first
+F_TABLE = {
+    ("a0",): [_n("A", False, 0, "0")], ("a1",): [_n("A", False, 0, "1")],
+    ("b0",): [_n("B", False, 0, "0")], ("b1",): [_n("B", False, 0, "1")],
+    ("c0",): [_n("C", False, 1, "0")], ("c1",): [_n("C", False, 1, "1")],
+    ("d0",): [_n("D", False, 1, "0")], ("d1",): [_n("D", False, 1, "1")],
+    ("p01",): [_n("P", False, 1, "01")], ("p10",): [_n("P", False, 1, "10")],
+    ("q01",): [_n("Q", False, 1, "01")], ("q10",): [_n("Q", False, 1, "10")],
     ("p01", "p10"): [_n("A", True, 0, "0")],
     ("p10", "p01"): [_n("A", True, 0, "1")],
     ("c0", "c0"): [_n("C", True, 1, "0")],
@@ -45,23 +40,13 @@ F2_TABLE = {
     ("d1", "c1"): [_n("D", True, 1, "1")],
     ("c0", "d0"): [_n("C", False, 1, "0"), _n("D", True, 1, "0")],
     ("c1", "d1"): [_n("C", False, 1, "1"), _n("D", True, 1, "1")],
-}
-
-F3_TABLE = {
     ("c0", "d0", "c0"): [_n("C", True, 1, "0")],
     ("c1", "d1", "c1"): [_n("C", True, 1, "1")],
 }
 
 
-@dataclass(frozen=True)
-class FunctorTables:
-    f1: dict = field(default_factory=lambda: dict(F1_TABLE))
-    f2: dict = field(default_factory=lambda: dict(F2_TABLE))
-    f3: dict = field(default_factory=lambda: dict(F3_TABLE))
-
-
 def default_tables():
-    return FunctorTables()
+    return dict(F_TABLE)
 
 
 def seq_endpoints(seq):
@@ -69,18 +54,11 @@ def seq_endpoints(seq):
     return src(seq[-1]), dst(seq[0])
 
 
-def apply_F(tables: FunctorTables, seq) -> cones.ConeMorphism:
-    """Evaluate the functor action on a composable sequence."""
+def apply_F(tables, seq) -> cones.ConeMorphism:
+    """Evaluate the functor action on a sequence; zero off the table."""
     s, d = seq_endpoints(seq)
-    zero = cones.zero_mor(OBJECTS[s], OBJECTS[d])
-    if not acat.composable(seq):
-        return zero
-    table = {1: tables.f1, 2: tables.f2, 3: tables.f3}.get(len(seq))
-    if table is None:
-        return zero
-    key = seq[0] if len(seq) == 1 else tuple(seq)
-    names = table.get(key, ())
-    return cones.combo_to_positional(names, OBJECTS[s], OBJECTS[d])
+    return cones.combo_to_positional(tables.get(tuple(seq), ()),
+                                     OBJECTS[s], OBJECTS[d])
 
 
 def _checker(tables, mu_tables):
@@ -89,8 +67,7 @@ def _checker(tables, mu_tables):
     F vanishes off its table keys, all of length <= 3, so only blocks
     contracting to a key and splits into two keys contribute.
     """
-    keys = [(g,) for g in tables.f1] + list(tables.f2) + list(tables.f3)
-    F = {seq: apply_F(tables, seq) for seq in keys}
+    F = {seq: apply_F(tables, seq) for seq in tables}
     vec = {seq: cones._mor_to_vec(f) for seq, f in F.items()}
     diff = {seq: cones._mor_to_vec(cones.diff_C(f)) for seq, f in F.items()}
     # "earlier then later", for every pair that composes
@@ -106,7 +83,7 @@ def _checker(tables, mu_tables):
             if n - ln + 1 > 3:
                 continue
             for i in range(n - ln + 1):
-                for g in mu_tables.mu(seq[i:i + ln]):
+                for g in mu_tables.get(seq[i:i + ln], f2.ZERO):
                     acc = acc ^ vec.get(seq[:i] + (g,) + seq[i + ln:],
                                         f2.ZERO)
         # target-side: differential of F, plus all two-block splittings
@@ -125,8 +102,10 @@ def verify_functor(tables=None, max_len=6, mu_tables=None,
     Returns ([(sequence, defect)], sequences checked); a defect is the
     non-zero relation value as an f2 vector of cone basis keys.
     """
-    tables = tables or default_tables()
-    mu_tables = mu_tables or acat.load_tables()
+    if tables is None:
+        tables = default_tables()
+    if mu_tables is None:
+        mu_tables = acat.load_tables()
     defect = _checker(tables, mu_tables)
     violations = []
     checked = 0
@@ -144,29 +123,22 @@ def verify_functor(tables=None, max_len=6, mu_tables=None,
 # --- mutation suite ------------------------------------------------------
 
 def table_mutations(tables=None):
-    """All single-entry mutations: each f2/f3 entry deleted or redirected."""
-    tables = tables or default_tables()
+    """All single-entry mutations: each entry of length 2 or 3 deleted or
+    redirected."""
+    if tables is None:
+        tables = default_tables()
     muts = []
-    for attr in ("f2", "f3"):
-        table = getattr(tables, attr)
-        for key, value in table.items():
-            without = {k: v for k, v in table.items() if k != key}
-            muts.append((f"delete {attr}{key}",
-                         _replace_table(tables, attr, without)))
-            # redirect: flip the hat on the first named family
-            flipped = [cones.BasisName(value[0].family, not value[0].hatted,
-                                       value[0].index, value[0].sub)]
-            redirected = dict(table)
-            redirected[key] = flipped + list(value[1:])
-            muts.append((f"redirect {attr}{key}",
-                         _replace_table(tables, attr, redirected)))
+    for key, value in tables.items():
+        if len(key) == 1:
+            continue
+        muts.append((f"delete f{len(key)}{key}",
+                     {k: v for k, v in tables.items() if k != key}))
+        # redirect: flip the hat on the first named family
+        flipped = cones.BasisName(value[0].family, not value[0].hatted,
+                                  value[0].index, value[0].sub)
+        muts.append((f"redirect f{len(key)}{key}",
+                     {**tables, key: [flipped] + list(value[1:])}))
     return muts
-
-
-def _replace_table(tables, attr, new):
-    parts = {"f1": tables.f1, "f2": tables.f2, "f3": tables.f3}
-    parts[attr] = new
-    return FunctorTables(**parts)
 
 
 # --- quasi-isomorphism check ---------------------------------------------
@@ -179,7 +151,8 @@ def verify_quasi_iso(max_weight=10, tables=None):
     the restricted functor lands in the subcategory.
     """
     assert max_weight >= 4
-    tables = tables or default_tables()
+    if tables is None:
+        tables = default_tables()
     report = {"failures": [], "dims": {}}
     for g in GENERATORS:
         if not cones.diff_C(apply_F(tables, (g,))).is_zero():

@@ -24,9 +24,10 @@ def test_criterion_1_algebra_relations_fast_with_mutation_suite():
     bad = acat.verify_ainfty(tables, 5) + acat.verify_subalgebra(tables)
     elapsed = time.time() - t0
     killed = total = 0
-    for key in list(tables.mu2) + list(tables.mu3):
+    for key in tables:
         total += 1
-        if acat.verify_ainfty(tables.with_entry_removed(key), 5):
+        if acat.verify_ainfty({k: v for k, v in tables.items() if k != key},
+                              5):
             killed += 1
     ok = not bad and elapsed < 1.0 and killed >= 0.9 * total
     _line(1, "algebra relations: 0 violations < 1s, >= 90% mutants killed",

@@ -206,9 +206,10 @@ def test_composites_are_identities():
 
 
 def test_arity_two_composite_vanishes():
-    f1, g1 = bimod.morphism_f().arity_part(1), bimod.morphism_g().arity_part(1)
+    # f and g have arity <= 1, so the arity-2 part of g after f is g1 f1
+    gof = bimod.compose_ad_morphisms(bimod.morphism_g(), bimod.morphism_f(), 16)
     assert bimod._filter_weight(
-        bimod.compose_ad_morphisms(g1, f1, 16), 8) == frozenset()
+        [c for c in gof if len(c[2]) == 2], 8) == frozenset()
 
 
 def test_weight_shifts_bounded_by_four():

@@ -1,8 +1,9 @@
 import importlib.resources
 import json
+import sys
 import time
 
-from khtangle import cli, dstruct, tangles
+from khtangle import acat, cli, dstruct, tangles
 
 
 def run(capsys, *argv):
@@ -66,10 +67,38 @@ def test_verify_algebra_a_malformed_table_is_usage_error(capsys, tmp_path):
     assert out == ""
 
 
+def test_verify_algebra_a_refuses_malformed_lines(capsys, tmp_path):
+    path = tmp_path / "twice.txt"
+    path.write_text("mu2 a0 a0 -> a0\nmu2 a0 a0 -> b0\n")
+    code, out, err = run(capsys, "verify", "algebra-a", "--table", str(path))
+    assert code == cli.EXIT_USAGE
+    assert err == ("error: repeated entry mu2 a0 a0 in "
+                   "'mu2 a0 a0 -> b0\\n'\n")
+    assert out == ""
+
+
+def test_verify_algebra_a_empty_table_fails_units(capsys, tmp_path):
+    path = tmp_path / "empty.txt"
+    path.write_text("# no products\n")
+    code, out, _ = run(capsys, "--json", "verify", "algebra-a",
+                       "--table", str(path))
+    assert code == cli.EXIT_FAIL
+    rep = json.loads(out)
+    assert rep["verdict"] == "FAIL"
+    assert rep["violations"] == [f"unit {g}" for g in acat.GENERATORS]
+
+
+def test_report_names_the_argv_main_received(capsys, monkeypatch):
+    monkeypatch.setattr(sys, "argv", ["host", "--whatever"])
+    code, out, _ = run(capsys, "--json", "compare", "--tangle", "x1")
+    assert code == cli.EXIT_PASS
+    assert json.loads(out)["command"] == "--json compare --tangle x1"
+
+
 def test_verify_functor_reports_defects(capsys, monkeypatch):
     from khtangle import functor
-    monkeypatch.setattr(functor, "F2_TABLE", {
-        k: v for k, v in functor.F2_TABLE.items() if k != ("p01", "p10")})
+    monkeypatch.setattr(functor, "F_TABLE", {
+        k: v for k, v in functor.F_TABLE.items() if k != ("p01", "p10")})
     code, out, _ = run(capsys, "verify", "functor")
     assert code == cli.EXIT_FAIL
     assert ("   violation: p01 p10: defect "

@@ -1,6 +1,6 @@
 import itertools
 
-from khtangle import algebra, cones
+from khtangle import algebra, cones, f2
 from khtangle.algebra import FILLED, HOLLOW
 from khtangle.cones import BasisName
 
@@ -50,15 +50,10 @@ def test_compose_associative_and_unital():
                 == cones.compose_C(f, cones.compose_C(g, h)))
 
 
-def test_named_basis_roundtrip():
-    for name in all_names(10):
-        f = cones.to_positional(name)
-        assert cones.from_positional(f) == {name}, str(name)
-    # a combination survives the round trip too
-    names = {BasisName("A", False, 1, "0"), BasisName("B", True, 2, "0"),
-             BasisName("C", False, 3, "0")}
-    f = cones.combo_to_positional(names, FILLED, FILLED)
-    assert cones.from_positional(f) == names
+def test_named_basis_is_linearly_independent():
+    # the names are a basis of their span, so the notation is unambiguous
+    rows = [cones._mor_to_vec(f) for f in basis_mors(10)]
+    assert f2.rank(rows) == len(rows)
 
 
 def test_plain_families_are_cycles_hatted_are_not():
@@ -89,6 +84,23 @@ def test_in_subcategory_examples():
     assert not cones.in_subcategory(cones.to_positional(BasisName("B", False, 0, "0")))
     assert not cones.in_subcategory(cones.to_positional(BasisName("D", True, 2, "1")))
     assert cones.in_subcategory(cones.zero_mor(FILLED, HOLLOW))
+
+
+def weight(name):
+    return cones._family_monomial(name).max_weight()
+
+
+def test_in_subcategory_follows_the_family_rule():
+    # the subcategory is spanned by the A, C and P forms, plain or hatted
+    names = [n for n in all_names(5) if weight(n) <= 8]
+    for n in names:
+        assert cones.in_subcategory(cones.to_positional(n)) == (
+            n.family in "ACP"), str(n)
+    for n, m in itertools.combinations(names, 2):
+        if (n.src, n.dst) == (m.src, m.dst):
+            f = cones.combo_to_positional((n, m), n.src, n.dst)
+            assert cones.in_subcategory(f) == (
+                n.family in "ACP" and m.family in "ACP"), (str(n), str(m))
 
 
 def test_homology_class_rank_examples():

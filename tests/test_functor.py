@@ -19,24 +19,28 @@ def F(tables, *seq):
     return functor.apply_F(tables, tuple(seq))
 
 
+def named(*names):
+    return cones.combo_to_positional(names, names[0].src, names[0].dst)
+
+
 def test_length_one_images(tables):
-    assert cones.from_positional(F(tables, "a0")) == {BasisName("A", False, 0, "0")}
-    assert cones.from_positional(F(tables, "q10")) == {BasisName("Q", False, 1, "10")}
-    assert cones.from_positional(F(tables, "d1")) == {BasisName("D", False, 1, "1")}
+    assert F(tables, "a0") == cones.to_positional(BasisName("A", False, 0, "0"))
+    assert F(tables, "q10") == cones.to_positional(BasisName("Q", False, 1, "10"))
+    assert F(tables, "d1") == cones.to_positional(BasisName("D", False, 1, "1"))
 
 
 def test_length_two_images(tables):
-    assert cones.from_positional(F(tables, "p01", "p10")) == {
-        BasisName("A", True, 0, "0")}
-    assert cones.from_positional(F(tables, "p10", "q01")) == {
-        BasisName("A", False, 0, "1"), BasisName("B", True, 0, "1")}
+    assert F(tables, "p01", "p10") == cones.to_positional(
+        BasisName("A", True, 0, "0"))
+    assert F(tables, "p10", "q01") == named(
+        BasisName("A", False, 0, "1"), BasisName("B", True, 0, "1"))
     # untabulated pairs map to zero
     assert F(tables, "b0", "b0").is_zero()
 
 
 def test_length_three_and_beyond(tables):
-    assert cones.from_positional(F(tables, "c0", "d0", "c0")) == {
-        BasisName("C", True, 1, "0")}
+    assert F(tables, "c0", "d0", "c0") == cones.to_positional(
+        BasisName("C", True, 1, "0"))
     assert F(tables, "c0", "d0", "c0", "d0").is_zero()
 
 
@@ -56,14 +60,21 @@ def test_functor_relations_hold_to_length_six():
 
 
 def test_violations_carry_their_defect(tables):
-    f2 = {k: v for k, v in functor.F2_TABLE.items() if k != ("p01", "p10")}
-    bad, _ = functor.verify_functor(functor.FunctorTables(f2=f2), max_len=3)
+    without = {k: v for k, v in functor.F_TABLE.items() if k != ("p01", "p10")}
+    bad, _ = functor.verify_functor(without, max_len=3)
     assert bad and all(defect for _, defect in bad)
     # without F2(p01, p10) its relation keeps the differential of the
     # hatted A_0: H on both diagonal slots of the filled cone
     h = [dpow(1, FILLED), spow(2, FILLED)]
     assert dict(bad)["p01", "p10"] == {(slot, t) for slot in ("bb", "tt")
                                        for t in h}
+
+
+def test_empty_tables_are_not_replaced_by_the_packaged_ones():
+    # with mu = 0 the relation of (a0, a0) keeps F1(a0)
+    bad, _ = functor.verify_functor(max_len=2, mu_tables={})
+    assert ("a0", "a0") in dict(bad)
+    assert not functor.verify_quasi_iso(max_weight=4, tables={})["pass"]
 
 
 def test_mutation_suite_kills_at_least_ninety_percent(mu_tables):
@@ -89,8 +100,6 @@ def test_quasi_iso_report():
 def test_broken_tables_fail_quasi_iso():
     # redirecting a plain length-1 image to its hatted partner breaks
     # the cycle condition
-    f1 = dict(functor.F1_TABLE)
-    f1["c0"] = [BasisName("C", True, 1, "0")]
-    bad = functor.FunctorTables(f1=f1)
+    bad = {**functor.F_TABLE, ("c0",): [BasisName("C", True, 1, "0")]}
     rep = functor.verify_quasi_iso(max_weight=10, tables=bad)
     assert not rep["pass"]
