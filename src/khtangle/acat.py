@@ -55,6 +55,7 @@ def parse_tables(lines) -> dict:
     """
     tables = {}
     for raw in lines:
+        raw = raw.rstrip("\r\n")
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
@@ -104,31 +105,58 @@ def composable_sequences(length, generators=GENERATORS):
     return seqs
 
 
-def ainfty_defect(tables, seq):
-    """The A-infinity relation evaluated on one composable sequence.
+def count_sequences(length, generators=GENERATORS):
+    """len(composable_sequences(length, generators)), without the tuples."""
+    # ends[o]: how many sequences have their last entry starting at o
+    ends = [sum(src(g) == o for g in generators) for o in (0, 1)]
+    for _ in range(length - 1):
+        ends = [sum(ends[dst(g)] for g in generators if src(g) == o)
+                for o in (0, 1)]
+    return sum(ends)
 
-    Sum over all ways of applying an inner mu to a consecutive block and
-    the outer mu to the contracted sequence; zero iff the relation holds.
+
+def expansions(keys, tables):
+    """Every (seq, key) such that an inner mu contracts a block of seq to key.
+
+    seq is key with one entry key[i] replaced by a block whose mu
+    contains key[i]; a block has the Hom type of its output, so seq is
+    composable whenever key is.
     """
-    n = len(seq)
-    acc = f2.ZERO
-    for ln in (2, 3):
-        for i in range(n - ln + 1):
-            inner = tables.get(seq[i:i + ln], f2.ZERO)
-            for g in inner:
-                outer_seq = seq[:i] + (g,) + seq[i + ln:]
-                acc = acc ^ tables.get(outer_seq, f2.ZERO)
-    return acc
+    producers = {}   # {output: [blocks whose mu contains it]}
+    for block, outs in tables.items():
+        for g in outs:
+            producers.setdefault(g, []).append(block)
+    for key in keys:
+        for i, g in enumerate(key):
+            for block in producers.get(g, ()):
+                yield key[:i] + block + key[i + 1:], key
+
+
+def relation_defects(terms, max_len, generators=GENERATORS):
+    """The non-zero sums, per sequence, of a relation's (seq, f2 vector) terms.
+
+    Only sequences of length <= max_len with entries in generators count.
+    Every composable one is covered: a sequence no term reaches has
+    defect zero.  Returns [(seq, defect)] in composable_sequences order:
+    by length, then by the positions of the entries in generators.
+    """
+    pos = {g: i for i, g in enumerate(generators)}
+    acc = {}
+    for seq, value in terms:
+        if len(seq) <= max_len and all(g in pos for g in seq):
+            acc[seq] = acc.get(seq, f2.ZERO) ^ value
+    return sorted(((seq, v) for seq, v in acc.items() if v),
+                  key=lambda item: (len(item[0]), [pos[g] for g in item[0]]))
 
 
 def verify_ainfty(tables, max_len=5, generators=GENERATORS):
-    """Violating sequences of the A-infinity relations, lengths 3..max_len."""
-    violations = []
-    for n in range(3, max_len + 1):
-        for seq in composable_sequences(n, generators):
-            if ainfty_defect(tables, seq):
-                violations.append(seq)
-    return violations
+    """Violating sequences of the A-infinity relations, lengths 3..max_len.
+
+    The relation on a sequence sums, over every block contracted by an
+    inner mu, the outer mu of the contracted sequence.
+    """
+    terms = ((seq, tables[key]) for seq, key in expansions(tables, tables))
+    return [seq for seq, _ in relation_defects(terms, max_len, generators)]
 
 
 def verify_units(tables):

@@ -184,8 +184,11 @@ def reduce(m: TypeDStructure) -> TypeDStructure:
     n = len(names)
     out_adj = [{} for _ in range(n)]
     in_adj = [{} for _ in range(n)]
+    nn = n * n
     pure = set()   # s * n + d of each cancellable arrow s -> d
-    heap = []      # lazy-keyed fill-in costs of the cancellable arrows
+    # lazy-keyed cost * n^2 + s * n + d of the cancellable arrows: costs
+    # are >= 0 and s, d < n, so ints order as (cost, s, d) tuples would
+    heap = []
 
     def cost(s, d):
         return (len(in_adj[d]) - 1) * (len(out_adj[s]) - 1)
@@ -200,7 +203,7 @@ def reduce(m: TypeDStructure) -> TypeDStructure:
         in_adj[d][s] = label
         if label.is_idem():
             pure.add(s * n + d)
-            heapq.heappush(heap, (cost(s, d), s, d))
+            heapq.heappush(heap, cost(s, d) * nn + s * n + d)
 
     # the heap gets the keys set_arrow would push, in one heapify
     for (s, d), label in m.arrows.items():
@@ -210,7 +213,7 @@ def reduce(m: TypeDStructure) -> TypeDStructure:
         out_adj[s][d] = in_adj[d][s] = label
         if label.is_idem():
             pure.add(s * n + d)
-            heap.append((cost(s, d), s, d))
+            heap.append(cost(s, d) * nn + s * n + d)
     heapq.heapify(heap)
 
     def drop_gen(g):
@@ -226,12 +229,13 @@ def reduce(m: TypeDStructure) -> TypeDStructure:
         # cheapest cancellation by current fill-in cost; heap keys are
         # refreshed lazily, so stale entries get re-pushed
         while True:
-            c, s, d = heapq.heappop(heap)
-            if s * n + d not in pure:
+            c, arrow = divmod(heapq.heappop(heap), nn)
+            if arrow not in pure:
                 continue
+            s, d = divmod(arrow, n)
             actual = cost(s, d)
             if actual != c:
-                heapq.heappush(heap, (actual, s, d))
+                heapq.heappush(heap, actual * nn + arrow)
                 continue
             return s, d
 

@@ -56,6 +56,15 @@ def test_subalgebra_is_associative_without_mu3(tables):
         assert mu(tables, *seq) <= sub
 
 
+@pytest.mark.parametrize("generators",
+                         [acat.GENERATORS, acat.SUB_GENERATORS])
+def test_count_sequences_counts_the_composable_sequences(generators):
+    for n in range(1, 7):
+        assert acat.count_sequences(n, generators) == \
+            len(acat.composable_sequences(n, generators))
+    assert sum(acat.count_sequences(n) for n in range(1, 7)) == 111972
+
+
 def without(tables, key):
     return {k: v for k, v in tables.items() if k != key}
 
@@ -127,6 +136,12 @@ def test_parse_rejects_a_repeated_output():
     # over F2, a0 + a0 would be 0, not a0
     with pytest.raises(ValueError, match="repeated output 'a0'"):
         acat.parse_tables(["mu2 a0 a0 -> a0 a0"])
+
+
+def test_parse_errors_quote_the_line_without_its_terminator():
+    with pytest.raises(ValueError) as err:
+        acat.parse_tables(["mu2 a0 a0 -> a0 a0\n"])
+    assert str(err.value) == "repeated output 'a0' in 'mu2 a0 a0 -> a0 a0'"
 
 
 def test_dictionary_to_subalgebra(tables):

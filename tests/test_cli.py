@@ -72,8 +72,7 @@ def test_verify_algebra_a_refuses_malformed_lines(capsys, tmp_path):
     path.write_text("mu2 a0 a0 -> a0\nmu2 a0 a0 -> b0\n")
     code, out, err = run(capsys, "verify", "algebra-a", "--table", str(path))
     assert code == cli.EXIT_USAGE
-    assert err == ("error: repeated entry mu2 a0 a0 in "
-                   "'mu2 a0 a0 -> b0\\n'\n")
+    assert err == "error: repeated entry mu2 a0 a0 in 'mu2 a0 a0 -> b0'\n"
     assert out == ""
 
 

@@ -82,8 +82,7 @@ def test_mutation_suite_kills_at_least_ninety_percent(mu_tables):
     for name, mutated in functor.table_mutations():
         total += 1
         bad, _ = functor.verify_functor(mutated, max_len=4,
-                                        mu_tables=mu_tables,
-                                        stop_at_first=True)
+                                        mu_tables=mu_tables)
         if bad:
             killed += 1
         else:
