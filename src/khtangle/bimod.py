@@ -293,7 +293,7 @@ def _instantiate_component(comp: Action, gens, a_flavor, d_flavor, bound):
         monos, v, ok = [], sgen.left_idem, True
         for p in comp.inputs:
             mono = p.instantiate(k, v, a_flavor)
-            if mono.is_idem() and p.letter != "i":
+            if mono.is_idem and p.letter != "i":
                 ok = False  # exponent collapsed to zero: not a valid input
                 break
             monos.append(mono)
@@ -339,19 +339,19 @@ def instantiate_morphism(mor: ADMorphism, bound):
 def _factorizations(mono: BElem):
     """The pairs of non-idempotent monomials whose product is mono."""
     src, dst = mono.ends()
-    w = mono.max_weight() - 1
+    w = mono.max_weight - 1
     out = []
     for v in (FILLED, HOLLOW):
         firsts = algebra.monomials_between(src, v, w, mono.flavor)
         seconds = algebra.monomials_between(v, dst, w, mono.flavor)
         out += [(a, b) for a in firsts for b in seconds
-                if not (a.is_idem() or b.is_idem()) and a * b is mono]
+                if not (a.is_idem or b.is_idem) and a * b is mono]
     return out
 
 
 def _filter_weight(items, bound):
     return frozenset(i for i in items
-                     if sum(m.max_weight() for m in i[2]) <= bound)
+                     if sum(m.max_weight for m in i[2]) <= bound)
 
 
 def diff_ad_morphism(mor: ADMorphism, bound):
@@ -457,7 +457,7 @@ def box_bimods(left: ADBimodule, right: ADBimodule, bound) -> frozenset:
     left_idems = {g.name: g.right_idem for g in left.gens.values()}
     acc = set()
     for item in box_matches(left_idems, left_out, right, bound):
-        if sum(m.max_weight() for m in item[2]) <= bound:
+        if sum(m.max_weight for m in item[2]) <= bound:
             acc ^= {item}
     return frozenset(acc)
 
@@ -470,7 +470,7 @@ def max_weight_shift(bim_or_mor, bound=12):
         items = instantiate_actions(bim_or_mor, bound)
     else:
         items = instantiate_morphism(bim_or_mor, bound)
-    return max((abs(out.max_weight() - sum(m.max_weight() for m in ins))
+    return max((abs(out.max_weight - sum(m.max_weight for m in ins))
                 for (_, _, ins, out) in items), default=0)
 
 

@@ -119,50 +119,41 @@ def main(argv=None):
 
 
 def _run(args, t0):
-    if args.command == "verify" and args.check == "algebra-a":
-        try:
-            tables = acat.load_tables(args.table)
-        except (ValueError, OSError) as e:
-            sys.stderr.write(f"error: {e}\n")
-            return EXIT_USAGE
-        max_len = _DEPTHS["algebra-a"]["max_len"]
-        bad = acat.verify_ainfty(tables, max_len)
-        bad += acat.verify_subalgebra(tables)
-        bad += acat.verify_units(tables)
-        verdict = "PASS" if not bad else "FAIL"
-        _report(args, _DEPTHS["algebra-a"], verdict,
-                [" ".join(b) for b in bad],
-                extra={"sequences": sum(map(acat.count_sequences,
-                                            range(3, max_len + 1)))}, t0=t0)
-        return EXIT_PASS if not bad else EXIT_FAIL
-
-    if args.command == "verify" and args.check == "functor":
-        bad, checked = functor.verify_functor(**_DEPTHS["functor"])
-        verdict = "PASS" if not bad else "FAIL"
-        _report(args, _DEPTHS["functor"], verdict,
-                [f"{' '.join(seq)}: defect "
-                 f"{sorted(f'{slot}:{t}' for slot, t in defect)}"
-                 for seq, defect in bad],
-                extra={"sequences": checked}, t0=t0)
-        return EXIT_PASS if not bad else EXIT_FAIL
-
-    if args.command == "verify" and args.check == "bimodules":
-        rep = bimod.verify_lemma_main(**_DEPTHS["bimodules"])
-        verdict = "PASS" if rep["pass"] else "FAIL"
-        _report(args, _DEPTHS["bimodules"], verdict,
-                [k for k, ok in rep["checks"].items() if not ok],
-                extra={"checks": rep["checks"],
-                       "max_weight_shifts": rep["max_weight_shifts"]}, t0=t0)
-        return EXIT_PASS if rep["pass"] else EXIT_FAIL
-
-    if args.command == "verify" and args.check == "homology-c":
-        rep = functor.verify_quasi_iso(**_DEPTHS["homology-c"])
-        verdict = "PASS" if rep["pass"] else "FAIL"
-        dims = {f"Hom(L{s},L{d})": {w: n for w, n in v.items() if n}
-                for (s, d), v in rep["dims"].items()}
-        _report(args, _DEPTHS["homology-c"], verdict,
-                rep["failures"], extra={"homology_dims": dims}, t0=t0)
-        return EXIT_PASS if rep["pass"] else EXIT_FAIL
+    if args.command == "verify":
+        config = _DEPTHS[args.check]
+        if args.check == "algebra-a":
+            try:
+                tables = acat.load_tables(args.table)
+            except (ValueError, OSError) as e:
+                sys.stderr.write(f"error: {e}\n")
+                return EXIT_USAGE
+            max_len = config["max_len"]
+            bad = acat.verify_ainfty(tables, max_len)
+            bad += acat.verify_subalgebra(tables)
+            bad += acat.verify_units(tables)
+            violations = [" ".join(b) for b in bad]
+            extra = {"sequences": sum(map(acat.count_sequences,
+                                          range(3, max_len + 1)))}
+        elif args.check == "functor":
+            bad, checked = functor.verify_functor(**config)
+            violations = [f"{' '.join(seq)}: defect "
+                          f"{sorted(f'{slot}:{t}' for slot, t in defect)}"
+                          for seq, defect in bad]
+            extra = {"sequences": checked}
+        elif args.check == "bimodules":
+            rep = bimod.verify_lemma_main(**config)
+            violations = [k for k, ok in rep["checks"].items() if not ok]
+            extra = {"checks": rep["checks"],
+                     "max_weight_shifts": rep["max_weight_shifts"]}
+        else:
+            rep = functor.verify_quasi_iso(**config)
+            violations = rep["failures"]
+            extra = {"homology_dims": {
+                f"Hom(L{s},L{d})": {w: n for w, n in v.items() if n}
+                for (s, d), v in rep["dims"].items()}}
+        _report(args, config, "FAIL" if violations else "PASS", violations,
+                extra=extra, t0=t0)
+        return EXIT_FAIL if violations else EXIT_PASS
 
     if args.command == "compute":
         word = tangles.parse_tangle(args.tangle)
@@ -191,8 +182,7 @@ def _run(args, t0):
                     for w, word in words}
         worst = max(map(_VERDICT_EXIT.get, verdicts.values()),
                     default=EXIT_PASS)
-        overall = ("EQUIVALENT" if worst == EXIT_PASS else
-                   "MISMATCH" if worst == EXIT_FAIL else "INDETERMINATE")
+        overall = {code: v for v, code in _VERDICT_EXIT.items()}[worst]
         _report(args, {"entries": len(words)}, overall,
                 [w for w, v in verdicts.items() if v != tangles.EQUIVALENT],
                 extra={"verdicts": verdicts}, t0=t0)

@@ -176,7 +176,7 @@ def in_subcategory(f: ConeMorphism) -> bool:
 def _weight_basis(src, dst, weight):
     """(slot, monomial) for the monomials src -> dst of the given weight."""
     monos = [t for t in algebra.monomials_between(src, dst, weight)
-             if t.max_weight() == weight]
+             if t.max_weight == weight]
     return [(slot, t) for slot in SLOTS for t in monos]
 
 

@@ -152,7 +152,7 @@ def box_ad(m: TypeDStructure, bim) -> TypeDStructure:
                 for name, arrows in m.outgoing().items()}
     # no path of j monomials weighs more than j times the heaviest one
     depth = max((len(a.inputs) for a in bim.actions), default=0)
-    bound = depth * max((l.max_weight() for l in m.arrows.values()),
+    bound = depth * max((l.max_weight for l in m.arrows.values()),
                         default=0)
     left_idems = {g.name: g.idem for g in m.gens.values()}
     n_arrows = 0
@@ -201,7 +201,7 @@ def reduce(m: TypeDStructure) -> TypeDStructure:
             return
         out_adj[s][d] = label
         in_adj[d][s] = label
-        if label.is_idem():
+        if label.is_idem:
             pure.add(s * n + d)
             heapq.heappush(heap, cost(s, d) * nn + s * n + d)
 
@@ -211,7 +211,7 @@ def reduce(m: TypeDStructure) -> TypeDStructure:
             continue
         s, d = index[s], index[d]
         out_adj[s][d] = in_adj[d][s] = label
-        if label.is_idem():
+        if label.is_idem:
             pure.add(s * n + d)
             heap.append(cost(s, d) * nn + s * n + d)
     heapq.heapify(heap)
@@ -334,7 +334,7 @@ def _chain_iso_search(m, n, shift):
     """
     import random as _random
 
-    max_label = max((l.max_weight() for l in list(m.arrows.values())
+    max_label = max((l.max_weight for l in list(m.arrows.values())
                      + list(n.arrows.values())), default=0)
     max_w = max_label + 2
     unknowns = []
@@ -362,7 +362,7 @@ def _chain_iso_search(m, n, shift):
 
     blocks = {}
     for i, (x, y, t) in enumerate(unknowns):
-        if t.is_idem():
+        if t.is_idem:
             key = (m.gens[x].idem, m.gens[x].hdeg)
             blocks.setdefault(key, []).append(i)
 

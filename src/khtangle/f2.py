@@ -11,26 +11,10 @@ from __future__ import annotations
 ZERO = frozenset()
 
 
-def _reduce_row(row, pivots):
-    """Eliminate row against a pivot dict {pivot key: row}."""
-    while row:
-        p = max(row)
-        if p not in pivots:
-            return row
-        row = row ^ pivots[p]
-    return row
-
-
 def rank(rows):
-    """Rank of the row list over F2."""
-    pivots = {}
-    r = 0
-    for row in rows:
-        row = _reduce_row(frozenset(row), pivots)
-        if row:
-            pivots[max(row)] = row
-            r += 1
-    return r
+    """Rank of the row list over F2: the rows less the dependencies
+    among them."""
+    return len(rows) - len(nullspace(rows))
 
 
 def nullspace(rows):

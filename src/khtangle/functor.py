@@ -156,4 +156,4 @@ def verify_quasi_iso(max_weight=10, tables=None):
 
 def _image_weight(tables, g):
     f = apply_F(tables, (g,))
-    return max(getattr(f, s).max_weight() for s in cones.SLOTS)
+    return max(getattr(f, s).max_weight for s in cones.SLOTS)

@@ -130,7 +130,6 @@ def _simulate(joined, sites, ends, bits) -> Resolution:
 
 @dataclass
 class ResolutionCube:
-    word: TangleWord
     sites: tuple        # per crossing: (kind, a, b, c1, c2), ports a, b above
     ends: dict          # "nw"/"ne"/"sw"/"se" -> port
     resolutions: dict   # bits -> Resolution
@@ -189,7 +188,7 @@ def build_cube(word: TangleWord, star="nw") -> ResolutionCube:
         gens += 1 << min(len(res.loops), 64)
         if gens > MAX_GENERATORS:
             _refuse(gens)
-    return ResolutionCube(word, tuple(sites), ends, resolutions, star)
+    return ResolutionCube(tuple(sites), ends, resolutions, star)
 
 
 # --- delooping and translation ------------------------------------------

@@ -146,7 +146,7 @@ def test_q_kernel_is_exactly_h_multiples():
     for t in elems(12):
         in_ker = q_map(t).is_zero()
         in_span = f2.rank(h_rows + [frozenset([t])]) == h_rank
-        if t.max_weight() <= 10:  # stay below the truncation boundary
+        if t.max_weight <= 10:  # stay below the truncation boundary
             assert in_ker == in_span, str(t)
 
 
@@ -157,7 +157,7 @@ def test_flavor_guard():
         spow(3, FILLED, FLAVOR_BT)
 
 
-# --- the packed encoding against the path rules ---------------------------
+# --- products and sums against the path rules -----------------------------
 
 def termwise_mul(x, y):
     """Reference product: path concatenation summed over term pairs."""
@@ -245,10 +245,11 @@ def test_flavor_guard_names_the_monomial():
         spow(3, HOLLOW, FLAVOR_BT)
     with pytest.raises(ValueError, match="D\\^2"):
         dpow(2, HOLLOW, FLAVOR_BT)
-    # i from FILLED plus D^2 from HOLLOW, packed directly: the guard
+    # i from FILLED plus D^2 from HOLLOW, made directly: the guard
     # names the one term outside the quotient
     with pytest.raises(ValueError, match="monomial D\\^2 is not"):
-        algebra._packed((1, 0, 0, 0b100), FLAVOR_BT)
+        algebra._make(frozenset([("i", 0, FILLED), ("d", 2, HOLLOW)]),
+                      FLAVOR_BT)
     assert spow(2, FILLED, FLAVOR_BT) * spow(1, FILLED, FLAVOR_BT) == \
         algebra.zero(FLAVOR_BT)
 
@@ -293,7 +294,20 @@ def test_monomial_order_and_ends_match_the_paths(flavor):
             == sorted(basis, key=path_key))
     for t, mono in by_path.items():
         assert mono.ends() == path_ends(t)
-        assert mono.max_weight() == path_weight(t)
+        assert mono.max_weight == path_weight(t)
+
+
+@pytest.mark.parametrize("flavor", [FLAVOR_B, FLAVOR_BT])
+def test_weight_idem_and_runs_of_sums_match_the_paths(flavor):
+    rng = random.Random(7)
+    for x in random_elems(rng, flavor, 300) + elems(8, flavor):
+        paths = paths_of(x)
+        assert x.max_weight == max(map(path_weight, paths), default=0)
+        assert x.is_idem == (len(paths) == 1
+                             and next(iter(paths))[0] == "i")
+        for ends in itertools.product(VERTICES, repeat=2):
+            assert x.runs(*ends) == all(path_ends(t) == ends
+                                        for t in paths), (str(x), ends)
 
 
 @pytest.mark.parametrize("flavor", [FLAVOR_B, FLAVOR_BT])

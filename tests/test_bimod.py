@@ -170,9 +170,9 @@ def test_factorizations_multiply_back(flavor):
             pairs = bimod._factorizations(mono)
             for a, b in pairs:
                 assert a * b is mono
-                assert not a.is_idem() and not b.is_idem()
+                assert not a.is_idem and not b.is_idem
             # S^n and D^n split after each of their n - 1 inner steps
-            w = mono.max_weight()
+            w = mono.max_weight
             is_d = (flavor == FLAVOR_B and w > 0 and w % 2 == 0
                     and mono is dpow(w // 2, src))
             assert len(pairs) == max((w // 2 if is_d else w) - 1, 0)

@@ -87,7 +87,7 @@ def test_in_subcategory_examples():
 
 
 def weight(name):
-    return cones._family_monomial(name).max_weight()
+    return cones._family_monomial(name).max_weight
 
 
 def test_in_subcategory_follows_the_family_rule():
