@@ -8,7 +8,9 @@ two-step path products between any generator pair gives zero.
 Provides the well-definedness check, the mapping cone of H times the
 identity, the box tensor with an AD bimodule, reduction by cancellation
 of idempotent arrows, isomorphism testing, and a line-oriented text
-serialization.
+serialization.  The check and the reduction run on `Adjacency`, arrows
+on integer generator ids, into which a structure's arrows, or the
+delooped cube's, are loaded.
 """
 
 from __future__ import annotations
@@ -93,23 +95,144 @@ class TypeDStructure:
         return out
 
 
+class Adjacency:
+    """Arrows on generator ids 0 .. n-1: the one d^2 guard and the one
+    Gaussian-elimination engine run here, and `check_d_squared`,
+    `reduce` and the deloop of `tangles` load their arrows into it.
+
+    `out[s]` maps d to the label of s -> d and `inn[d]` maps s to it,
+    each in load order.  `heap` holds a key cost * n^2 + s * n + d for
+    every loaded arrow labelled exactly by an idempotent, where cost is
+    the fill-in (|in(d)| - 1) * (|out(s)| - 1) over the arrows loaded so
+    far: costs are >= 0 and s, d < n, so the ints order as (cost, s, d)
+    tuples would.
+    """
+
+    __slots__ = ("n", "out", "inn", "heap")
+
+    def __init__(self, n):
+        self.n = n
+        self.out = [{} for _ in range(n)]
+        self.inn = [{} for _ in range(n)]
+        self.heap = []
+
+    def load(self, arrows):
+        """Add the arrows (s, d, label) in order; none may be present yet
+        and no label may be zero."""
+        out, inn, heap, n = self.out, self.inn, self.heap, self.n
+        nn = n * n
+        for s, d, label in arrows:
+            from_s, into_d = out[s], inn[d]
+            from_s[d] = into_d[s] = label
+            if label.is_idem:
+                heap.append((len(into_d) - 1) * (len(from_s) - 1) * nn
+                            + s * n + d)
+
+    def d_squared(self, order):
+        """Pairs (x, z), x in `order`, whose two-step path sum is
+        non-zero."""
+        out = self.out
+        # labels are interned and few: a dict of products per left label
+        # spares a method call per two-step path
+        products = {}
+        bad = []
+        for x in order:
+            acc = {}
+            for y, a in out[x].items():
+                times_a = products.get(a)
+                if times_a is None:
+                    times_a = products[a] = {}
+                for z, b in out[y].items():
+                    prod = times_a.get(b)
+                    if prod is None:
+                        prod = times_a[b] = a * b
+                    cur = acc.get(z)
+                    acc[z] = prod if cur is None else cur + prod
+            bad += [(x, z) for z, total in acc.items() if not total.is_zero()]
+        return bad
+
+    def eliminate(self):
+        """Cancel arrows labelled exactly by an idempotent until none
+        remain, cheapest fill-in first and ties by (s, d); a cancelled
+        generator's `out` and `inn` become None.
+
+        Heap keys are refreshed lazily: a popped key whose arrow is gone
+        or no longer an idempotent is dropped, and one whose cost is
+        stale is pushed again at its current cost.
+        """
+        import heapq   # imported here: set-up of the package needs none
+
+        out, inn, heap, n = self.out, self.inn, self.heap, self.n
+        nn = n * n
+        pop, push, replace = heapq.heappop, heapq.heappush, heapq.heapreplace
+        heapq.heapify(heap)
+        while heap:
+            c, arrow = divmod(heap[0], nn)
+            x, y = divmod(arrow, n)
+            from_x = out[x]
+            label = None if from_x is None else from_x.get(y)
+            if label is None or not label.is_idem:
+                pop(heap)   # cancelled, or no longer an idempotent
+                continue
+            into_y = inn[y]
+            actual = (len(into_y) - 1) * (len(from_x) - 1)
+            if actual != c:
+                replace(heap, actual * nn + arrow)
+                continue
+            pop(heap)
+            into_y = [(p, l) for p, l in into_y.items() if p != x]
+            from_x = [(q, l) for q, l in from_x.items() if q != y]
+            for g in (x, y):
+                for d in out[g]:
+                    del inn[d][g]
+                for s in inn[g]:
+                    del out[s][g]
+                out[g] = inn[g] = None
+            for p, beta in into_y:
+                from_p = out[p]
+                for q, gamma in from_x:
+                    prod = beta * gamma
+                    if prod.is_zero():
+                        continue
+                    cur = from_p.get(q)
+                    if cur is not None:
+                        prod = cur + prod
+                        if prod.is_zero():
+                            del from_p[q]
+                            del inn[q][p]
+                            continue
+                    into_q = inn[q]
+                    from_p[q] = into_q[p] = prod
+                    if prod.is_idem:
+                        push(heap, (len(into_q) - 1) * (len(from_p) - 1) * nn
+                             + p * n + q)
+
+    def structure(self, flavor, gens):
+        """The type D structure on `gens`, {id: DGen} of surviving ids in
+        the order wanted, with each generator's arrows in `out` order."""
+        res = TypeDStructure(flavor)
+        res.gens = {g.name: g for g in gens.values()}
+        res.arrows = {(g.name, gens[d].name): label
+                      for i, g in gens.items()
+                      for d, label in self.out[i].items()}
+        return res
+
+
+def _adjacency(m: TypeDStructure, index):
+    """m's non-zero arrows, in arrow order, on the ids `index[name]`."""
+    adj = Adjacency(len(index))
+    adj.load((index[s], index[d], label)
+             for (s, d), label in m.arrows.items() if not label.is_zero())
+    return adj
+
+
 def check_d_squared(m: TypeDStructure):
-    """Generator pairs (x, z) where the two-step path sum is non-zero."""
-    bad = []
-    outgoing = m.outgoing()
-    for x in m.gens:
-        acc = {}
-        for y, a in outgoing[x]:
-            for z, b in outgoing[y]:
-                prod = a * b
-                if z in acc:
-                    acc[z] = acc[z] + prod
-                else:
-                    acc[z] = prod
-        for z, total in acc.items():
-            if not total.is_zero():
-                bad.append((x, z))
-    return bad
+    """Generator pairs (x, z) where the two-step path sum is non-zero,
+    by x in generator order."""
+    names = list(m.gens)
+    adj = _adjacency(m, {name: i for i, name in enumerate(names)})
+    return [(names[x], names[z])
+            for x, z in adj.d_squared(range(len(names)))]
 
 
 def cone_h(m: TypeDStructure) -> TypeDStructure:
@@ -173,93 +296,17 @@ def reduce(m: TypeDStructure) -> TypeDStructure:
     only units of e_v B e_v: i + x with x of positive weight is not
     invertible in B, so an arrow with such a label is kept.
 
-    Inside, generators are numbered in sorted-name order, so that heap
-    ties break as the names would; the result keeps m's order of
-    generators and arrows.
+    Generators are numbered in sorted-name order, so that heap ties
+    break as the names would; the result keeps m's order of generators
+    and arrows.
     """
-    import heapq
-
     names = sorted(m.gens)
     index = {name: i for i, name in enumerate(names)}
-    n = len(names)
-    out_adj = [{} for _ in range(n)]
-    in_adj = [{} for _ in range(n)]
-    nn = n * n
-    pure = set()   # s * n + d of each cancellable arrow s -> d
-    # lazy-keyed cost * n^2 + s * n + d of the cancellable arrows: costs
-    # are >= 0 and s, d < n, so ints order as (cost, s, d) tuples would
-    heap = []
-
-    def cost(s, d):
-        return (len(in_adj[d]) - 1) * (len(out_adj[s]) - 1)
-
-    def set_arrow(s, d, label):
-        pure.discard(s * n + d)
-        if label.is_zero():
-            out_adj[s].pop(d, None)
-            in_adj[d].pop(s, None)
-            return
-        out_adj[s][d] = label
-        in_adj[d][s] = label
-        if label.is_idem:
-            pure.add(s * n + d)
-            heapq.heappush(heap, cost(s, d) * nn + s * n + d)
-
-    # the heap gets the keys set_arrow would push, in one heapify
-    for (s, d), label in m.arrows.items():
-        if label.is_zero():
-            continue
-        s, d = index[s], index[d]
-        out_adj[s][d] = in_adj[d][s] = label
-        if label.is_idem:
-            pure.add(s * n + d)
-            heap.append(cost(s, d) * nn + s * n + d)
-    heapq.heapify(heap)
-
-    def drop_gen(g):
-        for d in out_adj[g]:
-            del in_adj[d][g]
-            pure.discard(g * n + d)
-        for s in in_adj[g]:
-            del out_adj[s][g]
-            pure.discard(s * n + g)
-        out_adj[g] = in_adj[g] = None
-
-    def pick():
-        # cheapest cancellation by current fill-in cost; heap keys are
-        # refreshed lazily, so stale entries get re-pushed
-        while True:
-            c, arrow = divmod(heapq.heappop(heap), nn)
-            if arrow not in pure:
-                continue
-            s, d = divmod(arrow, n)
-            actual = cost(s, d)
-            if actual != c:
-                heapq.heappush(heap, actual * nn + arrow)
-                continue
-            return s, d
-
-    while pure:
-        x, y = pick()
-        into_y = [(p, l) for p, l in in_adj[y].items() if p != x]
-        from_x = [(q, l) for q, l in out_adj[x].items() if q != y]
-        drop_gen(x)
-        drop_gen(y)
-        for p, beta in into_y:
-            adj = out_adj[p]
-            for q, gamma in from_x:
-                prod = beta * gamma
-                if prod.is_zero():
-                    continue
-                cur = adj.get(q)
-                set_arrow(p, q, prod if cur is None else cur + prod)
-
-    res = TypeDStructure(m.flavor)
-    res.gens = {name: g for name, g in m.gens.items()
-                if out_adj[index[name]] is not None}
-    res.arrows = {(s, names[d]): l for s in res.gens
-                  for d, l in out_adj[index[s]].items()}
-    return res
+    adj = _adjacency(m, index)
+    adj.eliminate()
+    return adj.structure(m.flavor, {
+        i: g for i, g in ((index[name], g) for name, g in m.gens.items())
+        if adj.out[i] is not None})
 
 
 # --- isomorphism testing ------------------------------------------------

@@ -18,6 +18,7 @@ build the H-cone and the two-layer bimodule image from it.
 
 from __future__ import annotations
 
+import functools
 import random
 from dataclasses import dataclass
 
@@ -139,10 +140,12 @@ class ResolutionCube:
 # Each resolution deloops to 2^(its loops) generators.  A loop of cups
 # and caps alone is a loop of every resolution, so a cube with c
 # crossings and l such loops deloops to at least 2^(c + l) generators.
-# The cap admits x1^10 (29,525 generators; `compare` takes 3.0-3.3 s
-# and 84 MB on a 2-vCPU Xeon VM) and the worst criterion-6 word
-# (26,244), and refuses x1^11 (88,574 generators; with the cap lifted,
-# 11.4 s and 241 MB) before any delooping.
+# The cap admits x1^10 (29,525 generators; `compare` takes 1.7-2.0 s
+# and 58 MB peak RSS in a fresh process on a 2-vCPU Xeon VM) and the
+# worst criterion-6 word (26,244).  It refuses x1^11 (88,574
+# generators) before any delooping, although with the cap lifted
+# `compare` takes 5.2 s and 148 MB there: the cap bounds the size of
+# the delooped cube, not the 30 s per-tangle budget.
 MAX_GENERATORS = 50_000
 
 
@@ -192,48 +195,93 @@ def build_cube(word: TangleWord, star="nw") -> ResolutionCube:
 
 
 # --- delooping and translation ------------------------------------------
+#
+# Generator (bits, decor) of the delooped cube is decoration `decor` of
+# resolution `bits`, named v{bits}d{decor}.  The deloop walks the cube
+# edges once (`_deloop_arrows`); `tangle_complex` loads the arrows
+# straight into reduce's integer adjacency, and `deloop_translate`
+# materializes the same arrows as a type D structure.
 
 def _gen_name(bits, decor):
     return f"v{bits}d{decor}"
 
 
-def deloop_translate(cube: ResolutionCube) -> dstruct.TypeDStructure:
-    """Expand loops into dot decorations and saddles into algebra labels."""
-    out = dstruct.TypeDStructure(FLAVOR_B)
-    star_port = cube.ends[cube.star]
+@functools.cache
+def _decor_ranks(loops):
+    """rank[decor] of the names of one resolution's 2^loops decorations
+    in sorted-name order; the generator cap keeps loops under 16."""
+    rank = [0] * (1 << loops)
+    for r, decor in enumerate(sorted(range(1 << loops), key=str)):
+        rank[decor] = r
+    return tuple(rank)
 
-    names = {}
+
+def _first_ids(cube):
+    """first[bits], so that generator (bits, decor) has the id
+    first[bits] + _decor_ranks(loops)[decor], and the generator count.
+
+    The ids 0 .. n-1 number the names in sorted order: the part v{bits}d
+    of a name decides its place before the decoration does, since 'd'
+    is not a digit, so each resolution's names form one block, placed
+    by f"{bits}d" and ordered inside by str(decor).
+    """
+    first, n = {}, 0
+    for bits in sorted(cube.resolutions, key=lambda b: f"{b}d"):
+        first[bits] = n
+        n += 1 << len(cube.resolutions[bits].loops)
+    return first, n
+
+
+def _walk(cube, first):
+    """(id, bits, decor) of every delooped generator, in deloop order."""
     for bits, res in cube.resolutions.items():
-        names[bits] = [_gen_name(bits, decor)
-                       for decor in range(1 << len(res.loops))]
-        for name in names[bits]:
-            out.add_gen(name, res.matching, bin(bits).count("1"))
+        base, rank = first[bits], _decor_ranks(len(res.loops))
+        for decor in range(len(rank)):
+            yield base + rank[decor], bits, decor
 
+
+def _deloop_arrows(cube: ResolutionCube):
+    """Expand loops into dot decorations and saddles into algebra labels:
+    (bits, tbits, [(decor, tdecor, label), ...]) for each cube edge, the
+    arrows of every source decoration in deloop order."""
+    star_port = cube.ends[cube.star]
     for bits, src in cube.resolutions.items():
         for j, site in enumerate(cube.sites):
             if (bits >> j) & 1:
                 continue
             tbits = bits | (1 << j)
-            tgt = cube.resolutions[tbits]
-            _add_saddle_arrows(out, src, tgt, names[bits], names[tbits],
-                               site, star_port)
+            yield bits, tbits, _saddle_arrows(
+                src, cube.resolutions[tbits], site, star_port)
 
+
+def deloop_translate(cube: ResolutionCube) -> dstruct.TypeDStructure:
+    """The delooped cube as a type D structure, checked for d^2 = 0."""
+    out = dstruct.TypeDStructure(FLAVOR_B)
+    for bits, res in cube.resolutions.items():
+        for decor in range(1 << len(res.loops)):
+            out.add_gen(_gen_name(bits, decor), res.matching,
+                        bits.bit_count())
+    for bits, tbits, arrows in _deloop_arrows(cube):
+        for decor, tdecor, label in arrows:
+            out.arrows[_gen_name(bits, decor),
+                       _gen_name(tbits, tdecor)] = label
     bad = dstruct.check_d_squared(out)
     if bad:
         raise AssertionError(f"d^2 != 0 after delooping: {bad[:3]}")
     return out
 
 
-def _add_saddle_arrows(out, src, tgt, src_names, tgt_names, site,
-                       star_port):
-    """Arrows for the cube edge flipping the crossing at `site`, for
-    every source dot decoration.
+def _saddle_arrows(src, tgt, site, star_port):
+    """Arrows for the cube edge flipping the crossing at `site`, as
+    (decor, tdecor, label) for every source dot decoration in turn.
 
     The saddle rule depends on a decoration only through the number of
     dotted source loops the saddle touches, so it is worked out once per
     edge as `rules[n]`: the (target loop bits, label) of each arrow when
-    n of them are dotted.  Dots on untouched loops move to the same loop
-    in the target.
+    n of them are dotted, summed per target.  Dots on untouched loops
+    move to the same loop in the target.  Each label is checked to run
+    between the two resolutions' idempotents; the hdeg rises by one
+    along every edge.
     """
     _, a, b, c1, c2 = site
     src_touch = {src.component_of[p] for p in (a, b, c1, c2)}
@@ -271,30 +319,71 @@ def _add_saddle_arrows(out, src, tgt, src_names, tgt_names, site,
         rules = [[dotted((t_a,), idem), dotted((t_b,), idem),
                   dotted((), algebra.h_mul(idem))],
                  [dotted((t_a, t_b), idem)]]
-    rules = [[r for r in rule if r is not None] for rule in rules]
 
-    touched = 0
-    carried = []   # (source loop bit, target loop bit) of untouched loops
-    for i, lid in enumerate(src.loops):
+    # each source decoration's dots on the loops the saddle touches, and
+    # the target loop bits its other dots move to: appending, for each
+    # loop in turn, the decorations that dot it keeps decoration order
+    touched, moved = [0], [0]
+    for lid in src.loops:
         if lid in src_touch:
-            touched |= 1 << i
+            touched += [t + 1 for t in touched]
+            moved += moved
         else:
-            carried.append((1 << i, tgt_bit[tgt.component_of[lid]]))
+            tbit = tgt_bit[tgt.component_of[lid]]
+            touched += touched
+            moved += [m | tbit for m in moved]
 
-    for decor, name in enumerate(src_names):
-        tdecor = 0
-        for sbit, tbit in carried:
-            if decor & sbit:
-                tdecor |= tbit
-        for bits, label in rules[(decor & touched).bit_count()]:
-            out.add_arrow(name, tgt_names[tdecor | bits], label)
+    sums = []
+    for rule in rules[:max(touched) + 1]:
+        # an F2 sum per target: a non-zero sum keeps its first slot, a
+        # zero one is dropped, and a later term starts it again last
+        acc = {}
+        for bits, label in filter(None, rule):
+            if label.is_zero():
+                continue
+            assert label.flavor == FLAVOR_B and \
+                label.runs(v, tgt.matching), \
+                f"label {label} does not run {v!r} -> {tgt.matching!r}"
+            cur = acc.get(bits)
+            new = label if cur is None else cur + label
+            if new.is_zero():
+                del acc[bits]
+            else:
+                acc[bits] = new
+        sums.append(list(acc.items()))
+
+    return [(decor, tdecor | bits, label)
+            for decor, (t, tdecor) in enumerate(zip(touched, moved))
+            for bits, label in sums[t]]
 
 
 # --- pipelines ----------------------------------------------------------
 
 def tangle_complex(word: TangleWord, star="nw"):
-    """Reduced type D structure of the delooped resolution cube."""
-    return dstruct.reduce(deloop_translate(build_cube(word, star)))
+    """Reduced type D structure of the delooped resolution cube:
+    `dstruct.reduce(deloop_translate(cube))`, with the delooped arrows
+    loaded straight into reduce's adjacency on the generator ids of
+    `_first_ids`, and names and generators made only for survivors."""
+    cube = build_cube(word, star)
+    first, n = _first_ids(cube)
+    loops = {bits: len(res.loops) for bits, res in cube.resolutions.items()}
+    adj = dstruct.Adjacency(n)
+    for bits, tbits, arrows in _deloop_arrows(cube):
+        s0, srank = first[bits], _decor_ranks(loops[bits])
+        t0, trank = first[tbits], _decor_ranks(loops[tbits])
+        adj.load([(s0 + srank[decor], t0 + trank[tdecor], label)
+                  for decor, tdecor, label in arrows])
+    bad = adj.d_squared(i for i, _, _ in _walk(cube, first))
+    if bad:
+        name = {i: _gen_name(bits, decor)
+                for i, bits, decor in _walk(cube, first)}
+        raise AssertionError(f"d^2 != 0 after delooping: "
+                             f"{[(name[x], name[z]) for x, z in bad[:3]]}")
+    adj.eliminate()
+    return adj.structure(FLAVOR_B, {
+        i: dstruct.DGen(_gen_name(bits, decor),
+                        cube.resolutions[bits].matching, bits.bit_count())
+        for i, bits, decor in _walk(cube, first) if adj.out[i] is not None})
 
 
 def compute_dd1(word: TangleWord, star="nw"):

@@ -11,7 +11,9 @@ depend on the order in which the reduced complex holds them, so the
 "order" digest, recorded before `reduce` moved onto integer generator
 ids, covers `list(m.arrows)` of the reduced complex.  Any change to
 generator names, arrow labels, label order, arrow order or witnesses
-shows up here.
+shows up here.  Three of the words are also run in fresh interpreters
+under two hash seeds, so that no output may depend on the iteration
+order of a set or dict of strings.
 
 The fixture's last entry, under `BIMOD`, holds digests of the concrete
 action sets of the bimodule calculus, recorded before it moved onto
@@ -28,11 +30,15 @@ Regenerate (only when an output is meant to change) with
 
 import hashlib
 import json
+import os
 import random
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
+import khtangle
 from khtangle import algebra, bimod, dstruct, tangles
 
 FIXTURE = Path(__file__).parent / "data" / "serialize_digests.json"
@@ -100,6 +106,32 @@ def test_fixture_covers_the_gate_words():
 @pytest.mark.parametrize("text", gate_words())
 def test_outputs_are_byte_identical(text):
     assert digests(text) == json.loads(FIXTURE.read_text())[text]
+
+
+# a corpus word and the two random gate words of most generators; both
+# isomorphism paths win among them
+HASH_SEED_WORDS = (
+    "x1 x1 x1 u1 x2 x2 x2 n3",
+    "y1 u2 u5 n1 y1 y2 x3 x1 x2 x3 x2 u5 n3 n1",
+    "x1 y1 u1 x3 n1 u2 y2 u3 x5 n1 y3 y2 y1 n1",
+)
+
+
+@pytest.mark.parametrize("seed", ["1", "2"])
+def test_outputs_do_not_depend_on_the_hash_seed(seed):
+    # str and bytes hashes, and so the iteration order of sets and dicts
+    # built from them, change with PYTHONHASHSEED
+    paths = [str(Path(khtangle.__file__).parents[1]), str(FIXTURE.parents[1])]
+    env = dict(os.environ, PYTHONHASHSEED=seed,
+               PYTHONPATH=os.pathsep.join(paths))
+    code = ("import json, sys\n"
+            "from test_serialize_gate import digests\n"
+            "print(json.dumps({w: digests(w) for w in sys.argv[1:]}))")
+    proc = subprocess.run([sys.executable, "-c", code, *HASH_SEED_WORDS],
+                          env=env, capture_output=True, text=True, check=True)
+    fixture = json.loads(FIXTURE.read_text())
+    assert all(w in fixture for w in HASH_SEED_WORDS)
+    assert json.loads(proc.stdout) == {w: fixture[w] for w in HASH_SEED_WORDS}
 
 
 def test_bimodule_calculus_is_byte_identical():

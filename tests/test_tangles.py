@@ -1,4 +1,5 @@
 import random
+import re
 
 import pytest
 
@@ -171,17 +172,20 @@ DELOOP_BUGS = {
 def test_deloop_guard_catches_seeded_bugs(monkeypatch, bug):
     # on the corpus alone, a merge that drops its H goes uncaught
     rng = random.Random(0)
-    cubes = [tangles.build_cube(tangles.random_word(rng, 5))
-             for _ in range(40)]
+    words = [tangles.random_word(rng, 5) for _ in range(40)]
+    cubes = [tangles.build_cube(word) for word in words]
     monkeypatch.setattr(algebra, *DELOOP_BUGS[bug])
-    caught = 0
-    for cube in cubes:
-        try:
-            tangles.deloop_translate(cube)
-        except AssertionError as err:
-            assert "d^2 != 0" in str(err)
-            caught += 1
-    assert caught > 0
+    caught = [0, 0]
+    for word, cube in zip(words, cubes):
+        for i, deloop in enumerate((lambda: tangles.deloop_translate(cube),
+                                    lambda: tangles.tangle_complex(word))):
+            try:
+                deloop()
+            except AssertionError as err:
+                assert "d^2 != 0" in str(err)
+                caught[i] += 1
+    assert caught[0] > 0
+    assert caught[1] == caught[0]
 
 
 def test_star_choice_changes_nothing_essential():
@@ -241,27 +245,58 @@ def test_compare_refuses_an_oversized_cube_before_delooping(monkeypatch):
     def deloop(cube):
         raise AssertionError("delooped a cube refused by its size")
 
+    monkeypatch.setattr(tangles, "_deloop_arrows", deloop)
     monkeypatch.setattr(tangles, "deloop_translate", deloop)
     with pytest.raises(tangles.TangleError,
                        match="deloops to at least [0-9,]+ generators"):
         tangles.compare(twist(11))
+    # the same stand-in does fire on a cube within the cap
+    with pytest.raises(AssertionError, match="delooped a cube"):
+        tangles.compare(twist(3))
 
 
 def test_compare_deloops_once_and_keeps_the_d_squared_guard(monkeypatch):
-    delooped, checked = [], []
-    deloop, check = tangles.deloop_translate, dstruct.check_d_squared
+    word = tangles.parse_tangle("x1 x1 x1")
+    reference = tangles.deloop_translate(tangles.build_cube(word))
+    walks, guarded, made = [], [], []
+    walk, guard = tangles._deloop_arrows, dstruct.Adjacency.d_squared
+    add_gen = dstruct.TypeDStructure.add_gen
+    add_arrow = dstruct.TypeDStructure.add_arrow
 
-    def counting_deloop(cube):
-        delooped.append(deloop(cube))
-        return delooped[-1]
+    def counting_walk(cube):
+        walks.append(cube)
+        return walk(cube)
 
-    def recording_check(m):
-        checked.append(m)
-        return check(m)
+    def recording_guard(adj, order):
+        order = list(order)
+        guarded.append((sum(map(len, adj.out)), sorted(order), adj.n))
+        return guard(adj, order)
 
-    monkeypatch.setattr(tangles, "deloop_translate", counting_deloop)
-    monkeypatch.setattr(dstruct, "check_d_squared", recording_check)
-    verdict, _ = tangles.compare(tangles.parse_tangle("x1 x1 x1"))
+    def recording_add_gen(m, name, idem, hdeg):
+        made.append(name)
+        return add_gen(m, name, idem, hdeg)
+
+    def recording_add_arrow(m, src, dst, label):
+        made.append(src)
+        return add_arrow(m, src, dst, label)
+
+    def deloop(cube):
+        raise AssertionError("compare built the delooped structure")
+
+    monkeypatch.setattr(tangles, "_deloop_arrows", counting_walk)
+    monkeypatch.setattr(tangles, "deloop_translate", deloop)
+    monkeypatch.setattr(dstruct.Adjacency, "d_squared", recording_guard)
+    monkeypatch.setattr(dstruct.TypeDStructure, "add_gen", recording_add_gen)
+    monkeypatch.setattr(dstruct.TypeDStructure, "add_arrow",
+                        recording_add_arrow)
+    verdict, _ = tangles.compare(word)
     assert verdict == tangles.EQUIVALENT
-    assert len(delooped) == 1
-    assert any(m is delooped[0] for m in checked)
+    assert len(walks) == 1
+    # the guard sees every delooped arrow, from every generator, before
+    # anything is cancelled
+    n = len(reference.gens)
+    assert guarded == [(len(reference.arrows), list(range(n)), n)]
+    # cone_h names its generators v{bits}d{decor}.0 and .1; no delooped
+    # generator or arrow goes through TypeDStructure
+    assert made and not [name for name in made
+                         if re.fullmatch(r"v\d+d\d+", name)]
