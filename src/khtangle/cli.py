@@ -80,13 +80,13 @@ def _tangle_args(p):
     p.add_argument("--star", choices=tangles.STAR_CHOICES, default="nw")
 
 
-def _report(args, config, verdict, violations, extra=None, t0=None):
+def _report(args, config, verdict, violations, t0, extra=None):
     rep = {
         "command": " ".join(args.argv) or args.command,
         "config": config,
         "verdict": verdict,
         "violations": violations,
-        "wall_time_s": round(time.time() - t0, 3) if t0 else None,
+        "wall_time_s": round(time.perf_counter() - t0, 3),
     }
     if extra:
         rep.update(extra)
@@ -111,7 +111,7 @@ def main(argv=None):
     args = build_parser().parse_args(argv)
     args.argv = sys.argv[1:] if argv is None else argv
     try:
-        return _run(args, time.time())
+        return _run(args, time.perf_counter())
     except tangles.TangleError as e:
         # a bad word or a refused cube size is a usage error, not a verdict
         sys.stderr.write(f"error: {e}\n")
@@ -177,13 +177,14 @@ def _run(args, t0):
         return _VERDICT_EXIT[verdict]
 
     if args.command == "corpus":
-        words = [(w, tangles.parse_tangle(w)) for w in args.words]
-        verdicts = {w or "(empty)": tangles.compare(word)[0]
-                    for w, word in words}
+        words = {}
+        for w in args.words:   # a repeated word keeps its first spelling
+            words.setdefault(tangles.parse_tangle(w), w or "(empty)")
+        verdicts = {w: tangles.compare(word)[0] for word, w in words.items()}
         worst = max(map(_VERDICT_EXIT.get, verdicts.values()),
                     default=EXIT_PASS)
         overall = {code: v for v, code in _VERDICT_EXIT.items()}[worst]
-        _report(args, {"entries": len(words)}, overall,
+        _report(args, {"entries": len(verdicts)}, overall,
                 [w for w, v in verdicts.items() if v != tangles.EQUIVALENT],
                 extra={"verdicts": verdicts}, t0=t0)
         return worst

@@ -317,27 +317,32 @@ NOT_FOUND = "NOT_FOUND"
 def _signatures(m: TypeDStructure, shift, n: TypeDStructure, adj):
     """Joint iterated neighborhood signatures over both structures.
 
-    Seeded from (idem, shifted hdeg) and refined three times by arrow
-    labels and neighbor signatures; canonicalization is shared so
-    signatures are comparable between the two structures.  `adj` maps
-    "m" and "n" to the (outgoing, incoming) indexes of the two
-    structures.
+    Seeded from (idem, shifted hdeg) and refined by arrow labels and
+    neighbor signatures until a round splits no class, for at most
+    three rounds (a fourth could change the bijection found).  Colours
+    are numbered first-seen in one table shared by both structures, so
+    they are comparable between them.  `adj` maps "m" and "n" to the
+    (outgoing, incoming) indexes of the two structures.
     """
     sig = {}
     for tag, st, sh in (("m", m, shift), ("n", n, 0)):
         for g in st.gens.values():
             sig[tag, g.name] = (g.idem.value, g.hdeg + sh)
+    colours = len(set(sig.values()))
     for _ in range(3):
-        nxt = {}
+        canon, nxt = {}, {}
         for tag, st in (("m", m), ("n", n)):
             out, inn = adj[tag]
             for name in st.gens:
                 # labels are interned, so id() tells them apart
                 outs = sorted((id(l), sig[tag, d]) for d, l in out[name])
                 ins = sorted((id(l), sig[tag, s]) for s, l in inn[name])
-                nxt[tag, name] = (sig[tag, name], tuple(outs), tuple(ins))
-        canon = {v: i for i, v in enumerate(sorted(set(nxt.values())))}
-        sig = {k: canon[v] for k, v in nxt.items()}
+                nxt[tag, name] = canon.setdefault(
+                    (sig[tag, name], tuple(outs), tuple(ins)), len(canon))
+        sig = nxt
+        if len(canon) == colours:
+            break
+        colours = len(canon)
     return ({name: s for (t, name), s in sig.items() if t == "m"},
             {name: s for (t, name), s in sig.items() if t == "n"})
 

@@ -185,6 +185,29 @@ def test_corpus_runs_given_words(capsys):
     assert rep["verdicts"] == {"x1 x1": "EQUIVALENT", "(empty)": "EQUIVALENT"}
 
 
+def test_corpus_compares_a_repeated_word_once(capsys, monkeypatch):
+    compared = []
+    compare = tangles.compare
+    monkeypatch.setattr(tangles, "compare",
+                        lambda word: compared.append(str(word))
+                        or compare(word))
+    code, out, _ = run(capsys, "--json", "corpus", "x1", "x1", "", " x01 ")
+    assert code == cli.EXIT_PASS
+    rep = json.loads(out)
+    assert rep["config"] == {"entries": 2}
+    assert rep["verdicts"] == {"x1": "EQUIVALENT", "(empty)": "EQUIVALENT"}
+    assert compared == ["x1", ""]
+
+
+def test_wall_time_ignores_a_clock_stepping_back(capsys, monkeypatch):
+    # the wall clock steps back 100 s between any two readings
+    readings = iter(range(10 ** 9, 0, -100))
+    monkeypatch.setattr(time, "time", lambda: float(next(readings)))
+    code, out, _ = run(capsys, "--json", "compare", "--tangle", "x1")
+    assert code == cli.EXIT_PASS
+    assert 0 <= json.loads(out)["wall_time_s"] < 60
+
+
 def test_corpus_bad_word_is_usage_error(capsys):
     code, out, err = run(capsys, "corpus", "x1 x1", "z9")
     assert code == cli.EXIT_USAGE
