@@ -8,21 +8,22 @@ two-step path products between any generator pair gives zero.
 Provides the well-definedness check, the mapping cone of H times the
 identity, the box tensor with an AD bimodule, reduction by cancellation
 of idempotent arrows, isomorphism testing, and a line-oriented text
-serialization.  The check and the reduction run on `Adjacency`, arrows
-on integer generator ids, into which a structure's arrows, or the
-delooped cube's, are loaded.
+serialization.  The check and the reduction run on `Adjacency`, which
+numbers a list of generators by name and loads arrows on positions in
+that list: `check_d_squared` and `reduce` load a structure into it, and
+`tangles` loads the delooped cube.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from . import algebra, bimod, f2
 from .algebra import BElem, Vertex, FLAVOR_B
 
 
-@dataclass(frozen=True)
-class DGen:
+class DGen(NamedTuple):
     name: str
     idem: Vertex
     hdeg: int
@@ -96,32 +97,36 @@ class TypeDStructure:
 
 
 class Adjacency:
-    """Arrows on generator ids 0 .. n-1: the one d^2 guard and the one
-    Gaussian-elimination engine run here, and `check_d_squared`,
-    `reduce` and the deloop of `tangles` load their arrows into it.
+    """The arrows (i, j, label) on positions in `gens`, a list of DGen:
+    the one d^2 guard and the one Gaussian-elimination engine run here.
 
-    `out[s]` maps d to the label of s -> d and `inn[d]` maps s to it,
-    each in load order.  `heap` holds a key cost * n^2 + s * n + d for
-    every loaded arrow labelled exactly by an idempotent, where cost is
-    the fill-in (|in(d)| - 1) * (|out(s)| - 1) over the arrows loaded so
-    far: costs are >= 0 and s, d < n, so the ints order as (cost, s, d)
-    tuples would.
+    Generators are numbered by sorted name, here and nowhere else, so
+    that heap ties break as the names would; `ids[i]` is the id of
+    `gens[i]`.  `out[s]` maps d to the label of s -> d and `inn[d]` maps
+    s to it, on ids and in load order.  `heap` holds a key
+    cost * n^2 + s * n + d for every loaded arrow labelled exactly by an
+    idempotent, where cost is the fill-in (|in(d)| - 1) * (|out(s)| - 1)
+    over the arrows loaded so far: costs are >= 0 and s, d < n, so the
+    ints order as (cost, s, d) tuples would.
     """
 
-    __slots__ = ("n", "out", "inn", "heap")
+    __slots__ = ("gens", "ids", "n", "out", "inn", "heap")
 
-    def __init__(self, n):
-        self.n = n
-        self.out = [{} for _ in range(n)]
-        self.inn = [{} for _ in range(n)]
-        self.heap = []
-
-    def load(self, arrows):
-        """Add the arrows (s, d, label) in order; none may be present yet
-        and no label may be zero."""
-        out, inn, heap, n = self.out, self.inn, self.heap, self.n
+    def __init__(self, gens, arrows):
+        """Load the arrows in order; no two may join the same pair and no
+        label may be zero."""
+        self.gens = gens
+        n = self.n = len(gens)
+        ids = self.ids = [0] * n
+        names = [g.name for g in gens]
+        for k, i in enumerate(sorted(range(n), key=names.__getitem__)):
+            ids[i] = k
+        out = self.out = [{} for _ in range(n)]
+        inn = self.inn = [{} for _ in range(n)]
+        heap = self.heap = []
         nn = n * n
-        for s, d, label in arrows:
+        for i, j, label in arrows:
+            s, d = ids[i], ids[j]
             from_s, into_d = out[s], inn[d]
             from_s[d] = into_d[s] = label
             if label.is_idem:
@@ -129,8 +134,8 @@ class Adjacency:
                             + s * n + d)
 
     def d_squared(self, order):
-        """Pairs (x, z), x in `order`, whose two-step path sum is
-        non-zero."""
+        """Name pairs (x, z), x in `order` of ids, whose two-step path sum
+        is non-zero."""
         out = self.out
         # labels are interned and few: a dict of products per left label
         # spares a method call per two-step path
@@ -149,7 +154,10 @@ class Adjacency:
                     cur = acc.get(z)
                     acc[z] = prod if cur is None else cur + prod
             bad += [(x, z) for z, total in acc.items() if not total.is_zero()]
-        return bad
+        if not bad:
+            return bad
+        name = dict(zip(self.ids, (g.name for g in self.gens)))
+        return [(name[x], name[z]) for x, z in bad]
 
     def eliminate(self):
         """Cancel arrows labelled exactly by an idempotent until none
@@ -207,32 +215,36 @@ class Adjacency:
                         push(heap, (len(into_q) - 1) * (len(from_p) - 1) * nn
                              + p * n + q)
 
-    def structure(self, flavor, gens):
-        """The type D structure on `gens`, {id: DGen} of surviving ids in
-        the order wanted, with each generator's arrows in `out` order."""
+    def reduced(self, flavor):
+        """Eliminate, then the type D structure on the survivors in `gens`
+        order, with each generator's arrows in `out` order."""
+        self.eliminate()
+        out, ids = self.out, self.ids
+        survivors = {ids[i]: g for i, g in enumerate(self.gens)
+                     if out[ids[i]] is not None}
         res = TypeDStructure(flavor)
-        res.gens = {g.name: g for g in gens.values()}
-        res.arrows = {(g.name, gens[d].name): label
-                      for i, g in gens.items()
-                      for d, label in self.out[i].items()}
+        res.gens = {g.name: g for g in survivors.values()}
+        res.arrows = {(g.name, survivors[d].name): label
+                      for k, g in survivors.items()
+                      for d, label in out[k].items()}
         return res
 
 
-def _adjacency(m: TypeDStructure, index):
-    """m's non-zero arrows, in arrow order, on the ids `index[name]`."""
-    adj = Adjacency(len(index))
-    adj.load((index[s], index[d], label)
-             for (s, d), label in m.arrows.items() if not label.is_zero())
-    return adj
+def _adjacency(m: TypeDStructure):
+    """Adjacency of m's generators, in generator order, and of its
+    non-zero arrows, in arrow order."""
+    gens = list(m.gens.values())
+    pos = {name: i for i, name in enumerate(m.gens)}
+    return Adjacency(gens, ((pos[s], pos[d], label)
+                            for (s, d), label in m.arrows.items()
+                            if not label.is_zero()))
 
 
 def check_d_squared(m: TypeDStructure):
     """Generator pairs (x, z) where the two-step path sum is non-zero,
     by x in generator order."""
-    names = list(m.gens)
-    adj = _adjacency(m, {name: i for i, name in enumerate(names)})
-    return [(names[x], names[z])
-            for x, z in adj.d_squared(range(len(names)))]
+    adj = _adjacency(m)
+    return adj.d_squared(adj.ids)
 
 
 def cone_h(m: TypeDStructure) -> TypeDStructure:
@@ -294,19 +306,10 @@ def reduce(m: TypeDStructure) -> TypeDStructure:
     Each cancellation is Gaussian elimination: it is a homotopy
     equivalence because its label is a unit.  The idempotents are the
     only units of e_v B e_v: i + x with x of positive weight is not
-    invertible in B, so an arrow with such a label is kept.
-
-    Generators are numbered in sorted-name order, so that heap ties
-    break as the names would; the result keeps m's order of generators
-    and arrows.
+    invertible in B, so an arrow with such a label is kept.  The result
+    keeps m's order of generators and arrows.
     """
-    names = sorted(m.gens)
-    index = {name: i for i, name in enumerate(names)}
-    adj = _adjacency(m, index)
-    adj.eliminate()
-    return adj.structure(m.flavor, {
-        i: g for i, g in ((index[name], g) for name, g in m.gens.items())
-        if adj.out[i] is not None})
+    return _adjacency(m).reduced(m.flavor)
 
 
 # --- isomorphism testing ------------------------------------------------
@@ -418,35 +421,29 @@ def _chain_iso_search(m, n, shift):
             key = (m.gens[x].idem, m.gens[x].hdeg)
             blocks.setdefault(key, []).append(i)
 
-    def invertible(combo):
-        support = set()
-        for b in combo:
-            support ^= basis[b]
-        for key, idxs in blocks.items():
+    def invertible(support):
+        for idxs in blocks.values():
             xs = sorted({unknowns[i][0] for i in idxs})
-            ys = sorted({unknowns[i][1] for i in idxs})
-            mat = []
-            for xname in xs:
-                row = frozenset(
-                    unknowns[i][1] for i in idxs
-                    if i in support and unknowns[i][0] == xname)
-                mat.append(row)
+            mat = [frozenset(unknowns[i][1] for i in idxs
+                             if i in support and unknowns[i][0] == xname)
+                   for xname in xs]
             if f2.rank(mat) != len(xs):
                 return False
         return True
 
-    rng = _random.Random(7)
-    nb = len(basis)
-    candidates = [frozenset([i]) for i in range(nb)]
-    candidates.append(frozenset(range(nb)))
-    for _ in range(512):
-        candidates.append(frozenset(
-            i for i in range(nb) if rng.random() < 0.5))
-    for combo in candidates:
-        if invertible(combo):
-            support = set()
-            for b in combo:
-                support ^= basis[b]
+    def candidates():
+        nb = len(basis)
+        yield from ((i,) for i in range(nb))
+        yield range(nb)
+        rng = _random.Random(7)
+        for _ in range(512):
+            yield [i for i in range(nb) if rng.random() < 0.5]
+
+    for combo in candidates():
+        support = set()
+        for b in combo:
+            support ^= basis[b]
+        if invertible(support):
             return {"shift": shift, "entries": sorted(
                 (x, y, str(t)) for i, (x, y, t) in enumerate(unknowns)
                 if i in support)}

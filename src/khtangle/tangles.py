@@ -18,7 +18,6 @@ build the H-cone and the two-layer bimodule image from it.
 
 from __future__ import annotations
 
-import functools
 import random
 from dataclasses import dataclass
 
@@ -159,7 +158,9 @@ def build_cube(word: TangleWord, star="nw") -> ResolutionCube:
     then simulate every resolution; refuse a cube that would deloop to
     more than MAX_GENERATORS generators up front, or as soon as its
     resolutions so far pass the cap."""
-    assert star in STAR_CHOICES
+    if star not in STAR_CHOICES:
+        raise TangleError(f"star {star!r} is not one of "
+                          f"{', '.join(STAR_CHOICES)}")
     joined = [0, 1]     # ports 0, 1 are the top ends
     ports = [0, 1]      # the ports crossing the current level
     sites = []
@@ -197,47 +198,15 @@ def build_cube(word: TangleWord, star="nw") -> ResolutionCube:
 # --- delooping and translation ------------------------------------------
 #
 # Generator (bits, decor) of the delooped cube is decoration `decor` of
-# resolution `bits`, named v{bits}d{decor}.  The deloop walks the cube
-# edges once (`_deloop_arrows`); `tangle_complex` loads the arrows
-# straight into reduce's integer adjacency, and `deloop_translate`
-# materializes the same arrows as a type D structure.
+# resolution `bits`, named v{bits}d{decor}.  `_deloop` lists the
+# generators in deloop order and streams the arrows of one walk over the
+# cube edges (`_deloop_arrows`) on positions in that list.  `_guarded`
+# loads them into `dstruct.Adjacency`, which numbers the generators, and
+# checks d^2 = 0 there; `tangle_complex` reduces that adjacency, and
+# `deloop_translate` materializes the same arrows as a type D structure.
 
 def _gen_name(bits, decor):
     return f"v{bits}d{decor}"
-
-
-@functools.cache
-def _decor_ranks(loops):
-    """rank[decor] of the names of one resolution's 2^loops decorations
-    in sorted-name order; the generator cap keeps loops under 16."""
-    rank = [0] * (1 << loops)
-    for r, decor in enumerate(sorted(range(1 << loops), key=str)):
-        rank[decor] = r
-    return tuple(rank)
-
-
-def _first_ids(cube):
-    """first[bits], so that generator (bits, decor) has the id
-    first[bits] + _decor_ranks(loops)[decor], and the generator count.
-
-    The ids 0 .. n-1 number the names in sorted order: the part v{bits}d
-    of a name decides its place before the decoration does, since 'd'
-    is not a digit, so each resolution's names form one block, placed
-    by f"{bits}d" and ordered inside by str(decor).
-    """
-    first, n = {}, 0
-    for bits in sorted(cube.resolutions, key=lambda b: f"{b}d"):
-        first[bits] = n
-        n += 1 << len(cube.resolutions[bits].loops)
-    return first, n
-
-
-def _walk(cube, first):
-    """(id, bits, decor) of every delooped generator, in deloop order."""
-    for bits, res in cube.resolutions.items():
-        base, rank = first[bits], _decor_ranks(len(res.loops))
-        for decor in range(len(rank)):
-            yield base + rank[decor], bits, decor
 
 
 def _deloop_arrows(cube: ResolutionCube):
@@ -254,20 +223,39 @@ def _deloop_arrows(cube: ResolutionCube):
                 src, cube.resolutions[tbits], site, star_port)
 
 
-def deloop_translate(cube: ResolutionCube) -> dstruct.TypeDStructure:
-    """The delooped cube as a type D structure, checked for d^2 = 0."""
-    out = dstruct.TypeDStructure(FLAVOR_B)
+def _deloop(cube: ResolutionCube):
+    """The delooped generators, a list of DGen in deloop order, and a
+    lazy stream of the arrows (i, j, label) on positions in that list."""
+    gens, first = [], {}
     for bits, res in cube.resolutions.items():
-        for decor in range(1 << len(res.loops)):
-            out.add_gen(_gen_name(bits, decor), res.matching,
-                        bits.bit_count())
-    for bits, tbits, arrows in _deloop_arrows(cube):
-        for decor, tdecor, label in arrows:
-            out.arrows[_gen_name(bits, decor),
-                       _gen_name(tbits, tdecor)] = label
-    bad = dstruct.check_d_squared(out)
+        first[bits] = len(gens)
+        hdeg = bits.bit_count()
+        gens += [dstruct.DGen(_gen_name(bits, decor), res.matching, hdeg)
+                 for decor in range(1 << len(res.loops))]
+    arrows = ((first[bits] + decor, first[tbits] + tdecor, label)
+              for bits, tbits, edge in _deloop_arrows(cube)
+              for decor, tdecor, label in edge)
+    return gens, arrows
+
+
+def _guarded(gens, arrows):
+    """The adjacency of the delooped cube, checked for d^2 = 0."""
+    adj = dstruct.Adjacency(gens, arrows)
+    bad = adj.d_squared(adj.ids)
     if bad:
         raise AssertionError(f"d^2 != 0 after delooping: {bad[:3]}")
+    return adj
+
+
+def deloop_translate(cube: ResolutionCube) -> dstruct.TypeDStructure:
+    """The delooped cube as a type D structure, checked for d^2 = 0."""
+    gens, arrows = _deloop(cube)
+    arrows = list(arrows)
+    _guarded(gens, arrows)
+    out = dstruct.TypeDStructure(FLAVOR_B)
+    out.gens = {g.name: g for g in gens}
+    out.arrows = {(gens[i].name, gens[j].name): label
+                  for i, j, label in arrows}
     return out
 
 
@@ -362,28 +350,9 @@ def _saddle_arrows(src, tgt, site, star_port):
 def tangle_complex(word: TangleWord, star="nw"):
     """Reduced type D structure of the delooped resolution cube:
     `dstruct.reduce(deloop_translate(cube))`, with the delooped arrows
-    loaded straight into reduce's adjacency on the generator ids of
-    `_first_ids`, and names and generators made only for survivors."""
-    cube = build_cube(word, star)
-    first, n = _first_ids(cube)
-    loops = {bits: len(res.loops) for bits, res in cube.resolutions.items()}
-    adj = dstruct.Adjacency(n)
-    for bits, tbits, arrows in _deloop_arrows(cube):
-        s0, srank = first[bits], _decor_ranks(loops[bits])
-        t0, trank = first[tbits], _decor_ranks(loops[tbits])
-        adj.load([(s0 + srank[decor], t0 + trank[tdecor], label)
-                  for decor, tdecor, label in arrows])
-    bad = adj.d_squared(i for i, _, _ in _walk(cube, first))
-    if bad:
-        name = {i: _gen_name(bits, decor)
-                for i, bits, decor in _walk(cube, first)}
-        raise AssertionError(f"d^2 != 0 after delooping: "
-                             f"{[(name[x], name[z]) for x, z in bad[:3]]}")
-    adj.eliminate()
-    return adj.structure(FLAVOR_B, {
-        i: dstruct.DGen(_gen_name(bits, decor),
-                        cube.resolutions[bits].matching, bits.bit_count())
-        for i, bits, decor in _walk(cube, first) if adj.out[i] is not None})
+    streamed straight into reduce's adjacency: no delooped structure and
+    no list of its arrows is made."""
+    return _guarded(*_deloop(build_cube(word, star))).reduced(FLAVOR_B)
 
 
 def compute_dd1(word: TangleWord, star="nw"):

@@ -20,9 +20,9 @@ def _line(num, label, ok, detail=""):
 
 def test_criterion_1_algebra_relations_fast_with_mutation_suite():
     tables = acat.load_tables()
-    t0 = time.time()
+    t0 = time.perf_counter()
     bad = acat.verify_ainfty(tables, 5) + acat.verify_subalgebra(tables)
-    elapsed = time.time() - t0
+    elapsed = time.perf_counter() - t0
     killed = total = 0
     for key in tables:
         total += 1
@@ -35,9 +35,9 @@ def test_criterion_1_algebra_relations_fast_with_mutation_suite():
 
 
 def test_criterion_2_functor_relations_to_length_six():
-    t0 = time.time()
+    t0 = time.perf_counter()
     violations, checked = functor.verify_functor(max_len=6)
-    elapsed = time.time() - t0
+    elapsed = time.perf_counter() - t0
     ok = not violations and elapsed < 60.0
     _line(2, "functor relations to length 6: 0 violations < 60s", ok,
           f"{checked} sequences, {elapsed:.2f}s")
@@ -58,9 +58,9 @@ def test_criterion_3_homology_dimensions_and_basis():
 
 
 def test_criterion_4_bimodule_lemma():
-    t0 = time.time()
+    t0 = time.perf_counter()
     report = bimod.verify_lemma_main(16, 8)
-    elapsed = time.time() - t0
+    elapsed = time.perf_counter() - t0
     ok = report["pass"] and elapsed < 30.0
     failed = [k for k, v in report["checks"].items() if not v]
     _line(4, "bimodule chain-isomorphism checks pass < 30s", ok,
@@ -72,9 +72,9 @@ def test_criterion_5_corpus_equivalence():
     worst = 0.0
     bad = []
     for text in tangles.CORPUS:
-        t0 = time.time()
+        t0 = time.perf_counter()
         verdict, _ = tangles.compare(tangles.parse_tangle(text))
-        dt = time.time() - t0
+        dt = time.perf_counter() - t0
         worst = max(worst, dt)
         if verdict != tangles.EQUIVALENT:
             bad.append((text or "(empty)", verdict))
@@ -86,7 +86,7 @@ def test_criterion_5_corpus_equivalence():
 
 
 def test_criterion_6_structural_invariants():
-    t0 = time.time()
+    t0 = time.perf_counter()
 
     def check_pipeline(word):
         m = tangles.deloop_translate(tangles.build_cube(word))
@@ -114,7 +114,7 @@ def test_criterion_6_structural_invariants():
     for _ in range(n_random):
         check_pipeline(tangles.random_word(rng, max_crossings=8))
 
-    elapsed = time.time() - t0
+    elapsed = time.perf_counter() - t0
     _line(6, "d^2 = 0 through every pipeline stage; R2 trivial; "
              "cone matches boxing with I", True,
           f"corpus + {n_random} random words, {elapsed:.1f}s")

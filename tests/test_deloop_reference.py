@@ -147,13 +147,14 @@ def test_seeded_bugs_fail_both_deloops_alike(monkeypatch, bug):
     for word, cube in zip(words, cubes):
         errors = []
         for deloop in (lambda: tangles.tangle_complex(word),
-                       lambda: reference_deloop(cube)):
+                       lambda: reference_deloop(cube),
+                       lambda: tangles.deloop_translate(cube)):
             try:
                 deloop()
                 errors.append(None)
             except AssertionError as err:
                 errors.append(str(err))
-        assert errors[0] == errors[1], str(word)
+        assert errors[0] == errors[1] == errors[2], str(word)
         if errors[0] is not None:
             assert errors[0].startswith("d^2 != 0 after delooping: [(")
             caught += 1

@@ -115,6 +115,18 @@ def test_reduce_zigzag():
     assert r.arrows == {("p", "q"): algebra.spow(2, FILLED)}
 
 
+def test_reduce_breaks_ties_by_name_not_insertion():
+    # both arrows cost no fill-in; the tie goes to the target whose name
+    # sorts first, "g10", so x -> g10 is cancelled and g2 is kept
+    m = dstruct.TypeDStructure(FLAVOR_B)
+    m.add_gen("x", FILLED, 0)
+    m.add_gen("g2", FILLED, 1)
+    m.add_gen("g10", FILLED, 1)
+    m.add_arrow("x", "g2", algebra.idem(FILLED))
+    m.add_arrow("x", "g10", algebra.idem(FILLED))
+    assert list(dstruct.reduce(m).gens) == ["g2"]
+
+
 def test_iso_check_identity_and_permutation():
     m = two_step_bad()  # any structure works for matching purposes
     m = dstruct.TypeDStructure(FLAVOR_B)

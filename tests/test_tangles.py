@@ -1,5 +1,10 @@
+import os
 import random
 import re
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
 
 import pytest
 
@@ -193,6 +198,30 @@ def test_star_choice_changes_nothing_essential():
     for star in tangles.STAR_CHOICES:
         m = tangles.tangle_complex(word, star=star)
         assert len(m.gens) == 3
+
+
+STAR_REFUSED = "star 'up' is not one of nw, ne, sw, se"
+
+
+def test_unknown_star_is_refused():
+    with pytest.raises(tangles.TangleError, match=STAR_REFUSED):
+        tangles.compare(tangles.parse_tangle("x1"), star="up")
+
+
+def test_unknown_star_is_refused_under_python_O():
+    # an assert would vanish under -O and leave a KeyError deeper down
+    code = textwrap.dedent("""
+        from khtangle import tangles
+        try:
+            tangles.compare(tangles.parse_tangle("x1"), star="up")
+        except tangles.TangleError as e:
+            print("refused:", e)
+    """)
+    src = Path(tangles.__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=str(src))
+    out = subprocess.run([sys.executable, "-O", "-c", code], env=env,
+                         capture_output=True, text=True, check=True).stdout
+    assert out.splitlines() == [f"refused: {STAR_REFUSED}"]
 
 
 def test_compare_small_corpus_entries():
