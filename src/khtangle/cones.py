@@ -1,12 +1,15 @@
 """The dg category of the two H-cones over the quiver algebra.
 
-Objects are the mapping cones [v -> H -> v] for the two vertices; a
-morphism between cones is a 2x2 matrix of algebra elements, stored in
-four positional slots TT, TB, BT, BB (top/bottom of source to
-top/bottom of target).  The differential commutes the single H-labeled
-cone arrow past the morphism.  A named basis organizes the morphism
-spaces into six plain families (cycles) and six hatted families; it is
-input notation, which `to_positional` writes into the slots.
+Objects are the mapping cones [v -> H -> v] for the two vertices,
+`OBJECTS[0]` filled and `OBJECTS[1]` hollow.  A morphism between cones
+is a 2x2 matrix of algebra elements, held as the F2 vector of its terms
+(slot, monomial): the slot is one of TT, TB, BT, BB (top/bottom of
+source to top/bottom of target) and the monomial a one-term `BElem`.
+Ranks, relation sums and defects read that vector as it is.  The
+differential commutes the single H-labeled cone arrow past the
+morphism.  A named basis organizes the morphism spaces into six plain
+families (cycles) and six hatted families; it is input notation, which
+`to_positional` writes into the slots.
 """
 
 from __future__ import annotations
@@ -14,81 +17,74 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from . import algebra, f2
-from .algebra import BElem, Vertex, FLAVOR_B
+from .algebra import BElem, Vertex
 
+OBJECTS = {0: Vertex.FILLED, 1: Vertex.HOLLOW}
 SLOTS = ("tt", "tb", "bt", "bb")
-
-
-def _zero():
-    return algebra.zero(FLAVOR_B)
 
 
 @dataclass(frozen=True)
 class ConeMorphism:
     src: Vertex
     dst: Vertex
-    tt: BElem
-    tb: BElem
-    bt: BElem
-    bb: BElem
+    terms: frozenset   # of (slot, monomial), each monomial src -> dst
 
     def __post_init__(self):
-        for slot in SLOTS:
-            label = getattr(self, slot)
-            assert label.runs(self.src, self.dst), \
-                f"{slot} label {label} does not run src -> dst"
+        for slot, t in self.terms:
+            assert slot in SLOTS and t.runs(self.src, self.dst), \
+                f"{slot} term {t} does not run src -> dst"
 
     def is_zero(self):
-        return all(getattr(self, s).is_zero() for s in SLOTS)
+        return not self.terms
 
     def __add__(self, other):
         assert (self.src, self.dst) == (other.src, other.dst)
-        return ConeMorphism(self.src, self.dst,
-                            *(getattr(self, s) + getattr(other, s)
-                              for s in SLOTS))
+        return ConeMorphism(self.src, self.dst, self.terms ^ other.terms)
 
     def __str__(self):
-        parts = [f"{s}:{getattr(self, s)}" for s in SLOTS
-                 if not getattr(self, s).is_zero()]
-        return " ".join(parts) or "0"
+        return " ".join(f"{s}:{t}" for s, t in sorted(self.terms)) or "0"
+
+
+def _sum(src, dst, terms):
+    """The morphism of the terms that occur an odd number of times."""
+    acc = set()
+    for term in terms:
+        acc ^= {term}
+    return ConeMorphism(src, dst, frozenset(acc))
 
 
 def zero_mor(src: Vertex, dst: Vertex) -> ConeMorphism:
-    z = _zero()
-    return ConeMorphism(src, dst, z, z, z, z)
+    return ConeMorphism(src, dst, f2.ZERO)
 
 
 def identity_mor(v: Vertex) -> ConeMorphism:
-    i, z = algebra.idem(v), _zero()
-    return ConeMorphism(v, v, i, z, z, i)
+    i = algebra.idem(v)
+    return ConeMorphism(v, v, frozenset([("tt", i), ("bb", i)]))
 
 
 def compose_C(f: ConeMorphism, g: ConeMorphism) -> ConeMorphism:
-    """Composite "f then g" by 2x2 matrix multiplication."""
+    """Composite "f then g" by 2x2 matrix multiplication: a term of f in
+    slot (a, b) times a term of g in slot (b, c) lands in slot (a, c)."""
     assert f.dst == g.src, "object mismatch in composition"
-    return ConeMorphism(
-        f.src, g.dst,
-        f.tt * g.tt + f.tb * g.bt,
-        f.tt * g.tb + f.tb * g.bb,
-        f.bt * g.tt + f.bb * g.bt,
-        f.bt * g.tb + f.bb * g.bb,
-    )
+    return _sum(f.src, g.dst, ((s[0] + r[1], m)
+                               for s, x in f.terms for r, y in g.terms
+                               if s[1] == r[0] for m in (x * y).monomials()))
+
+
+# where the differential sends a term of each slot, times H
+_D_SLOTS = {"bt": ("tt", "bb"), "tt": ("tb",), "bb": ("tb",), "tb": ()}
 
 
 def diff_C(f: ConeMorphism) -> ConeMorphism:
     """Commutator with the H-labeled cone arrows of source and target.
 
     H is central, so every term is multiplication by H in the
-    appropriate slot; the BT slot maps into TT, BB and the diagonal
+    appropriate slot; the BT slot maps into TT and BB, the diagonal
     slots into TB.
     """
-    return ConeMorphism(
-        f.src, f.dst,
-        algebra.h_mul(f.bt),
-        algebra.h_mul(f.tt + f.bb),
-        _zero(),
-        algebra.h_mul(f.bt),
-    )
+    return _sum(f.src, f.dst, ((r, m) for s, t in f.terms
+                               for m in algebra.h_mul(t).monomials()
+                               for r in _D_SLOTS[s]))
 
 
 # --- the named basis ----------------------------------------------------
@@ -97,9 +93,6 @@ def diff_C(f: ConeMorphism) -> ConeMorphism:
 # families on cross spaces: P, Q (l >= 1); each plain or hatted.
 ENDO_FAMILIES = ("A", "B", "C", "D")
 CROSS_FAMILIES = ("P", "Q")
-
-_SUB_TO_SRC = {"0": Vertex.FILLED, "1": Vertex.HOLLOW,
-               "10": Vertex.FILLED, "01": Vertex.HOLLOW}
 
 
 @dataclass(frozen=True)
@@ -115,15 +108,14 @@ class BasisName:
         assert self.sub in (("0", "1") if self.family in ENDO_FAMILIES
                             else ("01", "10"))
 
+    # the subscript reads target then source, as a sequence does
     @property
     def src(self):
-        return _SUB_TO_SRC[self.sub]
+        return OBJECTS[int(self.sub[-1])]
 
     @property
     def dst(self):
-        if self.family in ENDO_FAMILIES:
-            return self.src
-        return self.src.other()
+        return OBJECTS[int(self.sub[0])]
 
     def __str__(self):
         hat = "^" if self.hatted else ""
@@ -151,8 +143,8 @@ _HAT_SLOTS = {"A": ("bt",), "C": ("bt",), "P": ("bt",),
 def to_positional(name: BasisName) -> ConeMorphism:
     mono = _family_monomial(name)
     slots = (_HAT_SLOTS if name.hatted else _PLAIN_SLOTS)[name.family]
-    comps = {s: (mono if s in slots else _zero()) for s in SLOTS}
-    return ConeMorphism(name.src, name.dst, **comps)
+    return ConeMorphism(name.src, name.dst,
+                        frozenset((s, mono) for s in slots))
 
 
 def combo_to_positional(names, src: Vertex, dst: Vertex) -> ConeMorphism:
@@ -168,7 +160,9 @@ def in_subcategory(f: ConeMorphism) -> bool:
     The plain A/C/P forms fill TT and BB alike and the hatted ones BT,
     while every B/D/Q form puts a term in TB or in BB alone.
     """
-    return f.tb.is_zero() and f.bb is f.tt
+    tt = {t for s, t in f.terms if s == "tt"}
+    bb = {t for s, t in f.terms if s == "bb"}
+    return tt == bb and all(s != "tb" for s, _ in f.terms)
 
 
 # --- weight-truncated homology ------------------------------------------
@@ -180,20 +174,10 @@ def _weight_basis(src, dst, weight):
     return [(slot, t) for slot in SLOTS for t in monos]
 
 
-def _mor_to_vec(f: ConeMorphism):
-    return frozenset((slot, t) for slot in SLOTS
-                     for t in getattr(f, slot).monomials())
-
-
-def _basis_mor(src, dst, slot, t):
-    comps = {s: (t if s == slot else _zero()) for s in SLOTS}
-    return ConeMorphism(src, dst, **comps)
-
-
 def _diff_matrix(src, dst, weight):
     """Rows: images under the differential of the weight-w basis."""
-    return [_mor_to_vec(diff_C(_basis_mor(src, dst, slot, t)))
-            for slot, t in _weight_basis(src, dst, weight)]
+    return [diff_C(ConeMorphism(src, dst, frozenset([term]))).terms
+            for term in _weight_basis(src, dst, weight)]
 
 
 def homology_dims(src: Vertex, dst: Vertex, max_weight: int):
@@ -211,5 +195,5 @@ def homology_dims(src: Vertex, dst: Vertex, max_weight: int):
 def homology_class_rank(src, dst, cycles, weight):
     """Rank of the span of the given cycles in weight-w homology."""
     boundaries = [row for row in _diff_matrix(src, dst, weight - 2) if row]
-    vecs = [_mor_to_vec(c) for c in cycles]
+    vecs = [c.terms for c in cycles]
     return f2.rank(boundaries + vecs) - f2.rank(boundaries)

@@ -15,9 +15,6 @@ import itertools
 
 from . import acat, cones
 from .acat import GENERATORS, SUB_GENERATORS, composable_sequences, dst, src
-from .algebra import Vertex
-
-OBJECTS = {0: Vertex.FILLED, 1: Vertex.HOLLOW}
 
 
 def _n(family, hatted, index, sub):
@@ -56,8 +53,8 @@ def default_tables():
 def apply_F(tables, seq) -> cones.ConeMorphism:
     """Evaluate the functor action on a sequence; zero off the table."""
     return cones.combo_to_positional(tables.get(tuple(seq), ()),
-                                     OBJECTS[src(seq[-1])],
-                                     OBJECTS[dst(seq[0])])
+                                     cones.OBJECTS[src(seq[-1])],
+                                     cones.OBJECTS[dst(seq[0])])
 
 
 def verify_functor(tables=None, max_len=6, mu_tables=None):
@@ -68,20 +65,19 @@ def verify_functor(tables=None, max_len=6, mu_tables=None):
     into an earlier and a later part.
 
     Returns ([(sequence, defect)], sequences covered); a defect is the
-    non-zero relation value as an f2 vector of cone basis keys.
+    non-zero relation value as an f2 vector of (slot, monomial) terms.
     """
     if tables is None:
         tables = default_tables()
     if mu_tables is None:
         mu_tables = acat.load_tables()
     F = {seq: apply_F(tables, seq) for seq in tables}
-    vec = cones._mor_to_vec
     terms = itertools.chain(
         # source side: contract a block with an inner operation, apply F
-        ((seq, vec(F[key])) for seq, key in acat.expansions(F, mu_tables)),
+        ((seq, F[key].terms) for seq, key in acat.expansions(F, mu_tables)),
         # target side: differential of F, and F on "earlier then later"
-        ((seq, vec(cones.diff_C(f))) for seq, f in F.items()),
-        ((later + earlier, vec(cones.compose_C(fe, fl)))
+        ((seq, cones.diff_C(f).terms) for seq, f in F.items()),
+        ((later + earlier, cones.compose_C(fe, fl).terms)
          for later, fl in F.items() for earlier, fe in F.items()
          if src(later[-1]) == dst(earlier[0])))
     checked = sum(map(acat.count_sequences, range(1, max_len + 1)))
@@ -129,7 +125,7 @@ def verify_quasi_iso(max_weight=10, tables=None):
     spaces = {(s, d): [g for g in GENERATORS if src(g) == s and dst(g) == d]
               for s in (0, 1) for d in (0, 1)}
     for (s, d), gens in spaces.items():
-        vs, vd = OBJECTS[s], OBJECTS[d]
+        vs, vd = cones.OBJECTS[s], cones.OBJECTS[d]
         dims = cones.homology_dims(vs, vd, max_weight)
         report["dims"][s, d] = dims
         expected_weights = (0, 2) if s == d else (1,)
@@ -155,5 +151,5 @@ def verify_quasi_iso(max_weight=10, tables=None):
 
 
 def _image_weight(tables, g):
-    f = apply_F(tables, (g,))
-    return max(getattr(f, s).max_weight for s in cones.SLOTS)
+    return max((t.max_weight for _, t in apply_F(tables, (g,)).terms),
+               default=0)

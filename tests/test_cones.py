@@ -52,7 +52,7 @@ def test_compose_associative_and_unital():
 
 def test_named_basis_is_linearly_independent():
     # the names are a basis of their span, so the notation is unambiguous
-    rows = [cones._mor_to_vec(f) for f in basis_mors(10)]
+    rows = [f.terms for f in basis_mors(10)]
     assert f2.rank(rows) == len(rows)
 
 

@@ -25,17 +25,16 @@ def ainfty_oracle(mu, max_len, generators=acat.GENERATORS):
 
 def functor_oracle(tables, mu, max_len):
     F = {seq: functor.apply_F(tables, seq) for seq in tables}
-    vec = {seq: cones._mor_to_vec(f) for seq, f in F.items()}
+    vec = {seq: f.terms for seq, f in F.items()}
     bad = []
     for n in range(1, max_len + 1):
         for seq in acat.composable_sequences(n):
             acc = f2.ZERO
             if seq in F:
-                acc = cones._mor_to_vec(cones.diff_C(F[seq]))
+                acc = cones.diff_C(F[seq]).terms
             for i in range(1, n):
                 if seq[:i] in F and seq[i:] in F:
-                    acc ^= cones._mor_to_vec(cones.compose_C(F[seq[i:]],
-                                                             F[seq[:i]]))
+                    acc ^= cones.compose_C(F[seq[i:]], F[seq[:i]]).terms
             for ln in (2, 3):
                 for i in range(n - ln + 1):
                     for g in mu.get(seq[i:i + ln], ()):
