@@ -237,6 +237,20 @@ def q_map(x: BElem) -> BElem:
     return _make(frozenset(acc), FLAVOR_BT)
 
 
+def splits(x: BElem):
+    """The pairs (a, b) of non-idempotent monomials with a * b = x, for a
+    monomial x: the path x cut at each of its interior points."""
+    (t,) = x.terms
+    kind, n, v = t
+    out = []
+    for i in range(1, n):
+        first = (kind, i, v)
+        second = (kind, n - i, _end(first))
+        out.append((_make(frozenset([first]), x.flavor),
+                    _make(frozenset([second]), x.flavor)))
+    return out
+
+
 def monomials_between(src: Vertex, dst: Vertex, max_weight: int,
                       flavor=FLAVOR_B):
     """The monomials from src to dst of weight at most max_weight: the

@@ -46,10 +46,6 @@ class Pattern:
         power = algebra.spow if self.letter == "S" else algebra.dpow
         return power(e, vertex, flavor)
 
-    def weight(self, k):
-        e = self.exponent(k)
-        return 0 if self.letter == "i" else e * (1 if self.letter == "S" else 2)
-
     def __str__(self):
         if self.letter == "i":
             return "1"
@@ -287,19 +283,15 @@ def _instantiate_component(comp: Action, gens, a_flavor, d_flavor, bound):
     strides = [p.stride for p in comp.inputs] + [comp.output.stride]
     kmax = 0 if all(s == 0 for s in strides) else bound
     for k in range(kmax + 1):
-        w = sum(p.weight(k) for p in comp.inputs)
-        if w > bound:
-            break
-        monos, v, ok = [], sgen.left_idem, True
+        monos, v = [], sgen.left_idem
         for p in comp.inputs:
-            mono = p.instantiate(k, v, a_flavor)
-            if mono.is_idem and p.letter != "i":
-                ok = False  # exponent collapsed to zero: not a valid input
-                break
-            monos.append(mono)
-            v = mono.ends()[1]
-        if not ok:
-            continue
+            monos.append(p.instantiate(k, v, a_flavor))
+            v = monos[-1].ends()[1]
+        if sum(m.max_weight for m in monos) > bound:
+            break
+        if any(m.is_idem and p.letter != "i"
+               for m, p in zip(monos, comp.inputs)):
+            continue  # an exponent collapsed to zero: not a valid input
         outm = comp.output.instantiate(k, sgen.right_idem, d_flavor)
         out.append((comp.src, comp.dst, tuple(monos), outm))
     return out
@@ -336,19 +328,6 @@ def instantiate_morphism(mor: ADMorphism, bound):
         mor.target.d_flavor, bound))
 
 
-def _factorizations(mono: BElem):
-    """The pairs of non-idempotent monomials whose product is mono."""
-    src, dst = mono.ends()
-    w = mono.max_weight - 1
-    out = []
-    for v in (FILLED, HOLLOW):
-        firsts = algebra.monomials_between(src, v, w, mono.flavor)
-        seconds = algebra.monomials_between(v, dst, w, mono.flavor)
-        out += [(a, b) for a in firsts for b in seconds
-                if not (a.is_idem or b.is_idem) and a * b is mono]
-    return out
-
-
 def _filter_weight(items, bound):
     return frozenset(i for i in items
                      if sum(m.max_weight for m in i[2]) <= bound)
@@ -369,7 +348,7 @@ def diff_ad_morphism(mor: ADMorphism, bound):
                                  bound))
     for (cs, cd, cin, cout) in h:
         for i, mono in enumerate(cin):
-            for first, second in _factorizations(mono):
+            for first, second in algebra.splits(mono):
                 item = (cs, cd, cin[:i] + (first, second) + cin[i + 1:], cout)
                 acc.symmetric_difference_update({item})
     return _filter_weight(acc, bound)

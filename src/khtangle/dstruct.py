@@ -133,15 +133,15 @@ class Adjacency:
                 heap.append((len(into_d) - 1) * (len(from_s) - 1) * nn
                             + s * n + d)
 
-    def d_squared(self, order):
-        """Name pairs (x, z), x in `order` of ids, whose two-step path sum
-        is non-zero."""
+    def d_squared(self):
+        """Name pairs (x, z), by x in generator order, whose two-step
+        path sum is non-zero."""
         out = self.out
         # labels are interned and few: a dict of products per left label
         # spares a method call per two-step path
         products = {}
         bad = []
-        for x in order:
+        for x in self.ids:
             acc = {}
             for y, a in out[x].items():
                 times_a = products.get(a)
@@ -244,7 +244,7 @@ def check_d_squared(m: TypeDStructure):
     """Generator pairs (x, z) where the two-step path sum is non-zero,
     by x in generator order."""
     adj = _adjacency(m)
-    return adj.d_squared(adj.ids)
+    return adj.d_squared()
 
 
 def cone_h(m: TypeDStructure) -> TypeDStructure:

@@ -241,7 +241,7 @@ def _deloop(cube: ResolutionCube):
 def _guarded(gens, arrows):
     """The adjacency of the delooped cube, checked for d^2 = 0."""
     adj = dstruct.Adjacency(gens, arrows)
-    bad = adj.d_squared(adj.ids)
+    bad = adj.d_squared()
     if bad:
         raise AssertionError(f"d^2 != 0 after delooping: {bad[:3]}")
     return adj

@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from khtangle import bimod
+from khtangle import algebra, bimod
 from khtangle.algebra import (FILLED, HOLLOW, FLAVOR_B, FLAVOR_BT, dpow, idem,
                               monomials_between, spow)
 from khtangle.bimod import Action, Pattern
@@ -167,7 +167,7 @@ def test_box_with_identity_is_identity_on_actions():
 def test_factorizations_multiply_back(flavor):
     for src, dst in itertools.product((FILLED, HOLLOW), repeat=2):
         for mono in monomials_between(src, dst, 12, flavor):
-            pairs = bimod._factorizations(mono)
+            pairs = algebra.splits(mono)
             for a, b in pairs:
                 assert a * b is mono
                 assert not a.is_idem and not b.is_idem

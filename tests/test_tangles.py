@@ -296,10 +296,9 @@ def test_compare_deloops_once_and_keeps_the_d_squared_guard(monkeypatch):
         walks.append(cube)
         return walk(cube)
 
-    def recording_guard(adj, order):
-        order = list(order)
-        guarded.append((sum(map(len, adj.out)), sorted(order), adj.n))
-        return guard(adj, order)
+    def recording_guard(adj):
+        guarded.append((sum(map(len, adj.out)), sorted(adj.ids), adj.n))
+        return guard(adj)
 
     def recording_add_gen(m, name, idem, hdeg):
         made.append(name)
