@@ -8,10 +8,13 @@ two-step path products between any generator pair gives zero.
 Provides the well-definedness check, the mapping cone of H times the
 identity, the box tensor with an AD bimodule, reduction by cancellation
 of idempotent arrows, isomorphism testing, and a line-oriented text
-serialization.  The check and the reduction run on `Adjacency`, which
-numbers a list of generators by name and loads arrows on positions in
-that list: `check_d_squared` and `reduce` load a structure into it, and
-`tangles` loads the delooped cube.
+serialization.  `nonzero_two_step` is the one two-step path sum: it
+runs on any map from a generator to its arrows, so `tangles` applies it
+to each distinct 2-face of the delooped cube.  The reduction, and the
+check over a whole structure, run on `Adjacency`, which numbers a list
+of generators by name and loads arrows on positions in that list:
+`check_d_squared` and `reduce` load a structure into it, and `tangles`
+loads the delooped cube.
 """
 
 from __future__ import annotations
@@ -98,7 +101,8 @@ class TypeDStructure:
 
 class Adjacency:
     """The arrows (i, j, label) on positions in `gens`, a list of DGen:
-    the one d^2 guard and the one Gaussian-elimination engine run here.
+    the one Gaussian-elimination engine runs here, and `d_squared` sums
+    the two-step paths of every generator.
 
     Generators are numbered by sorted name, here and nowhere else, so
     that heap ties break as the names would; `ids[i]` is the id of
@@ -136,24 +140,7 @@ class Adjacency:
     def d_squared(self):
         """Name pairs (x, z), by x in generator order, whose two-step
         path sum is non-zero."""
-        out = self.out
-        # labels are interned and few: a dict of products per left label
-        # spares a method call per two-step path
-        products = {}
-        bad = []
-        for x in self.ids:
-            acc = {}
-            for y, a in out[x].items():
-                times_a = products.get(a)
-                if times_a is None:
-                    times_a = products[a] = {}
-                for z, b in out[y].items():
-                    prod = times_a.get(b)
-                    if prod is None:
-                        prod = times_a[b] = a * b
-                    cur = acc.get(z)
-                    acc[z] = prod if cur is None else cur + prod
-            bad += [(x, z) for z, total in acc.items() if not total.is_zero()]
+        bad = nonzero_two_step(self.out, self.ids)
         if not bad:
             return bad
         name = dict(zip(self.ids, (g.name for g in self.gens)))
@@ -228,6 +215,32 @@ class Adjacency:
                       for k, g in survivors.items()
                       for d, label in out[k].items()}
         return res
+
+
+def nonzero_two_step(out, sources):
+    """Pairs (x, z), by x in `sources` order, whose two-step path sum is
+    non-zero: the one d^2 summation.  `out[y]` maps z to the label of
+    y -> z, for every source y and every target of one."""
+    # labels are interned and few: a dict of products per left label
+    # spares a method call per two-step path
+    products = {}
+    bad = []
+    for x in sources:
+        acc = {}
+        for y, a in out[x].items():
+            times_a = products.get(a)
+            if times_a is None:
+                times_a = products[a] = {}
+            for z, b in out[y].items():
+                prod = times_a.get(b)
+                if prod is None:
+                    prod = times_a[b] = a * b
+                cur = acc.get(z)
+                acc[z] = prod if cur is None else cur + prod
+        for z, total in acc.items():
+            if not total.is_zero():
+                bad.append((x, z))
+    return bad
 
 
 def _adjacency(m: TypeDStructure):

@@ -19,6 +19,7 @@ build the H-cone and the two-layer bimodule image from it.
 from __future__ import annotations
 
 import random
+from collections import defaultdict
 from dataclasses import dataclass
 
 from . import algebra, bimod, dstruct
@@ -139,12 +140,12 @@ class ResolutionCube:
 # Each resolution deloops to 2^(its loops) generators.  A loop of cups
 # and caps alone is a loop of every resolution, so a cube with c
 # crossings and l such loops deloops to at least 2^(c + l) generators.
-# The cap admits x1^10 (29,525 generators; `compare` takes 1.7-2.0 s
-# and 58 MB peak RSS in a fresh process on a 2-vCPU Xeon VM) and the
-# worst criterion-6 word (26,244).  It refuses x1^11 (88,574
-# generators) before any delooping, although with the cap lifted
-# `compare` takes 5.2 s and 148 MB there: the cap bounds the size of
-# the delooped cube, not the 30 s per-tangle budget.
+# The cap admits x1^10 (29,525 generators; `compare` takes 1.4-1.6 s
+# and 49 MB peak RSS in a fresh process on a 2-vCPU Xeon VM, three
+# runs, import included) and the worst criterion-6 word (26,244).  It
+# refuses x1^11 (88,574 generators) before any delooping, although with
+# the cap lifted `compare` takes 5.1-5.5 s and 123 MB there: the cap
+# bounds the size of the delooped cube, not the 30 s per-tangle budget.
 MAX_GENERATORS = 50_000
 
 
@@ -198,12 +199,16 @@ def build_cube(word: TangleWord, star="nw") -> ResolutionCube:
 # --- delooping and translation ------------------------------------------
 #
 # Generator (bits, decor) of the delooped cube is decoration `decor` of
-# resolution `bits`, named v{bits}d{decor}.  `_deloop` lists the
-# generators in deloop order and streams the arrows of one walk over the
-# cube edges (`_deloop_arrows`) on positions in that list.  `_guarded`
-# loads them into `dstruct.Adjacency`, which numbers the generators, and
-# checks d^2 = 0 there; `tangle_complex` reduces that adjacency, and
-# `deloop_translate` materializes the same arrows as a type D structure.
+# resolution `bits`, named v{bits}d{decor}.  `_guarded` lists the
+# generators in deloop order and interns the arrow list of each cube
+# edge from one walk (`_deloop_arrows`): edges with equal arrows share
+# one list and its index.  Every two-step path runs bits -> bits|i ->
+# bits|i|j, so each d^2 entry lives on one 2-face and is a function of
+# that face's four arrow lists alone: `_d_squared_is_zero` checks each
+# distinct face once.  The arrows then stream, on positions in the
+# generator list and in walk order, into `dstruct.Adjacency`, which
+# `tangle_complex` reduces, or into the type D structure that
+# `deloop_translate` returns.
 
 def _gen_name(bits, decor):
     return f"v{bits}d{decor}"
@@ -211,47 +216,98 @@ def _gen_name(bits, decor):
 
 def _deloop_arrows(cube: ResolutionCube):
     """Expand loops into dot decorations and saddles into algebra labels:
-    (bits, tbits, [(decor, tdecor, label), ...]) for each cube edge, the
-    arrows of every source decoration in deloop order."""
+    (bits, j, (decor, tdecor, label, ...)) for the edge flipping crossing
+    j of each resolution, the arrows of every source decoration in deloop
+    order, flat."""
     star_port = cube.ends[cube.star]
     for bits, src in cube.resolutions.items():
         for j, site in enumerate(cube.sites):
             if (bits >> j) & 1:
                 continue
-            tbits = bits | (1 << j)
-            yield bits, tbits, _saddle_arrows(
-                src, cube.resolutions[tbits], site, star_port)
+            yield bits, j, _saddle_arrows(
+                src, cube.resolutions[bits | (1 << j)], site, star_port)
 
 
-def _deloop(cube: ResolutionCube):
+def _triples(arrows):
+    """The (decor, tdecor, label) triples of a flat arrow tuple.  Flat,
+    the arrow lists that the load holds take a third of the memory of
+    tuples of triples."""
+    it = iter(arrows)
+    return zip(it, it, it)
+
+
+def _faces(edges, c):
+    """The arrow-list indices of the edges bits -> bits|i, bits|i ->
+    bits|i|j, bits -> bits|j and bits|j -> bits|i|j of every 2-face of
+    the cube: for each bits and each pair i < j of its unset bits."""
+    pairs = [(i, j, (1 << i) | (1 << j))
+             for i in range(c) for j in range(i + 1, c)]
+    for bits in range(1 << c):
+        for i, j, both in pairs:
+            if not bits & both:
+                yield (edges[bits * c + i], edges[(bits | (1 << i)) * c + j],
+                       edges[bits * c + j], edges[(bits | (1 << j)) * c + i])
+
+
+def _d_squared_is_zero(lists, edges, c):
+    """Whether every 2-face's two-step paths sum to zero, each distinct
+    face (by the indices of its four arrow lists) checked once.
+
+    A face's generators are its decorations, keyed decor << 2 | corner
+    with corner 0 for bits, 1 for bits|i, 2 for bits|j and 3 for
+    bits|i|j, so a face's sum needs nothing but its four arrow lists."""
+    checked = set()
+    for face in _faces(edges, c):
+        if face in checked:
+            continue
+        out = defaultdict(dict)
+        for (s, t), k in zip(((0, 1), (1, 3), (0, 2), (2, 3)), face):
+            for decor, tdecor, label in _triples(lists[k]):
+                out[decor << 2 | s][tdecor << 2 | t] = label
+        if dstruct.nonzero_two_step(out, [x for x in out if not x & 3]):
+            return False
+        checked.add(face)
+    return True
+
+
+def _guarded(cube: ResolutionCube):
     """The delooped generators, a list of DGen in deloop order, and a
-    lazy stream of the arrows (i, j, label) on positions in that list."""
-    gens, first = [], {}
+    lazy stream of their arrows (i, j, label) on positions in that list,
+    once d^2 = 0 holds on every 2-face; if it fails on one, the error
+    names the first bad pairs of the whole cube."""
+    gens, first = [], []
     for bits, res in cube.resolutions.items():
-        first[bits] = len(gens)
+        first.append(len(gens))
         hdeg = bits.bit_count()
         gens += [dstruct.DGen(_gen_name(bits, decor), res.matching, hdeg)
                  for decor in range(1 << len(res.loops))]
-    arrows = ((first[bits] + decor, first[tbits] + tdecor, label)
-              for bits, tbits, edge in _deloop_arrows(cube)
-              for decor, tdecor, label in edge)
-    return gens, arrows
+    # edges[bits * c + j] indexes the arrow list of the edge flipping
+    # crossing j of resolution bits in `lists`, 0 (no arrows) where that
+    # bit is set
+    c = len(cube.sites)
+    edges = [0] * (c << c)
+    index = {(): 0}
+    for bits, j, edge in _deloop_arrows(cube):
+        edges[bits * c + j] = index.setdefault(edge, len(index))
+    lists = list(index)
 
+    def arrows():
+        for k, e in enumerate(edges):
+            if e:
+                bits, j = divmod(k, c)
+                s, t = first[bits], first[bits | (1 << j)]
+                for decor, tdecor, label in _triples(lists[e]):
+                    yield s + decor, t + tdecor, label
 
-def _guarded(gens, arrows):
-    """The adjacency of the delooped cube, checked for d^2 = 0."""
-    adj = dstruct.Adjacency(gens, arrows)
-    bad = adj.d_squared()
-    if bad:
+    if not _d_squared_is_zero(lists, edges, c):
+        bad = dstruct.Adjacency(gens, arrows()).d_squared()
         raise AssertionError(f"d^2 != 0 after delooping: {bad[:3]}")
-    return adj
+    return gens, arrows()
 
 
 def deloop_translate(cube: ResolutionCube) -> dstruct.TypeDStructure:
     """The delooped cube as a type D structure, checked for d^2 = 0."""
-    gens, arrows = _deloop(cube)
-    arrows = list(arrows)
-    _guarded(gens, arrows)
+    gens, arrows = _guarded(cube)
     out = dstruct.TypeDStructure(FLAVOR_B)
     out.gens = {g.name: g for g in gens}
     out.arrows = {(gens[i].name, gens[j].name): label
@@ -260,8 +316,9 @@ def deloop_translate(cube: ResolutionCube) -> dstruct.TypeDStructure:
 
 
 def _saddle_arrows(src, tgt, site, star_port):
-    """Arrows for the cube edge flipping the crossing at `site`, as
-    (decor, tdecor, label) for every source dot decoration in turn.
+    """Arrows for the cube edge flipping the crossing at `site`, as one
+    flat tuple decor, tdecor, label, decor, ... (read by `_triples`) for
+    every source dot decoration in turn.
 
     The saddle rule depends on a decoration only through the number of
     dotted source loops the saddle touches, so it is worked out once per
@@ -329,9 +386,10 @@ def _saddle_arrows(src, tgt, site, star_port):
         for bits, label in filter(None, rule):
             if label.is_zero():
                 continue
-            assert label.flavor == FLAVOR_B and \
-                label.runs(v, tgt.matching), \
-                f"label {label} does not run {v!r} -> {tgt.matching!r}"
+            if not (label.flavor == FLAVOR_B
+                    and label.runs(v, tgt.matching)):
+                raise AssertionError(f"label {label} does not run "
+                                     f"{v!r} -> {tgt.matching!r}")
             cur = acc.get(bits)
             new = label if cur is None else cur + label
             if new.is_zero():
@@ -340,9 +398,11 @@ def _saddle_arrows(src, tgt, site, star_port):
                 acc[bits] = new
         sums.append(list(acc.items()))
 
-    return [(decor, tdecor | bits, label)
-            for decor, (t, tdecor) in enumerate(zip(touched, moved))
-            for bits, label in sums[t]]
+    flat = []
+    for decor, (t, tdecor) in enumerate(zip(touched, moved)):
+        for bits, label in sums[t]:
+            flat += decor, tdecor | bits, label
+    return tuple(flat)
 
 
 # --- pipelines ----------------------------------------------------------
@@ -352,7 +412,8 @@ def tangle_complex(word: TangleWord, star="nw"):
     `dstruct.reduce(deloop_translate(cube))`, with the delooped arrows
     streamed straight into reduce's adjacency: no delooped structure and
     no list of its arrows is made."""
-    return _guarded(*_deloop(build_cube(word, star))).reduced(FLAVOR_B)
+    adj = dstruct.Adjacency(*_guarded(build_cube(word, star)))
+    return adj.reduced(FLAVOR_B)
 
 
 def compute_dd1(word: TangleWord, star="nw"):

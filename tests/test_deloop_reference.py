@@ -137,6 +137,21 @@ def test_outputs_are_the_reference_on_large_words():
         _same_outputs(str(tangles.random_word(rng, 8)), "nw")
 
 
+def _deloop_errors(word, cube):
+    """The error of `tangle_complex`, of the reference deloop and of
+    `deloop_translate` on one word, None for each that passes."""
+    errors = []
+    for deloop in (lambda: tangles.tangle_complex(word, cube.star),
+                   lambda: reference_deloop(cube),
+                   lambda: tangles.deloop_translate(cube)):
+        try:
+            deloop()
+            errors.append(None)
+        except AssertionError as err:
+            errors.append(str(err))
+    return errors
+
+
 @pytest.mark.parametrize("bug", DELOOP_BUGS)
 def test_seeded_bugs_fail_both_deloops_alike(monkeypatch, bug):
     rng = random.Random(0)
@@ -145,20 +160,30 @@ def test_seeded_bugs_fail_both_deloops_alike(monkeypatch, bug):
     monkeypatch.setattr(algebra, *DELOOP_BUGS[bug])
     caught = 0
     for word, cube in zip(words, cubes):
-        errors = []
-        for deloop in (lambda: tangles.tangle_complex(word),
-                       lambda: reference_deloop(cube),
-                       lambda: tangles.deloop_translate(cube)):
-            try:
-                deloop()
-                errors.append(None)
-            except AssertionError as err:
-                errors.append(str(err))
+        errors = _deloop_errors(word, cube)
         assert errors[0] == errors[1] == errors[2], str(word)
         if errors[0] is not None:
             assert errors[0].startswith("d^2 != 0 after delooping: [(")
             caught += 1
     assert caught > 0
+
+
+@pytest.mark.parametrize("star", tangles.STAR_CHOICES)
+@pytest.mark.parametrize("bug", DELOOP_BUGS)
+def test_face_guard_fails_exactly_when_the_global_guard_does(
+        monkeypatch, bug, star):
+    # the reference checks d^2 over the whole cube: the face guard of
+    # `tangles` must fail on the same words, with the same message
+    words = [tangles.parse_tangle(text) for text in tangles.CORPUS] + \
+        [twist(n) for n in range(1, 9)]
+    cubes = [tangles.build_cube(word, star) for word in words]
+    monkeypatch.setattr(algebra, *DELOOP_BUGS[bug])
+    caught = 0
+    for word, cube in zip(words, cubes):
+        errors = _deloop_errors(word, cube)
+        assert errors[0] == errors[1] == errors[2], str(word)
+        caught += errors[0] is not None
+    assert 0 < caught < len(words)
 
 
 def test_no_delooped_structure_on_the_compare_path():

@@ -1,3 +1,5 @@
+import itertools
+import math
 import os
 import random
 import re
@@ -208,20 +210,42 @@ def test_unknown_star_is_refused():
         tangles.compare(tangles.parse_tangle("x1"), star="up")
 
 
+def run_python(code, *flags):
+    """The stdout of `code` run by a fresh interpreter given `flags`."""
+    src = Path(tangles.__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=str(src))
+    return subprocess.run([sys.executable, *flags, "-c", textwrap.dedent(code)],
+                          env=env, capture_output=True, text=True,
+                          check=True).stdout
+
+
 def test_unknown_star_is_refused_under_python_O():
     # an assert would vanish under -O and leave a KeyError deeper down
-    code = textwrap.dedent("""
+    out = run_python("""
         from khtangle import tangles
         try:
             tangles.compare(tangles.parse_tangle("x1"), star="up")
         except tangles.TangleError as e:
             print("refused:", e)
-    """)
-    src = Path(tangles.__file__).resolve().parents[1]
-    env = dict(os.environ, PYTHONPATH=str(src))
-    out = subprocess.run([sys.executable, "-O", "-c", code], env=env,
-                         capture_output=True, text=True, check=True).stdout
+    """, "-O")
     assert out.splitlines() == [f"refused: {STAR_REFUSED}"]
+
+
+def test_edge_label_check_survives_python_O():
+    # a saddle labelled by the idempotent does not run FILLED -> HOLLOW;
+    # under -O an assert would let it through to bimod or the d^2 guard
+    code = """
+        from khtangle import algebra, tangles
+        algebra.spow = lambda n, v, flavor=algebra.FLAVOR_B: \\
+            algebra.idem(v, flavor)
+        try:
+            tangles.compare(tangles.parse_tangle("x1"))
+        except AssertionError as e:
+            print("stopped:", e)
+    """
+    for flags in ((), ("-O",)):
+        assert run_python(code, *flags).splitlines() == [
+            "stopped: label i does not run FILLED -> HOLLOW"], flags
 
 
 def test_compare_small_corpus_entries():
@@ -284,11 +308,34 @@ def test_compare_refuses_an_oversized_cube_before_delooping(monkeypatch):
         tangles.compare(twist(3))
 
 
+def corrupt_edge(monkeypatch, cube, j):
+    """Make `_saddle_arrows` put H times the first label on the edge
+    flipping crossing j of resolution 0, and change no other edge."""
+    saddle = tangles._saddle_arrows
+
+    def corrupted(src, tgt, site, star_port):
+        arrows = saddle(src, tgt, site, star_port)
+        if src is cube.resolutions[0] and site is cube.sites[j]:
+            decor, tdecor, label, *rest = arrows
+            return (decor, tdecor, algebra.h_mul(label), *rest)
+        return arrows
+
+    monkeypatch.setattr(tangles, "_saddle_arrows", corrupted)
+    monkeypatch.setattr(tangles, "build_cube", lambda word, star: cube)
+
+
 def test_compare_deloops_once_and_keeps_the_d_squared_guard(monkeypatch):
     word = tangles.parse_tangle("x1 x1 x1")
-    reference = tangles.deloop_translate(tangles.build_cube(word))
-    walks, guarded, made = [], [], []
-    walk, guard = tangles._deloop_arrows, dstruct.Adjacency.d_squared
+    cube = tangles.build_cube(word)
+    reference = tangles.deloop_translate(cube)
+    c = len(cube.sites)
+    edge_arrows = {(bits, j): arrows
+                   for bits, j, arrows in tangles._deloop_arrows(cube)}
+    walks, events, faces, made = [], [], [], []
+    walk, guard, faces_of = (tangles._deloop_arrows,
+                             tangles._d_squared_is_zero, tangles._faces)
+    d_squared, eliminate = dstruct.Adjacency.d_squared, \
+        dstruct.Adjacency.eliminate
     add_gen = dstruct.TypeDStructure.add_gen
     add_arrow = dstruct.TypeDStructure.add_arrow
 
@@ -296,9 +343,23 @@ def test_compare_deloops_once_and_keeps_the_d_squared_guard(monkeypatch):
         walks.append(cube)
         return walk(cube)
 
-    def recording_guard(adj):
-        guarded.append((sum(map(len, adj.out)), sorted(adj.ids), adj.n))
-        return guard(adj)
+    def recording_guard(lists, edges, c):
+        ok = guard(lists, edges, c)
+        events.append(("guard", ok, list(lists), list(edges)))
+        return ok
+
+    def recording_faces(edges, c):
+        for face in faces_of(edges, c):
+            faces.append(face)
+            yield face
+
+    def recording_d_squared(adj):
+        events.append(("d_squared", adj.n, sum(map(len, adj.out))))
+        return d_squared(adj)
+
+    def recording_eliminate(adj):
+        events.append(("eliminate",))
+        return eliminate(adj)
 
     def recording_add_gen(m, name, idem, hdeg):
         made.append(name)
@@ -312,19 +373,77 @@ def test_compare_deloops_once_and_keeps_the_d_squared_guard(monkeypatch):
         raise AssertionError("compare built the delooped structure")
 
     monkeypatch.setattr(tangles, "_deloop_arrows", counting_walk)
+    monkeypatch.setattr(tangles, "_d_squared_is_zero", recording_guard)
+    monkeypatch.setattr(tangles, "_faces", recording_faces)
     monkeypatch.setattr(tangles, "deloop_translate", deloop)
-    monkeypatch.setattr(dstruct.Adjacency, "d_squared", recording_guard)
+    monkeypatch.setattr(dstruct.Adjacency, "d_squared", recording_d_squared)
+    monkeypatch.setattr(dstruct.Adjacency, "eliminate", recording_eliminate)
     monkeypatch.setattr(dstruct.TypeDStructure, "add_gen", recording_add_gen)
     monkeypatch.setattr(dstruct.TypeDStructure, "add_arrow",
                         recording_add_arrow)
     verdict, _ = tangles.compare(word)
     assert verdict == tangles.EQUIVALENT
     assert len(walks) == 1
-    # the guard sees every delooped arrow, from every generator, before
-    # anything is cancelled
-    n = len(reference.gens)
-    assert guarded == [(len(reference.arrows), list(range(n)), n)]
+    # the face guard runs once, before anything is cancelled, and the
+    # global d^2 sum does not run at all
+    (_, ok, lists, edges), *rest = events
+    assert ok and rest and all(e == ("eliminate",) for e in rest)
+    arrow_lists = [lists[e] for e in edges]
+    # it receives every edge's arrows, and so every delooped arrow
+    assert {(k // c, k % c): arrows for k, arrows in enumerate(arrow_lists)
+            if not (k // c >> k % c) & 1} == edge_arrows
+    assert sum(map(len, arrow_lists)) == 3 * len(reference.arrows)
+    # it visits every 2-face, each as its four edges
+    expected = [(edge_arrows[bits, i], edge_arrows[bits | 1 << i, j],
+                 edge_arrows[bits, j], edge_arrows[bits | 1 << j, i])
+                for bits in range(1 << c)
+                for i, j in itertools.combinations(
+                    [k for k in range(c) if not bits >> k & 1], 2)]
+    assert [tuple(lists[k] for k in face) for face in faces] == expected
+    assert len(faces) == sum(math.comb(c - bits.bit_count(), 2)
+                             for bits in range(1 << c))
     # cone_h names its generators v{bits}d{decor}.0 and .1; no delooped
     # generator or arrow goes through TypeDStructure
     assert made and not [name for name in made
                          if re.fullmatch(r"v\d+d\d+", name)]
+
+    # the global d^2 sum runs once a face fails, on the whole cube, to
+    # name the bad pairs
+    events.clear()
+    corrupt_edge(monkeypatch, cube, 0)
+    with pytest.raises(AssertionError, match=re.escape("d^2 != 0")):
+        tangles.compare(word)
+    assert [e[:2] for e in events] == [
+        ("guard", False), ("d_squared", len(reference.gens))]
+    assert events[1][2] == len(reference.arrows)
+
+
+def test_face_guard_rechecks_a_shared_edge_list_that_changed(monkeypatch):
+    # edge (bits 0, crossing 3) of x1^4 has the arrows of other edges,
+    # and each of its faces comes after a face of the same shape that
+    # holds; with one label changed, d^2 = 0 must fail with the message
+    # that the global sum over the whole cube gives
+    word = twist(4)
+    cube = tangles.build_cube(word)
+    walk = list(tangles._deloop_arrows(cube))
+    assert walk[3][:2] == (0, 3)
+    assert sum(arrows == walk[3][2] for _, _, arrows in walk) > 1
+    corrupt_edge(monkeypatch, cube, 3)
+
+    m = dstruct.TypeDStructure()
+    for bits, res in cube.resolutions.items():
+        for decor in range(1 << len(res.loops)):
+            m.add_gen(tangles._gen_name(bits, decor), res.matching,
+                      bits.bit_count())
+    for bits, j, arrows in tangles._deloop_arrows(cube):
+        for decor, tdecor, label in tangles._triples(arrows):
+            m.add_arrow(tangles._gen_name(bits, decor),
+                        tangles._gen_name(bits | 1 << j, tdecor), label)
+    bad = dstruct.check_d_squared(m)
+    assert bad
+    message = f"d^2 != 0 after delooping: {bad[:3]}"
+    for deloop in (lambda: tangles.tangle_complex(word),
+                   lambda: tangles.deloop_translate(cube)):
+        with pytest.raises(AssertionError) as err:
+            deloop()
+        assert str(err.value) == message
