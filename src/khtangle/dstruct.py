@@ -11,10 +11,11 @@ of idempotent arrows, isomorphism testing, and a line-oriented text
 serialization.  `nonzero_two_step` is the one two-step path sum: it
 runs on any map from a generator to its arrows, so `tangles` applies it
 to each distinct 2-face of the delooped cube.  The reduction, and the
-check over a whole structure, run on `Adjacency`, which numbers a list
-of generators by name and loads arrows on positions in that list:
-`check_d_squared` and `reduce` load a structure into it, and `tangles`
-loads the delooped cube.
+check over a whole structure, run on `Adjacency`, which loads arrows on
+generator positions, numbered by sorted name and named on demand:
+`check_d_squared` and `reduce` load a structure into it, numbered by
+`name_ids`, and `tangles` loads the delooped cube, numbered from the
+shape of its names and named only where a generator survives.
 """
 
 from __future__ import annotations
@@ -100,31 +101,30 @@ class TypeDStructure:
 
 
 class Adjacency:
-    """The arrows (i, j, label) on positions in `gens`, a list of DGen:
-    the one Gaussian-elimination engine runs here, and `d_squared` sums
-    the two-step paths of every generator.
+    """The arrows (i, j, label) on generator positions: the one
+    Gaussian-elimination engine runs here, and `d_squared` sums the
+    two-step paths of every generator.
 
-    Generators are numbered by sorted name, here and nowhere else, so
-    that heap ties break as the names would; `ids[i]` is the id of
-    `gens[i]`.  `out[s]` maps d to the label of s -> d and `inn[d]` maps
-    s to it, on ids and in load order.  `heap` holds a key
-    cost * n^2 + s * n + d for every loaded arrow labelled exactly by an
-    idempotent, where cost is the fill-in (|in(d)| - 1) * (|out(s)| - 1)
-    over the arrows loaded so far: costs are >= 0 and s, d < n, so the
-    ints order as (cost, s, d) tuples would.
+    Generators are numbered by sorted name, so that heap ties break as
+    the names would: `ids[i]` is the id of the generator at position i,
+    given by `name_ids` or, for the delooped cube, by `tangles` from the
+    shape of the names alone, and `gen(i)` makes its DGen, which only
+    the survivors of `eliminate` and the names in `d_squared` need.
+    `out[s]` maps d to the label of s -> d and `inn[d]` maps s to it, on
+    ids and in load order.  `heap` holds a key cost * n^2 + s * n + d for
+    every loaded arrow labelled exactly by an idempotent, where cost is
+    the fill-in (|in(d)| - 1) * (|out(s)| - 1) over the arrows loaded so
+    far: costs are >= 0 and s, d < n, so the ints order as (cost, s, d)
+    tuples would.
     """
 
-    __slots__ = ("gens", "ids", "n", "out", "inn", "heap")
+    __slots__ = ("ids", "gen", "n", "out", "inn", "heap")
 
-    def __init__(self, gens, arrows):
+    def __init__(self, ids, gen, arrows):
         """Load the arrows in order; no two may join the same pair and no
         label may be zero."""
-        self.gens = gens
-        n = self.n = len(gens)
-        ids = self.ids = [0] * n
-        names = [g.name for g in gens]
-        for k, i in enumerate(sorted(range(n), key=names.__getitem__)):
-            ids[i] = k
+        self.ids, self.gen = ids, gen
+        n = self.n = len(ids)
         out = self.out = [{} for _ in range(n)]
         inn = self.inn = [{} for _ in range(n)]
         heap = self.heap = []
@@ -143,7 +143,7 @@ class Adjacency:
         bad = nonzero_two_step(self.out, self.ids)
         if not bad:
             return bad
-        name = dict(zip(self.ids, (g.name for g in self.gens)))
+        name = {k: self.gen(i).name for i, k in enumerate(self.ids)}
         return [(name[x], name[z]) for x, z in bad]
 
     def eliminate(self):
@@ -203,12 +203,12 @@ class Adjacency:
                              + p * n + q)
 
     def reduced(self, flavor):
-        """Eliminate, then the type D structure on the survivors in `gens`
-        order, with each generator's arrows in `out` order."""
+        """Eliminate, then the type D structure on the survivors in
+        position order, with each generator's arrows in `out` order."""
         self.eliminate()
-        out, ids = self.out, self.ids
-        survivors = {ids[i]: g for i, g in enumerate(self.gens)
-                     if out[ids[i]] is not None}
+        out = self.out
+        survivors = {k: self.gen(i) for i, k in enumerate(self.ids)
+                     if out[k] is not None}
         res = TypeDStructure(flavor)
         res.gens = {g.name: g for g in survivors.values()}
         res.arrows = {(g.name, survivors[d].name): label
@@ -243,14 +243,23 @@ def nonzero_two_step(out, sources):
     return bad
 
 
+def name_ids(names):
+    """The rank of each name in sorted order: the ids of `Adjacency`."""
+    ids = [0] * len(names)
+    for k, i in enumerate(sorted(range(len(names)), key=names.__getitem__)):
+        ids[i] = k
+    return ids
+
+
 def _adjacency(m: TypeDStructure):
     """Adjacency of m's generators, in generator order, and of its
     non-zero arrows, in arrow order."""
     gens = list(m.gens.values())
     pos = {name: i for i, name in enumerate(m.gens)}
-    return Adjacency(gens, ((pos[s], pos[d], label)
-                            for (s, d), label in m.arrows.items()
-                            if not label.is_zero()))
+    return Adjacency(name_ids(list(m.gens)), gens.__getitem__,
+                     ((pos[s], pos[d], label)
+                      for (s, d), label in m.arrows.items()
+                      if not label.is_zero()))
 
 
 def check_d_squared(m: TypeDStructure):

@@ -18,6 +18,9 @@ build the H-cone and the two-layer bimodule image from it.
 
 from __future__ import annotations
 
+import bisect
+import functools
+import itertools
 import random
 from collections import defaultdict
 from dataclasses import dataclass
@@ -140,11 +143,11 @@ class ResolutionCube:
 # Each resolution deloops to 2^(its loops) generators.  A loop of cups
 # and caps alone is a loop of every resolution, so a cube with c
 # crossings and l such loops deloops to at least 2^(c + l) generators.
-# The cap admits x1^10 (29,525 generators; `compare` takes 1.4-1.6 s
-# and 49 MB peak RSS in a fresh process on a 2-vCPU Xeon VM, three
+# The cap admits x1^10 (29,525 generators; `compare` takes 1.1-1.4 s
+# and 46 MB peak RSS in a fresh process on a 2-vCPU Xeon VM, three
 # runs, import included) and the worst criterion-6 word (26,244).  It
 # refuses x1^11 (88,574 generators) before any delooping, although with
-# the cap lifted `compare` takes 5.1-5.5 s and 123 MB there: the cap
+# the cap lifted `compare` takes 2.9-4.4 s and 111 MB there: the cap
 # bounds the size of the delooped cube, not the 30 s per-tangle budget.
 MAX_GENERATORS = 50_000
 
@@ -199,16 +202,18 @@ def build_cube(word: TangleWord, star="nw") -> ResolutionCube:
 # --- delooping and translation ------------------------------------------
 #
 # Generator (bits, decor) of the delooped cube is decoration `decor` of
-# resolution `bits`, named v{bits}d{decor}.  `_guarded` lists the
-# generators in deloop order and interns the arrow list of each cube
-# edge from one walk (`_deloop_arrows`): edges with equal arrows share
-# one list and its index.  Every two-step path runs bits -> bits|i ->
-# bits|i|j, so each d^2 entry lives on one 2-face and is a function of
-# that face's four arrow lists alone: `_d_squared_is_zero` checks each
-# distinct face once.  The arrows then stream, on positions in the
-# generator list and in walk order, into `dstruct.Adjacency`, which
-# `tangle_complex` reduces, or into the type D structure that
-# `deloop_translate` returns.
+# resolution `bits`, named v{bits}d{decor}; its position is its place in
+# deloop order, resolution by resolution.  `_guarded` numbers the
+# generators by sorted name from their blocks alone (`_name_ids`) and
+# interns the arrow list of each cube edge from one walk
+# (`_deloop_arrows`), which expands each distinct edge shape once: edges
+# with equal arrows share one list and its index.  Every two-step path
+# runs bits -> bits|i -> bits|i|j, so each d^2 entry lives on one 2-face
+# and is a function of that face's four arrow lists alone:
+# `_d_squared_is_zero` checks each distinct face once.  The arrows then
+# stream, on positions and in walk order, into `dstruct.Adjacency`,
+# which `tangle_complex` reduces, naming only the survivors, or into the
+# type D structure that `deloop_translate` returns.
 
 def _gen_name(bits, decor):
     return f"v{bits}d{decor}"
@@ -218,14 +223,19 @@ def _deloop_arrows(cube: ResolutionCube):
     """Expand loops into dot decorations and saddles into algebra labels:
     (bits, j, (decor, tdecor, label, ...)) for the edge flipping crossing
     j of each resolution, the arrows of every source decoration in deloop
-    order, flat."""
+    order, flat.  Edges of one shape share one tuple, expanded once."""
     star_port = cube.ends[cube.star]
+    expanded = {}
     for bits, src in cube.resolutions.items():
         for j, site in enumerate(cube.sites):
             if (bits >> j) & 1:
                 continue
-            yield bits, j, _saddle_arrows(
-                src, cube.resolutions[bits | (1 << j)], site, star_port)
+            shape = _saddle_shape(src, cube.resolutions[bits | (1 << j)],
+                                  site, star_port)
+            arrows = expanded.get(shape)
+            if arrows is None:
+                arrows = expanded[shape] = _saddle_arrows(*shape)
+            yield bits, j, arrows
 
 
 def _triples(arrows):
@@ -270,17 +280,47 @@ def _d_squared_is_zero(lists, edges, c):
     return True
 
 
+@functools.cache
+def _name_ranks(n, suffix):
+    """The rank of each of f"{i}{suffix}", i in range(n), in sorted order;
+    kept per n, a power of two within the generator cap."""
+    return tuple(dstruct.name_ids([f"{i}{suffix}" for i in range(n)]))
+
+
+def _name_ids(cube: ResolutionCube):
+    """The rank of each generator's name in sorted order, in deloop order,
+    without a name: v{bits}d{decor} sorts by its block's prefix
+    f"{bits}d" first, which no other block's names start with, and then
+    by str(decor), the same order for every block of one loop count."""
+    res = cube.resolutions
+    block = _name_ranks(len(res), "d")
+    size = [0] * len(res)
+    for bits, r in res.items():
+        size[block[bits]] = 1 << len(r.loops)
+    start = list(itertools.accumulate(size, initial=0))
+    ids = []
+    for bits, r in res.items():
+        ids += map(start[block[bits]].__add__,
+                   _name_ranks(1 << len(r.loops), ""))
+    return ids
+
+
 def _guarded(cube: ResolutionCube):
-    """The delooped generators, a list of DGen in deloop order, and a
-    lazy stream of their arrows (i, j, label) on positions in that list,
-    once d^2 = 0 holds on every 2-face; if it fails on one, the error
-    names the first bad pairs of the whole cube."""
-    gens, first = [], []
-    for bits, res in cube.resolutions.items():
-        first.append(len(gens))
-        hdeg = bits.bit_count()
-        gens += [dstruct.DGen(_gen_name(bits, decor), res.matching, hdeg)
-                 for decor in range(1 << len(res.loops))]
+    """The generators' sorted-name ids in deloop order, a function that
+    makes the DGen at a position, and a lazy stream of the arrows (i, j,
+    label) on positions, once d^2 = 0 holds on every 2-face; if it fails
+    on one, the error names the first bad pairs of the whole cube."""
+    first, n = [], 0
+    for res in cube.resolutions.values():
+        first.append(n)
+        n += 1 << len(res.loops)
+
+    def gen(i):
+        bits = bisect.bisect_right(first, i) - 1
+        return dstruct.DGen(_gen_name(bits, i - first[bits]),
+                            cube.resolutions[bits].matching,
+                            bits.bit_count())
+
     # edges[bits * c + j] indexes the arrow list of the edge flipping
     # crossing j of resolution bits in `lists`, 0 (no arrows) where that
     # bit is set
@@ -299,15 +339,17 @@ def _guarded(cube: ResolutionCube):
                 for decor, tdecor, label in _triples(lists[e]):
                     yield s + decor, t + tdecor, label
 
+    ids = _name_ids(cube)
     if not _d_squared_is_zero(lists, edges, c):
-        bad = dstruct.Adjacency(gens, arrows()).d_squared()
+        bad = dstruct.Adjacency(ids, gen, arrows()).d_squared()
         raise AssertionError(f"d^2 != 0 after delooping: {bad[:3]}")
-    return gens, arrows()
+    return ids, gen, arrows()
 
 
 def deloop_translate(cube: ResolutionCube) -> dstruct.TypeDStructure:
     """The delooped cube as a type D structure, checked for d^2 = 0."""
-    gens, arrows = _guarded(cube)
+    ids, gen, arrows = _guarded(cube)
+    gens = [gen(i) for i in range(len(ids))]
     out = dstruct.TypeDStructure(FLAVOR_B)
     out.gens = {g.name: g for g in gens}
     out.arrows = {(gens[i].name, gens[j].name): label
@@ -315,66 +357,77 @@ def deloop_translate(cube: ResolutionCube) -> dstruct.TypeDStructure:
     return out
 
 
-def _saddle_arrows(src, tgt, site, star_port):
-    """Arrows for the cube edge flipping the crossing at `site`, as one
-    flat tuple decor, tdecor, label, decor, ... (read by `_triples`) for
-    every source dot decoration in turn.
+def _saddle_shape(src, tgt, site, star_port):
+    """What the arrows of the edge flipping the crossing at `site` depend
+    on: the two matchings, the number of source components the saddle
+    touches, the class of each target component it touches in sorted
+    order (the bit 1 << i of target loop i, 0 for the starred arc, -1 for
+    the other arc), and for each source loop 0 if touched, else the bit
+    of its target loop."""
+    _, a, b, c1, c2 = site
+    src_of, tgt_of, loops = src.component_of, tgt.component_of, tgt.loops
+    src_touch = {src_of[a], src_of[b], src_of[c1], src_of[c2]}
+    star_tgt = tgt_of[star_port]
+    return (src.matching, tgt.matching, len(src_touch),
+            tuple([1 << loops.index(comp) if comp in loops
+                   else -(comp != star_tgt) for comp in
+                   sorted({tgt_of[a], tgt_of[b], tgt_of[c1], tgt_of[c2]})]),
+            tuple([0 if lid in src_touch else 1 << loops.index(tgt_of[lid])
+                   for lid in src.loops]))
+
+
+def _saddle_arrows(v, w, n_touched, kinds, loops):
+    """Arrows for a cube edge of the shape that `_saddle_shape` gives, as
+    one flat tuple decor, tdecor, label, decor, ... (read by `_triples`)
+    for every source dot decoration in turn.
 
     The saddle rule depends on a decoration only through the number of
     dotted source loops the saddle touches, so it is worked out once per
-    edge as `rules[n]`: the (target loop bits, label) of each arrow when
+    shape as `rules[n]`: the (target loop bits, label) of each arrow when
     n of them are dotted, summed per target.  Dots on untouched loops
     move to the same loop in the target.  Each label is checked to run
-    between the two resolutions' idempotents; the hdeg rises by one
-    along every edge.
+    between the two resolutions' idempotents v and w; the hdeg rises by
+    one along every edge.
     """
-    _, a, b, c1, c2 = site
-    src_touch = {src.component_of[p] for p in (a, b, c1, c2)}
-    tgt_touch = sorted({tgt.component_of[p] for p in (a, b, c1, c2)})
-    star_tgt = tgt.component_of[star_port]
-    tgt_bit = {lid: 1 << i for i, lid in enumerate(tgt.loops)}
-    v = src.matching
-
     def dotted(comps, label):
         """(target loop bits, label) with a dot on each component: a dot
         on the starred arc kills the term, one on the other arc is D."""
         bits = 0
-        for comp in comps:
-            if comp in tgt_bit:
-                bits |= tgt_bit[comp]
-            elif comp == star_tgt:
+        for kind in comps:
+            if kind > 0:
+                bits |= kind
+            elif kind == 0:
                 return None
             else:
-                label = label * algebra.dpow(1, tgt.matching)
+                label = label * algebra.dpow(1, w)
         return bits, label
 
     idem = algebra.idem(v)
-    if len(src_touch) == 2 and len(tgt_touch) == 2:
+    if n_touched == 2 and len(kinds) == 2:
         # arc-arc reconnection: the saddle cobordism
         rules = [[dotted((), algebra.spow(1, v))]]
-    elif len(src_touch) == 2:
+    elif n_touched == 2:
         # merge of two components into one; arcs carry no dot, and two
         # dots meeting give H times a dot
-        rules = [[dotted((), idem)], [dotted(tgt_touch, idem)],
-                 [dotted(tgt_touch, algebra.h_mul(idem))]]
+        rules = [[dotted((), idem)], [dotted(kinds, idem)],
+                 [dotted(kinds, algebra.h_mul(idem))]]
     else:
         # split of one component into two: a dot coming in dots both
         # offspring; otherwise one offspring is dotted, or H
-        t_a, t_b = tgt_touch
-        rules = [[dotted((t_a,), idem), dotted((t_b,), idem),
+        k_a, k_b = kinds
+        rules = [[dotted((k_a,), idem), dotted((k_b,), idem),
                   dotted((), algebra.h_mul(idem))],
-                 [dotted((t_a, t_b), idem)]]
+                 [dotted(kinds, idem)]]
 
     # each source decoration's dots on the loops the saddle touches, and
     # the target loop bits its other dots move to: appending, for each
     # loop in turn, the decorations that dot it keeps decoration order
     touched, moved = [0], [0]
-    for lid in src.loops:
-        if lid in src_touch:
+    for tbit in loops:
+        if not tbit:
             touched += [t + 1 for t in touched]
             moved += moved
         else:
-            tbit = tgt_bit[tgt.component_of[lid]]
             touched += touched
             moved += [m | tbit for m in moved]
 
@@ -386,10 +439,9 @@ def _saddle_arrows(src, tgt, site, star_port):
         for bits, label in filter(None, rule):
             if label.is_zero():
                 continue
-            if not (label.flavor == FLAVOR_B
-                    and label.runs(v, tgt.matching)):
+            if not (label.flavor == FLAVOR_B and label.runs(v, w)):
                 raise AssertionError(f"label {label} does not run "
-                                     f"{v!r} -> {tgt.matching!r}")
+                                     f"{v!r} -> {w!r}")
             cur = acc.get(bits)
             new = label if cur is None else cur + label
             if new.is_zero():
@@ -410,8 +462,9 @@ def _saddle_arrows(src, tgt, site, star_port):
 def tangle_complex(word: TangleWord, star="nw"):
     """Reduced type D structure of the delooped resolution cube:
     `dstruct.reduce(deloop_translate(cube))`, with the delooped arrows
-    streamed straight into reduce's adjacency: no delooped structure and
-    no list of its arrows is made."""
+    streamed straight into reduce's adjacency on ids from `_name_ids`: no
+    delooped structure and no list of its arrows is made, and only the
+    generators that survive are named."""
     adj = dstruct.Adjacency(*_guarded(build_cube(word, star)))
     return adj.reduced(FLAVOR_B)
 
@@ -507,3 +560,23 @@ def random_word(rng: random.Random, max_crossings=8) -> TangleWord:
         slices.append(("n", rng.randint(1, count - 1)))
         count -= 2
     return TangleWord(tuple(slices))
+
+
+def every_word(max_slices):
+    """Every valid word of at most `max_slices` slices that `random_word`
+    can make, depth first: crossings in range, cups on at most 4 strands
+    and caps on at least 4, so at most 6 strands cross any level."""
+    def grow(slices, count):
+        if count == 2:
+            yield TangleWord(tuple(slices))
+        if len(slices) == max_slices:
+            return
+        options = [(kind, i) for kind in "xy" for i in range(1, count)]
+        if count <= 4:
+            options += [("u", i) for i in range(1, count + 2)]
+        if count >= 4:
+            options += [("n", i) for i in range(1, count)]
+        for kind, i in options:
+            yield from grow(slices + [(kind, i)],
+                            count + 2 * ((kind == "u") - (kind == "n")))
+    return grow([], 2)

@@ -1,11 +1,14 @@
 """The integer deloop of `tangles` against the named-generator deloop.
 
-The reference below adds every arrow of every source decoration through
-`TypeDStructure.add_arrow`, which sums labels per arrow and checks each
-one's endpoints and degrees, and then checks d^2 = 0.  `tangles` works
-each edge's rules out once, checks them once, and loads the arrows
-straight into reduce's integer adjacency; its outputs must be the
-reference's, in the same order.
+The reference below works every edge out on its own, adds every arrow
+of every source decoration through `TypeDStructure.add_arrow`, which
+sums labels per arrow and checks each one's endpoints and degrees, and
+then checks d^2 = 0.  `tangles` works each edge shape's rules out once,
+checks them once, loads the arrows straight into reduce's integer
+adjacency, numbered by the rank of their names worked out from the
+blocks of the cube, and names only the generators that survive; its
+outputs must be the reference's, in the same order, on every word of at
+most 4 slices and on larger ones.
 """
 
 import functools
@@ -128,6 +131,29 @@ def test_outputs_are_the_reference(star):
     for text in corpus_and_gate_words() + [" ".join(["x1"] * n)
                                            for n in range(1, 9)]:
         _same_outputs(text, star)
+
+
+CENSUS = [str(word) for word in tangles.every_word(4)]
+
+
+@pytest.mark.parametrize("star", tangles.STAR_CHOICES)
+def test_every_short_word_is_the_reference_and_equivalent(star):
+    assert len(CENSUS) == 1084
+    for text in CENSUS:
+        _same_outputs(text, star)
+        verdict, _ = tangles.compare(tangles.parse_tangle(text), star)
+        assert verdict == tangles.EQUIVALENT, (text, star)
+
+
+def test_block_ids_are_the_sorted_name_ids():
+    # `Adjacency` breaks heap ties by these ids, so they decide the
+    # reduced complex
+    for text in CENSUS + [" ".join(["x1"] * n) for n in range(1, 10)]:
+        cube = tangles.build_cube(tangles.parse_tangle(text))
+        names = [tangles._gen_name(bits, decor)
+                 for bits, res in cube.resolutions.items()
+                 for decor in range(1 << len(res.loops))]
+        assert tangles._name_ids(cube) == dstruct.name_ids(names), text
 
 
 def test_outputs_are_the_reference_on_large_words():

@@ -11,7 +11,7 @@ depend on the order in which the reduced complex holds them, so the
 "order" digest, recorded before `reduce` moved onto integer generator
 ids, covers `list(m.arrows)` of the reduced complex.  Any change to
 generator names, arrow labels, label order, arrow order or witnesses
-shows up here.  Three of the words are also run in fresh interpreters
+shows up here.  Four of the words are also run in fresh interpreters
 under two hash seeds, so that no output may depend on the iteration
 order of a set or dict of strings.
 
@@ -108,10 +108,12 @@ def test_outputs_are_byte_identical(text):
     assert digests(text) == json.loads(FIXTURE.read_text())[text]
 
 
-# a corpus word and the two random gate words of most generators; both
-# isomorphism paths win among them
+# a corpus word, the largest ladder word and the two random gate words
+# of most generators; both isomorphism paths win among them, and the
+# deloop's shape keys and name ranks hash Vertex and str values
 HASH_SEED_WORDS = (
     "x1 x1 x1 u1 x2 x2 x2 n3",
+    "x1 x1 x1 x1 x1 x1 x1",
     "y1 u2 u5 n1 y1 y2 x3 x1 x2 x3 x2 u5 n3 n1",
     "x1 y1 u1 x3 n1 u2 y2 u3 x5 n1 y3 y2 y1 n1",
 )

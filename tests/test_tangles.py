@@ -309,18 +309,18 @@ def test_compare_refuses_an_oversized_cube_before_delooping(monkeypatch):
 
 
 def corrupt_edge(monkeypatch, cube, j):
-    """Make `_saddle_arrows` put H times the first label on the edge
+    """Make `_deloop_arrows` put H times the first label on the edge
     flipping crossing j of resolution 0, and change no other edge."""
-    saddle = tangles._saddle_arrows
+    walk = tangles._deloop_arrows
 
-    def corrupted(src, tgt, site, star_port):
-        arrows = saddle(src, tgt, site, star_port)
-        if src is cube.resolutions[0] and site is cube.sites[j]:
-            decor, tdecor, label, *rest = arrows
-            return (decor, tdecor, algebra.h_mul(label), *rest)
-        return arrows
+    def corrupted(cube):
+        for bits, k, arrows in walk(cube):
+            if bits == 0 and k == j:
+                decor, tdecor, label, *rest = arrows
+                arrows = (decor, tdecor, algebra.h_mul(label), *rest)
+            yield bits, k, arrows
 
-    monkeypatch.setattr(tangles, "_saddle_arrows", corrupted)
+    monkeypatch.setattr(tangles, "_deloop_arrows", corrupted)
     monkeypatch.setattr(tangles, "build_cube", lambda word, star: cube)
 
 
@@ -447,3 +447,53 @@ def test_face_guard_rechecks_a_shared_edge_list_that_changed(monkeypatch):
         with pytest.raises(AssertionError) as err:
             deloop()
         assert str(err.value) == message
+
+
+def test_compare_expands_each_edge_shape_once(monkeypatch):
+    shape, expand = tangles._saddle_shape, tangles._saddle_arrows
+    counts = {"edges": 0, "shapes": 0}
+
+    def counting_shape(*args):
+        counts["edges"] += 1
+        return shape(*args)
+
+    def counting_expand(*shape):
+        counts["shapes"] += 1
+        return expand(*shape)
+
+    monkeypatch.setattr(tangles, "_saddle_shape", counting_shape)
+    monkeypatch.setattr(tangles, "_saddle_arrows", counting_expand)
+    for n, edges, shapes in ((8, 1024, 36), (9, 2304, 45)):
+        counts.update(edges=0, shapes=0)
+        assert tangles.compare(twist(n))[0] == tangles.EQUIVALENT
+        assert counts == {"edges": edges, "shapes": shapes}
+
+
+def test_compare_names_only_the_generators_that_survive_reduce(
+        monkeypatch):
+    word = twist(9)
+    cube = tangles.build_cube(word)
+    assert sum(1 << len(r.loops) for r in cube.resolutions.values()) == 9842
+    survivors = list(tangles.tangle_complex(word).gens)
+    assert len(survivors) == 10
+    named = []
+    gen_name = tangles._gen_name
+
+    def recording_gen_name(bits, decor):
+        named.append(gen_name(bits, decor))
+        return named[-1]
+
+    monkeypatch.setattr(tangles, "_gen_name", recording_gen_name)
+    assert tangles.compare(word)[0] == tangles.EQUIVALENT
+    assert named == survivors
+
+
+def test_every_word_is_every_short_word_random_word_makes():
+    words = list(tangles.every_word(4))
+    assert len(words) == len(set(words)) == 1084
+    assert all(tangles.parse_tangle(str(w)) == w for w in words)
+    assert max(len(w.slices) for w in words) == 4
+    rng = random.Random(3)
+    made = {w for w in (tangles.random_word(rng) for _ in range(20000))
+            if len(w.slices) <= 4}
+    assert made <= set(words)
