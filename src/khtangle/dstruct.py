@@ -9,13 +9,14 @@ Provides the well-definedness check, the mapping cone of H times the
 identity, the box tensor with an AD bimodule, reduction by cancellation
 of idempotent arrows, isomorphism testing, and a line-oriented text
 serialization.  `nonzero_two_step` is the one two-step path sum: it
-runs on any map from a generator to its arrows, so `tangles` applies it
-to each distinct 2-face of the delooped cube.  The reduction, and the
-check over a whole structure, run on `Adjacency`, which loads arrows on
-generator positions, numbered by sorted name and named on demand:
-`check_d_squared` and `reduce` load a structure into it, numbered by
-`name_ids`, and `tangles` loads the delooped cube, numbered from the
-shape of its names and named only where a generator survives.
+runs over first steps and a map from each step's end to its arrows, so
+`tangles` applies it to each distinct 2-face of the delooped cube.  The
+reduction, and the check over a whole structure, run on `Adjacency`,
+which loads arrows a block at a time, on generators numbered by sorted
+name and named on demand: `check_d_squared` and `reduce` load a
+structure into it, numbered by `name_ids`, and `tangles` loads the
+delooped cube edge by edge, numbered from the shape of its names and
+named only where a generator survives.
 """
 
 from __future__ import annotations
@@ -101,46 +102,50 @@ class TypeDStructure:
 
 
 class Adjacency:
-    """The arrows (i, j, label) on generator positions: the one
-    Gaussian-elimination engine runs here, and `d_squared` sums the
-    two-step paths of every generator.
+    """The arrows on generator ids: the one Gaussian-elimination engine
+    runs here, and `d_squared` sums the two-step paths of every
+    generator.
 
-    Generators are numbered by sorted name, so that heap ties break as
+    Generators are numbered by sorted name, so that key ties break as
     the names would: `ids[i]` is the id of the generator at position i,
     given by `name_ids` or, for the delooped cube, by `tangles` from the
     shape of the names alone, and `gen(i)` makes its DGen, which only
     the survivors of `eliminate` and the names in `d_squared` need.
     `out[s]` maps d to the label of s -> d and `inn[d]` maps s to it, on
-    ids and in load order.  `heap` holds a key cost * n^2 + s * n + d for
-    every loaded arrow labelled exactly by an idempotent, where cost is
-    the fill-in (|in(d)| - 1) * (|out(s)| - 1) over the arrows loaded so
-    far: costs are >= 0 and s, d < n, so the ints order as (cost, s, d)
-    tuples would.
+    ids and in load order.  `keys` holds, in load order, a key
+    cost * n^2 + s * n + d for every loaded arrow labelled exactly by an
+    idempotent, where cost is the fill-in (|in(d)| - 1) * (|out(s)| - 1)
+    over the arrows loaded so far: costs are >= 0 and s, d < n, so the
+    ints order as (cost, s, d) tuples would.
     """
 
-    __slots__ = ("ids", "gen", "n", "out", "inn", "heap")
+    __slots__ = ("ids", "gen", "n", "out", "inn", "keys")
 
-    def __init__(self, ids, gen, arrows):
-        """Load the arrows in order; no two may join the same pair and no
-        label may be zero."""
+    def __init__(self, ids, gen, blocks):
+        """Load the arrows of each block (src, dst, arrows) in order: an
+        arrow (i, j, label) of a block joins ids src[i] and dst[j].  No
+        two arrows may join the same pair and no label may be zero."""
         self.ids, self.gen = ids, gen
         n = self.n = len(ids)
         out = self.out = [{} for _ in range(n)]
         inn = self.inn = [{} for _ in range(n)]
-        heap = self.heap = []
+        keys = self.keys = []
         nn = n * n
-        for i, j, label in arrows:
-            s, d = ids[i], ids[j]
-            from_s, into_d = out[s], inn[d]
-            from_s[d] = into_d[s] = label
-            if label.is_idem:
-                heap.append((len(into_d) - 1) * (len(from_s) - 1) * nn
-                            + s * n + d)
+        for src, dst, arrows in blocks:
+            for i, j, label in arrows:
+                s, d = src[i], dst[j]
+                from_s, into_d = out[s], inn[d]
+                from_s[d] = into_d[s] = label
+                if label.is_idem:
+                    keys.append((len(into_d) - 1) * (len(from_s) - 1) * nn
+                                + s * n + d)
 
     def d_squared(self):
         """Name pairs (x, z), by x in generator order, whose two-step
         path sum is non-zero."""
-        bad = nonzero_two_step(self.out, self.ids)
+        out = self.out
+        bad = nonzero_two_step([(((x, y, a) for x in self.ids
+                                  for y, a in out[x].items()), out)])
         if not bad:
             return bad
         name = {k: self.gen(i).name for i, k in enumerate(self.ids)}
@@ -148,35 +153,61 @@ class Adjacency:
 
     def eliminate(self):
         """Cancel arrows labelled exactly by an idempotent until none
-        remain, cheapest fill-in first and ties by (s, d); a cancelled
-        generator's `out` and `inn` become None.
+        remain, cheapest fill-in first and ties by (s, d); the `out` and
+        `inn` of a cancelled pair become None, s's first.
 
-        Heap keys are refreshed lazily: a popped key whose arrow is gone
-        or no longer an idempotent is dropped, and one whose cost is
-        stale is pushed again at its current cost.
+        Keys come in increasing order from two sources: the load's keys,
+        which never change, sorted once into a run, and a heap of the
+        keys made here.  The next key is the smaller of the two heads,
+        taken off its source, so the keys come as from one heap of all
+        of them; equal keys are equal (cost, s, d), so their order does
+        not matter.  Keys are refreshed lazily: a key whose arrow is
+        gone or no longer an idempotent is dropped, one whose cost rose
+        goes on the heap at its current cost, and one whose cost fell is
+        cancelled at once, since at its current cost it would be below
+        every other key.
         """
         import heapq   # imported here: set-up of the package needs none
 
-        out, inn, heap, n = self.out, self.inn, self.heap, self.n
+        out, inn, n = self.out, self.inn, self.n
         nn = n * n
-        pop, push, replace = heapq.heappop, heapq.heappush, heapq.heapreplace
-        heapq.heapify(heap)
-        while heap:
-            c, arrow = divmod(heap[0], nn)
+        pop, push = heapq.heappop, heapq.heappush
+        # a key is below nn * nn, so `end` closes the run and the heap;
+        # the run is read from its end, so that it frees its keys as it
+        # goes
+        end = nn * nn
+        run = self.keys
+        run.append(end)
+        run.sort(reverse=True)
+        heap = [end]
+        # labels are interned and few: a dict of products per left label
+        # spares a method call per fill-in entry
+        products = {}
+        while True:
+            key = run[-1]
+            if heap[0] < key:
+                key = pop(heap)
+            elif key == end:
+                break
+            else:
+                run.pop()
+            c, arrow = divmod(key, nn)
             x, y = divmod(arrow, n)
             from_x = out[x]
             label = None if from_x is None else from_x.get(y)
             if label is None or not label.is_idem:
-                pop(heap)   # cancelled, or no longer an idempotent
-                continue
+                continue   # cancelled, or no longer an idempotent
             into_y = inn[y]
             actual = (len(into_y) - 1) * (len(from_x) - 1)
-            if actual != c:
-                replace(heap, actual * nn + arrow)
+            if actual > c:
+                push(heap, actual * nn + arrow)
                 continue
-            pop(heap)
-            into_y = [(p, l) for p, l in into_y.items() if p != x]
-            from_x = [(q, l) for q, l in from_x.items() if q != y]
+            if actual:
+                into_y = [(p, l) for p, l in into_y.items() if p != x]
+                from_x = [(q, l) for q, l in from_x.items() if q != y]
+            else:
+                # no fill-in: y's only source is x, or x's only target y
+                into_y = ()
             for g in (x, y):
                 for d in out[g]:
                     del inn[d][g]
@@ -185,8 +216,13 @@ class Adjacency:
                 out[g] = inn[g] = None
             for p, beta in into_y:
                 from_p = out[p]
+                times_beta = products.get(beta)
+                if times_beta is None:
+                    times_beta = products[beta] = {}
                 for q, gamma in from_x:
-                    prod = beta * gamma
+                    prod = times_beta.get(gamma)
+                    if prod is None:
+                        prod = times_beta[gamma] = beta * gamma
                     if prod.is_zero():
                         continue
                     cur = from_p.get(q)
@@ -217,30 +253,32 @@ class Adjacency:
         return res
 
 
-def nonzero_two_step(out, sources):
-    """Pairs (x, z), by x in `sources` order, whose two-step path sum is
-    non-zero: the one d^2 summation.  `out[y]` maps z to the label of
-    y -> z, for every source y and every target of one."""
+def nonzero_two_step(legs):
+    """Pairs (x, z), by x in the order the first steps reach it, whose
+    two-step path sum is non-zero: the one d^2 summation.  The paths
+    x -> y -> z run through each leg (steps, then) in `legs`: `steps`
+    yields the first steps (x, y, label of x -> y), and `then[y]` maps z
+    to the label of y -> z, empty if need be, for every y they reach."""
     # labels are interned and few: a dict of products per left label
     # spares a method call per two-step path
     products = {}
-    bad = []
-    for x in sources:
-        acc = {}
-        for y, a in out[x].items():
+    acc = {}
+    for steps, then in legs:
+        for x, y, a in steps:
             times_a = products.get(a)
             if times_a is None:
                 times_a = products[a] = {}
-            for z, b in out[y].items():
+            sums = acc.get(x)
+            if sums is None:
+                sums = acc[x] = {}
+            for z, b in then[y].items():
                 prod = times_a.get(b)
                 if prod is None:
                     prod = times_a[b] = a * b
-                cur = acc.get(z)
-                acc[z] = prod if cur is None else cur + prod
-        for z, total in acc.items():
-            if not total.is_zero():
-                bad.append((x, z))
-    return bad
+                cur = sums.get(z)
+                sums[z] = prod if cur is None else cur + prod
+    return [(x, z) for x, sums in acc.items() for z, total in sums.items()
+            if not total.is_zero()]
 
 
 def name_ids(names):
@@ -254,12 +292,12 @@ def name_ids(names):
 def _adjacency(m: TypeDStructure):
     """Adjacency of m's generators, in generator order, and of its
     non-zero arrows, in arrow order."""
-    gens = list(m.gens.values())
-    pos = {name: i for i, name in enumerate(m.gens)}
-    return Adjacency(name_ids(list(m.gens)), gens.__getitem__,
-                     ((pos[s], pos[d], label)
-                      for (s, d), label in m.arrows.items()
-                      if not label.is_zero()))
+    ids = name_ids(list(m.gens))
+    id_of = dict(zip(m.gens, ids))
+    return Adjacency(ids, list(m.gens.values()).__getitem__,
+                     [(id_of, id_of, ((s, d, label)
+                                      for (s, d), label in m.arrows.items()
+                                      if not label.is_zero()))])
 
 
 def check_d_squared(m: TypeDStructure):

@@ -143,11 +143,11 @@ class ResolutionCube:
 # Each resolution deloops to 2^(its loops) generators.  A loop of cups
 # and caps alone is a loop of every resolution, so a cube with c
 # crossings and l such loops deloops to at least 2^(c + l) generators.
-# The cap admits x1^10 (29,525 generators; `compare` takes 1.1-1.4 s
+# The cap admits x1^10 (29,525 generators; `compare` takes 1.0-1.5 s
 # and 46 MB peak RSS in a fresh process on a 2-vCPU Xeon VM, three
 # runs, import included) and the worst criterion-6 word (26,244).  It
 # refuses x1^11 (88,574 generators) before any delooping, although with
-# the cap lifted `compare` takes 2.9-4.4 s and 111 MB there: the cap
+# the cap lifted `compare` takes 2.9-3.2 s and 111 MB there: the cap
 # bounds the size of the delooped cube, not the 30 s per-tangle budget.
 MAX_GENERATORS = 50_000
 
@@ -211,9 +211,10 @@ def build_cube(word: TangleWord, star="nw") -> ResolutionCube:
 # runs bits -> bits|i -> bits|i|j, so each d^2 entry lives on one 2-face
 # and is a function of that face's four arrow lists alone:
 # `_d_squared_is_zero` checks each distinct face once.  The arrows then
-# stream, on positions and in walk order, into `dstruct.Adjacency`,
-# which `tangle_complex` reduces, naming only the survivors, or into the
-# type D structure that `deloop_translate` returns.
+# load edge by edge, in walk order, into `dstruct.Adjacency`: an edge is
+# the ids of its source and target blocks and its arrow list, so nothing
+# is made per arrow.  `tangle_complex` reduces the adjacency, naming only
+# the survivors; `deloop_translate` reads the same edges on names.
 
 def _gen_name(bits, decor):
     return f"v{bits}d{decor}"
@@ -259,22 +260,35 @@ def _faces(edges, c):
                        edges[bits * c + j], edges[(bits | (1 << j)) * c + i])
 
 
+def _by_source(arrows):
+    """A flat arrow tuple as a map decor -> {tdecor: label}, read as
+    empty at a decoration without arrows."""
+    index = defaultdict(dict)
+    for decor, tdecor, label in _triples(arrows):
+        index[decor][tdecor] = label
+    return index
+
+
 def _d_squared_is_zero(lists, edges, c):
     """Whether every 2-face's two-step paths sum to zero, each distinct
     face (by the indices of its four arrow lists) checked once.
 
-    A face's generators are its decorations, keyed decor << 2 | corner
-    with corner 0 for bits, 1 for bits|i, 2 for bits|j and 3 for
-    bits|i|j, so a face's sum needs nothing but its four arrow lists."""
+    A face's paths run from the decorations of bits through bits|i or
+    bits|j to those of bits|i|j, so its sum needs nothing but its four
+    arrow lists; a list that a path's second step reads is indexed by
+    source decoration once per cube."""
+    index = {}
     checked = set()
     for face in _faces(edges, c):
         if face in checked:
             continue
-        out = defaultdict(dict)
-        for (s, t), k in zip(((0, 1), (1, 3), (0, 2), (2, 3)), face):
-            for decor, tdecor, label in _triples(lists[k]):
-                out[decor << 2 | s][tdecor << 2 | t] = label
-        if dstruct.nonzero_two_step(out, [x for x in out if not x & 3]):
+        first_i, then_j, first_j, then_i = face
+        for k in (then_j, then_i):
+            if k not in index:
+                index[k] = _by_source(lists[k])
+        if dstruct.nonzero_two_step(
+                [(_triples(lists[first_i]), index[then_j]),
+                 (_triples(lists[first_j]), index[then_i])]):
             return False
         checked.add(face)
     return True
@@ -307,19 +321,21 @@ def _name_ids(cube: ResolutionCube):
 
 def _guarded(cube: ResolutionCube):
     """The generators' sorted-name ids in deloop order, a function that
-    makes the DGen at a position, and a lazy stream of the arrows (i, j,
-    label) on positions, once d^2 = 0 holds on every 2-face; if it fails
-    on one, the error names the first bad pairs of the whole cube."""
-    first, n = [], 0
-    for res in cube.resolutions.values():
-        first.append(n)
-        n += 1 << len(res.loops)
+    makes the DGen at a position, and a function `blocks(per)` that
+    gives, for a list `per` over positions, the arrows of each edge as
+    (per of its source block, per of its target block, its (decor,
+    tdecor, label) triples), once d^2 = 0 holds on every 2-face; if it
+    fails on one, the error names the first bad pairs of the whole
+    cube."""
+    # resolution bits holds the positions start[bits] to start[bits + 1]
+    res = cube.resolutions
+    start = list(itertools.accumulate(
+        (1 << len(r.loops) for r in res.values()), initial=0))
 
     def gen(i):
-        bits = bisect.bisect_right(first, i) - 1
-        return dstruct.DGen(_gen_name(bits, i - first[bits]),
-                            cube.resolutions[bits].matching,
-                            bits.bit_count())
+        bits = bisect.bisect_right(start, i) - 1
+        return dstruct.DGen(_gen_name(bits, i - start[bits]),
+                            res[bits].matching, bits.bit_count())
 
     # edges[bits * c + j] indexes the arrow list of the edge flipping
     # crossing j of resolution bits in `lists`, 0 (no arrows) where that
@@ -331,28 +347,30 @@ def _guarded(cube: ResolutionCube):
         edges[bits * c + j] = index.setdefault(edge, len(index))
     lists = list(index)
 
-    def arrows():
+    def blocks(per):
         for k, e in enumerate(edges):
             if e:
                 bits, j = divmod(k, c)
-                s, t = first[bits], first[bits | (1 << j)]
-                for decor, tdecor, label in _triples(lists[e]):
-                    yield s + decor, t + tdecor, label
+                t = bits | (1 << j)
+                yield (per[start[bits]:start[bits + 1]],
+                       per[start[t]:start[t + 1]], _triples(lists[e]))
 
     ids = _name_ids(cube)
     if not _d_squared_is_zero(lists, edges, c):
-        bad = dstruct.Adjacency(ids, gen, arrows()).d_squared()
+        bad = dstruct.Adjacency(ids, gen, blocks(ids)).d_squared()
         raise AssertionError(f"d^2 != 0 after delooping: {bad[:3]}")
-    return ids, gen, arrows()
+    return ids, gen, blocks
 
 
 def deloop_translate(cube: ResolutionCube) -> dstruct.TypeDStructure:
     """The delooped cube as a type D structure, checked for d^2 = 0."""
-    ids, gen, arrows = _guarded(cube)
+    ids, gen, blocks = _guarded(cube)
     gens = [gen(i) for i in range(len(ids))]
+    names = [g.name for g in gens]
     out = dstruct.TypeDStructure(FLAVOR_B)
-    out.gens = {g.name: g for g in gens}
-    out.arrows = {(gens[i].name, gens[j].name): label
+    out.gens = dict(zip(names, gens))
+    out.arrows = {(src[i], dst[j]): label
+                  for src, dst, arrows in blocks(names)
                   for i, j, label in arrows}
     return out
 
@@ -462,11 +480,11 @@ def _saddle_arrows(v, w, n_touched, kinds, loops):
 def tangle_complex(word: TangleWord, star="nw"):
     """Reduced type D structure of the delooped resolution cube:
     `dstruct.reduce(deloop_translate(cube))`, with the delooped arrows
-    streamed straight into reduce's adjacency on ids from `_name_ids`: no
-    delooped structure and no list of its arrows is made, and only the
-    generators that survive are named."""
-    adj = dstruct.Adjacency(*_guarded(build_cube(word, star)))
-    return adj.reduced(FLAVOR_B)
+    loaded edge by edge into reduce's adjacency on ids from `_name_ids`:
+    no delooped structure and no list of its arrows is made, and only
+    the generators that survive are named."""
+    ids, gen, blocks = _guarded(build_cube(word, star))
+    return dstruct.Adjacency(ids, gen, blocks(ids)).reduced(FLAVOR_B)
 
 
 def compute_dd1(word: TangleWord, star="nw"):

@@ -146,7 +146,7 @@ def test_every_short_word_is_the_reference_and_equivalent(star):
 
 
 def test_block_ids_are_the_sorted_name_ids():
-    # `Adjacency` breaks heap ties by these ids, so they decide the
+    # `Adjacency` breaks key ties by these ids, so they decide the
     # reduced complex
     for text in CENSUS + [" ".join(["x1"] * n) for n in range(1, 10)]:
         cube = tangles.build_cube(tangles.parse_tangle(text))

@@ -200,6 +200,33 @@ def test_iso_check_finds_base_change():
     assert isinstance(w, dict) and "entries" in w
 
 
+def one_arrow(label):
+    m = dstruct.TypeDStructure(FLAVOR_B)
+    m.add_gen("a", FILLED, 0)
+    m.add_gen("b", FILLED, 1)
+    m.add_arrow("a", "b", label)
+    return m
+
+
+@pytest.mark.xfail(strict=True, reason="the chain-map search reads "
+                   "invertibility off the weight-zero part, so it takes "
+                   "1 + D for a unit (ROADMAP item 2)")
+def test_iso_check_refuses_d_against_d_plus_d_squared():
+    # a -> b labelled D and D + D^2 have different homology; the witness
+    # found today maps b to (1 + D) b, and 1 + D is not a unit in B
+    d = algebra.dpow(1, FILLED)
+    m, n = one_arrow(d), one_arrow(d + algebra.dpow(2, FILLED))
+    assert dstruct.iso_check(m, n) == dstruct.NOT_FOUND
+    assert dstruct.iso_check(dstruct.cone_h(m), dstruct.cone_h(n)) == \
+        dstruct.NOT_FOUND
+
+
+def test_iso_check_refuses_cone_d_against_cone_d_squared():
+    m = dstruct.cone_h(one_arrow(algebra.dpow(1, FILLED)))
+    n = dstruct.cone_h(one_arrow(algebra.dpow(2, FILLED)))
+    assert dstruct.iso_check(m, n) == dstruct.NOT_FOUND
+
+
 def test_serialization_roundtrip():
     m = dstruct.TypeDStructure(FLAVOR_B)
     m.add_gen("a", FILLED, 0)
