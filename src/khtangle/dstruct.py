@@ -5,23 +5,25 @@ idempotent vertex and a homological degree, together with arrows labeled
 by algebra elements.  The differential axiom says that summing the
 two-step path products between any generator pair gives zero.
 
-Provides the well-definedness check, the mapping cone of H times the
-identity, the box tensor with an AD bimodule, reduction by cancellation
-of idempotent arrows, isomorphism testing, and a line-oriented text
-serialization.  `nonzero_two_step` is the one two-step path sum: it
-runs over first steps and a map from each step's end to its arrows, so
-`tangles` applies it to each distinct 2-face of the delooped cube.  The
-reduction, and the check over a whole structure, run on `Adjacency`,
-which loads arrows a block at a time, on generators numbered by sorted
-name and named on demand: `check_d_squared` and `reduce` load a
-structure into it, numbered by `name_ids`, and `tangles` loads the
-delooped cube edge by edge, numbered from the shape of its names and
-named only where a generator survives.
+`TypeDStructure` holds its generators by position: `gens[i]` is the
+DGen at position i, and `out[s]` and `inn[d]` map positions to the
+label of the arrow s -> d, both sides holding the same label object.
+`arrows` is a view keyed by generator name, for serialization and
+tests.  Provides the well-definedness check, the mapping cone of H
+times the identity, the box tensor with an AD bimodule, reduction by
+cancellation of idempotent arrows, isomorphism testing, and a
+line-oriented text serialization.  `nonzero_two_step` is the one
+two-step path sum: `check_d_squared` applies it to a whole structure
+and `tangles` to each distinct 2-face of the delooped cube.  Reduction
+runs on `Adjacency`, its private elimination engine, which loads arrows
+a block at a time on generators numbered by sorted name and names them
+on demand: `reduce` loads a structure into it, numbered by `name_ids`,
+and `tangles` loads the delooped cube edge by edge, numbered from the
+shape of its names and named only where a generator survives.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import NamedTuple
 
 from . import algebra, bimod, f2
@@ -34,18 +36,28 @@ class DGen(NamedTuple):
     hdeg: int
 
 
-@dataclass
 class TypeDStructure:
-    flavor: str = FLAVOR_B
-    gens: dict = field(default_factory=dict)     # name -> DGen
-    arrows: dict = field(default_factory=dict)   # (src, dst) -> BElem
+    """Generators by position, and the arrows between them on both
+    sides: `out[s]` maps d to the label of s -> d and `inn[d]` maps s to
+    it, each in the order its arrows were added."""
+
+    __slots__ = ("flavor", "gens", "out", "inn")
+
+    def __init__(self, flavor=FLAVOR_B, gens=()):
+        self.flavor = flavor
+        self.gens = list(gens)
+        self.out = [{} for _ in self.gens]
+        self.inn = [{} for _ in self.gens]
 
     def add_gen(self, name, idem, hdeg):
-        assert name not in self.gens
-        self.gens[name] = DGen(name, idem, hdeg)
+        """Append a generator; its position."""
+        self.gens.append(DGen(name, idem, hdeg))
+        self.out.append({})
+        self.inn.append({})
+        return len(self.gens) - 1
 
     def add_arrow(self, src, dst, label: BElem):
-        """F2-accumulate label onto the arrow src -> dst."""
+        """F2-accumulate label onto the arrow src -> dst (positions)."""
         if label.is_zero():
             return
         assert label.flavor == self.flavor
@@ -53,32 +65,28 @@ class TypeDStructure:
         assert label.runs(gs.idem, gd.idem), \
             f"label {label} does not run {gs.idem!r} -> {gd.idem!r}"
         assert gd.hdeg == gs.hdeg + 1, \
-            f"arrow {src} -> {dst} does not raise hdeg by 1"
-        cur = self.arrows.get((src, dst))
+            f"arrow {gs.name} -> {gd.name} does not raise hdeg by 1"
+        from_s, into_d = self.out[src], self.inn[dst]
+        cur = from_s.get(dst)
         new = label if cur is None else cur + label
         if new.is_zero():
-            self.arrows.pop((src, dst), None)
+            del from_s[dst], into_d[src]
         else:
-            self.arrows[(src, dst)] = new
+            from_s[dst] = into_d[src] = new
 
-    def outgoing(self):
-        """Index generator -> [(target, label)], in arrow order."""
-        out = {name: [] for name in self.gens}
-        for (s, d), label in self.arrows.items():
-            out[s].append((d, label))
-        return out
-
-    def incoming(self):
-        """Index generator -> [(source, label)], in arrow order."""
-        inn = {name: [] for name in self.gens}
-        for (s, d), label in self.arrows.items():
-            inn[d].append((s, label))
-        return inn
+    @property
+    def arrows(self):
+        """{(source name, target name): label}, by source position: a
+        view made on each read."""
+        names = [g.name for g in self.gens]
+        return {(names[s], names[d]): label
+                for s, from_s in enumerate(self.out)
+                for d, label in from_s.items()}
 
     def gen_counts(self):
         """Generator count per (idempotent, hdeg)."""
         counts = {}
-        for g in self.gens.values():
+        for g in self.gens:
             key = (g.idem, g.hdeg)
             counts[key] = counts.get(key, 0) + 1
         return counts
@@ -86,37 +94,35 @@ class TypeDStructure:
     def euler_counts(self):
         """Signed generator count per idempotent (homotopy invariant)."""
         out = {}
-        for g in self.gens.values():
+        for g in self.gens:
             out[g.idem] = out.get(g.idem, 0) + (-1) ** (g.hdeg & 1)
         return out
 
     def map_labels(self, func, flavor):
         """Apply func to every arrow label; drop zeros."""
-        out = TypeDStructure(flavor)
-        out.gens = dict(self.gens)
-        for (s, d), label in self.arrows.items():
-            new = func(label)
-            if not new.is_zero():
-                out.arrows[(s, d)] = new
-        return out
+        res = TypeDStructure(flavor, self.gens)
+        for s, from_s in enumerate(self.out):
+            for d, label in from_s.items():
+                new = func(label)
+                if not new.is_zero():
+                    res.out[s][d] = res.inn[d][s] = new
+        return res
 
 
 class Adjacency:
-    """The arrows on generator ids: the one Gaussian-elimination engine
-    runs here, and `d_squared` sums the two-step paths of every
-    generator.
+    """The arrows on generator ids, as `reduce` eliminates them.
 
     Generators are numbered by sorted name, so that key ties break as
     the names would: `ids[i]` is the id of the generator at position i,
     given by `name_ids` or, for the delooped cube, by `tangles` from the
     shape of the names alone, and `gen(i)` makes its DGen, which only
-    the survivors of `eliminate` and the names in `d_squared` need.
-    `out[s]` maps d to the label of s -> d and `inn[d]` maps s to it, on
-    ids and in load order.  `keys` holds, in load order, a key
-    cost * n^2 + s * n + d for every loaded arrow labelled exactly by an
-    idempotent, where cost is the fill-in (|in(d)| - 1) * (|out(s)| - 1)
-    over the arrows loaded so far: costs are >= 0 and s, d < n, so the
-    ints order as (cost, s, d) tuples would.
+    the survivors of `eliminate` need.  `out[s]` maps d to the label of
+    s -> d and `inn[d]` maps s to it, on ids and in load order.  `keys`
+    holds, in load order, a key cost * n^2 + s * n + d for every loaded
+    arrow labelled exactly by an idempotent, where cost is the fill-in
+    (|in(d)| - 1) * (|out(s)| - 1) over the arrows loaded so far: costs
+    are >= 0 and s, d < n, so the ints order as (cost, s, d) tuples
+    would.
     """
 
     __slots__ = ("ids", "gen", "n", "out", "inn", "keys")
@@ -139,17 +145,6 @@ class Adjacency:
                 if label.is_idem:
                     keys.append((len(into_d) - 1) * (len(from_s) - 1) * nn
                                 + s * n + d)
-
-    def d_squared(self):
-        """Name pairs (x, z), by x in generator order, whose two-step
-        path sum is non-zero."""
-        out = self.out
-        bad = nonzero_two_step([(((x, y, a) for x in self.ids
-                                  for y, a in out[x].items()), out)])
-        if not bad:
-            return bad
-        name = {k: self.gen(i).name for i, k in enumerate(self.ids)}
-        return [(name[x], name[z]) for x, z in bad]
 
     def eliminate(self):
         """Cancel arrows labelled exactly by an idempotent until none
@@ -240,16 +235,16 @@ class Adjacency:
 
     def reduced(self, flavor):
         """Eliminate, then the type D structure on the survivors in
-        position order, with each generator's arrows in `out` order."""
+        position order: their rows of `out` and `inn`, renumbered."""
         self.eliminate()
-        out = self.out
-        survivors = {k: self.gen(i) for i, k in enumerate(self.ids)
-                     if out[k] is not None}
-        res = TypeDStructure(flavor)
-        res.gens = {g.name: g for g in survivors.values()}
-        res.arrows = {(g.name, survivors[d].name): label
-                      for k, g in survivors.items()
-                      for d, label in out[k].items()}
+        out, inn = self.out, self.inn
+        kept = [(i, k) for i, k in enumerate(self.ids) if out[k] is not None]
+        res = TypeDStructure(flavor, [self.gen(i) for i, _ in kept])
+        new = {k: j for j, (_, k) in enumerate(kept)}
+        res.out = [{new[d]: label for d, label in out[k].items()}
+                   for _, k in kept]
+        res.inn = [{new[s]: label for s, label in inn[k].items()}
+                   for _, k in kept]
         return res
 
 
@@ -282,43 +277,41 @@ def nonzero_two_step(legs):
 
 
 def name_ids(names):
-    """The rank of each name in sorted order: the ids of `Adjacency`."""
+    """The rank of each name in sorted order: the ids of `Adjacency`.
+    Generator names must be distinct: the structures key nothing by
+    name, but serialization, witnesses and these ranks read them."""
+    order = sorted(range(len(names)), key=names.__getitem__)
     ids = [0] * len(names)
-    for k, i in enumerate(sorted(range(len(names)), key=names.__getitem__)):
+    for k, i in enumerate(order):
         ids[i] = k
+        if k and names[i] == names[order[k - 1]]:
+            raise ValueError(f"two generators are named {names[i]!r}")
     return ids
 
 
-def _adjacency(m: TypeDStructure):
-    """Adjacency of m's generators, in generator order, and of its
-    non-zero arrows, in arrow order."""
-    ids = name_ids(list(m.gens))
-    id_of = dict(zip(m.gens, ids))
-    return Adjacency(ids, list(m.gens.values()).__getitem__,
-                     [(id_of, id_of, ((s, d, label)
-                                      for (s, d), label in m.arrows.items()
-                                      if not label.is_zero()))])
-
-
 def check_d_squared(m: TypeDStructure):
-    """Generator pairs (x, z) where the two-step path sum is non-zero,
-    by x in generator order."""
-    adj = _adjacency(m)
-    return adj.d_squared()
+    """Generator name pairs (x, z) where the two-step path sum is
+    non-zero, by x in position order."""
+    out, gens = m.out, m.gens
+    bad = nonzero_two_step([(((x, y, a) for x, from_x in enumerate(out)
+                              for y, a in from_x.items()), out)])
+    return [(gens[x].name, gens[z].name) for x, z in bad]
 
 
 def cone_h(m: TypeDStructure) -> TypeDStructure:
-    """Mapping cone of multiplication by the central element H."""
+    """Mapping cone of multiplication by the central element H: the
+    copies of generator i sit at positions 2i (.0) and 2i + 1 (.1)."""
     assert m.flavor == FLAVOR_B
     out = TypeDStructure(FLAVOR_B)
-    for g in m.gens.values():
+    for g in m.gens:
         out.add_gen(f"{g.name}.0", g.idem, g.hdeg)
         out.add_gen(f"{g.name}.1", g.idem, g.hdeg + 1)
-    for (s, d), label in m.arrows.items():
-        out.add_arrow(f"{s}.0", f"{d}.0", label)
-        out.add_arrow(f"{s}.1", f"{d}.1", label)
-    for g in m.gens.values():
-        out.add_arrow(f"{g.name}.0", f"{g.name}.1", algebra.h_elem(g.idem))
+    for s, from_s in enumerate(m.out):
+        for d, label in from_s.items():
+            out.add_arrow(2 * s, 2 * d, label)
+            out.add_arrow(2 * s + 1, 2 * d + 1, label)
+    for i, g in enumerate(m.gens):
+        out.add_arrow(2 * i, 2 * i + 1, algebra.h_elem(g.idem))
     return out
 
 
@@ -336,24 +329,27 @@ def box_ad(m: TypeDStructure, bim) -> TypeDStructure:
     """
     assert m.flavor == bim.a_flavor
     out = TypeDStructure(bim.d_flavor)
-    for g in m.gens.values():
+    position = {}
+    for g in m.gens:
         for b in bim.gens.values():
             if g.idem == b.left_idem:
-                out.add_gen(f"{g.name}*{b.name}", b.right_idem,
-                            g.hdeg + b.hdeg)
+                name = f"{g.name}*{b.name}"
+                position[name] = out.add_gen(name, b.right_idem,
+                                             g.hdeg + b.hdeg)
 
-    left_out = {name: [(d, (), t) for d, label in arrows
-                       for t in label.monomials()]
-                for name, arrows in m.outgoing().items()}
+    names = [g.name for g in m.gens]
+    left_out = {names[s]: [(names[d], (), t) for d, label in from_s.items()
+                           for t in label.monomials()]
+                for s, from_s in enumerate(m.out)}
     # no path of j monomials weighs more than j times the heaviest one
     depth = max((len(a.inputs) for a in bim.actions), default=0)
-    bound = depth * max((l.max_weight for l in m.arrows.values()),
-                        default=0)
-    left_idems = {g.name: g.idem for g in m.gens.values()}
+    bound = depth * max((l.max_weight for from_s in m.out
+                         for l in from_s.values()), default=0)
+    left_idems = {g.name: g.idem for g in m.gens}
     n_arrows = 0
     for src, dst, _, outm in bimod.box_matches(left_idems, left_out, bim,
                                                 bound):
-        out.add_arrow(src, dst, outm)
+        out.add_arrow(position[src], position[dst], outm)
         n_arrows += 1
         if n_arrows > MAX_BOX_ARROWS:
             raise RuntimeError("box tensor diverged: arrow cap hit")
@@ -367,9 +363,12 @@ def reduce(m: TypeDStructure) -> TypeDStructure:
     equivalence because its label is a unit.  The idempotents are the
     only units of e_v B e_v: i + x with x of positive weight is not
     invertible in B, so an arrow with such a label is kept.  The result
-    keeps m's order of generators and arrows.
+    keeps m's order of generators and of each generator's arrows.
     """
-    return _adjacency(m).reduced(m.flavor)
+    ids = name_ids([g.name for g in m.gens])
+    return Adjacency(ids, m.gens.__getitem__, [(ids, ids, (
+        (s, d, label) for s, from_s in enumerate(m.out)
+        for d, label in from_s.items()))]).reduced(m.flavor)
 
 
 # --- isomorphism testing ------------------------------------------------
@@ -377,37 +376,34 @@ def reduce(m: TypeDStructure) -> TypeDStructure:
 NOT_FOUND = "NOT_FOUND"
 
 
-def _signatures(m: TypeDStructure, shift, n: TypeDStructure, adj):
-    """Joint iterated neighborhood signatures over both structures.
+def _signatures(m: TypeDStructure, shift, n: TypeDStructure):
+    """Joint iterated neighborhood signatures over both structures: the
+    colour of each generator of m and of n, by position.
 
     Seeded from (idem, shifted hdeg) and refined by arrow labels and
     neighbor signatures until a round splits no class, for at most
     three rounds (a fourth could change the bijection found).  Colours
     are numbered first-seen in one table shared by both structures, so
-    they are comparable between them.  `adj` maps "m" and "n" to the
-    (outgoing, incoming) indexes of the two structures.
+    they are comparable between them.
     """
-    sig = {}
-    for tag, st, sh in (("m", m, shift), ("n", n, 0)):
-        for g in st.gens.values():
-            sig[tag, g.name] = (g.idem.value, g.hdeg + sh)
-    colours = len(set(sig.values()))
+    sig = [[(g.idem.value, g.hdeg + sh) for g in st.gens]
+           for st, sh in ((m, shift), (n, 0))]
+    colours = len(set(sig[0] + sig[1]))
     for _ in range(3):
-        canon, nxt = {}, {}
-        for tag, st in (("m", m), ("n", n)):
-            out, inn = adj[tag]
-            for name in st.gens:
+        canon, nxt = {}, []
+        for st, own in zip((m, n), sig):
+            nxt.append([])
+            for x, (out, inn) in enumerate(zip(st.out, st.inn)):
                 # labels are interned, so id() tells them apart
-                outs = sorted((id(l), sig[tag, d]) for d, l in out[name])
-                ins = sorted((id(l), sig[tag, s]) for s, l in inn[name])
-                nxt[tag, name] = canon.setdefault(
-                    (sig[tag, name], tuple(outs), tuple(ins)), len(canon))
+                outs = sorted((id(l), own[d]) for d, l in out.items())
+                ins = sorted((id(l), own[s]) for s, l in inn.items())
+                nxt[-1].append(canon.setdefault(
+                    (own[x], tuple(outs), tuple(ins)), len(canon)))
         sig = nxt
         if len(canon) == colours:
             break
         colours = len(canon)
-    return ({name: s for (t, name), s in sig.items() if t == "m"},
-            {name: s for (t, name), s in sig.items() if t == "n"})
+    return sig
 
 
 def iso_check(m: TypeDStructure, n: TypeDStructure):
@@ -426,8 +422,8 @@ def iso_check(m: TypeDStructure, n: TypeDStructure):
         return NOT_FOUND
     if not m.gens:
         return {}
-    shift = (min(g.hdeg for g in n.gens.values())
-             - min(g.hdeg for g in m.gens.values()))
+    shift = (min(g.hdeg for g in n.gens)
+             - min(g.hdeg for g in m.gens))
     counts_m = {(i, h + shift): c for (i, h), c in m.gen_counts().items()}
     if counts_m != n.gen_counts():
         return NOT_FOUND
@@ -449,27 +445,30 @@ def _chain_iso_search(m, n, shift):
     """
     import random as _random
 
-    max_label = max((l.max_weight for l in list(m.arrows.values())
-                     + list(n.arrows.values())), default=0)
+    max_label = max((l.max_weight for st in (m, n) for out in st.out
+                     for l in out.values()), default=0)
     max_w = max_label + 2
     unknowns = []
-    for x in m.gens.values():
-        for y in n.gens.values():
-            if y.hdeg != x.hdeg + shift:
+    for x, gx in enumerate(m.gens):
+        for y, gy in enumerate(n.gens):
+            if gy.hdeg != gx.hdeg + shift:
                 continue
-            for t in algebra.monomials_between(x.idem, y.idem, max_w,
+            for t in algebra.monomials_between(gx.idem, gy.idem, max_w,
                                                m.flavor):
-                unknowns.append((x.name, y.name, t))
-    m_in, n_out = m.incoming(), n.outgoing()
+                unknowns.append((x, y, t))
+    # the coordinates of the chain-map condition are keyed by name, so
+    # that the pivots, and so the basis found, follow the names
+    m_names = [g.name for g in m.gens]
+    n_names = [g.name for g in n.gens]
     rows = []
     for (x, y, a) in unknowns:
         vec = set()
-        for z, label in n_out[y]:
+        for z, label in n.out[y].items():
             for t in (a * label).monomials():
-                vec ^= {(x, z, t)}
-        for x0, label in m_in[x]:
+                vec ^= {(m_names[x], n_names[z], t)}
+        for x0, label in m.inn[x].items():
             for t in (label * a).monomials():
-                vec ^= {(x0, y, t)}
+                vec ^= {(m_names[x0], n_names[y], t)}
         rows.append(frozenset(vec))
     basis = f2.nullspace(rows)
     if not basis:
@@ -485,8 +484,8 @@ def _chain_iso_search(m, n, shift):
         for idxs in blocks.values():
             xs = sorted({unknowns[i][0] for i in idxs})
             mat = [frozenset(unknowns[i][1] for i in idxs
-                             if i in support and unknowns[i][0] == xname)
-                   for xname in xs]
+                             if i in support and unknowns[i][0] == x)
+                   for x in xs]
             if f2.rank(mat) != len(xs):
                 return False
         return True
@@ -505,42 +504,40 @@ def _chain_iso_search(m, n, shift):
             support ^= basis[b]
         if invertible(support):
             return {"shift": shift, "entries": sorted(
-                (x, y, str(t)) for i, (x, y, t) in enumerate(unknowns)
-                if i in support)}
+                (m_names[x], n_names[y], str(t))
+                for i, (x, y, t) in enumerate(unknowns) if i in support)}
     return None
 
 
 def _iso_search(m, n, shift):
-    adj = {tag: (st.outgoing(), st.incoming())
-           for tag, st in (("m", m), ("n", n))}
-    (m_out, m_in), (n_out, n_in) = adj["m"], adj["n"]
-    sig_m, sig_n = _signatures(m, shift, n, adj)
+    sig_m, sig_n = _signatures(m, shift, n)
     by_sig = {}
-    for name, s in sig_n.items():
-        by_sig.setdefault(s, []).append(name)
-    names_m = sorted(m.gens, key=lambda x: (len(by_sig.get(sig_m[x], ())), x))
-    for name in names_m:
-        if sig_m[name] not in by_sig:
-            return None
+    for y, s in enumerate(sig_n):
+        by_sig.setdefault(s, []).append(y)
+    order = sorted(range(len(m.gens)), key=lambda x: (
+        len(by_sig.get(sig_m[x], ())), m.gens[x].name))
+    if any(sig_m[x] not in by_sig for x in order):
+        return None
 
     assign = {}
     used = set()
 
     def consistent(a, b):
-        for d, l in m_out[a]:
-            if d in assign and n.arrows.get((b, assign[d])) != l:
+        n_out, n_in = n.out[b], n.inn[b]
+        for d, l in m.out[a].items():
+            if d in assign and n_out.get(assign[d]) != l:
                 return False
-        for s, l in m_in[a]:
-            if s in assign and n.arrows.get((assign[s], b)) != l:
+        for s, l in m.inn[a].items():
+            if s in assign and n_in.get(assign[s]) != l:
                 return False
         # arrow counts must match exactly
-        return (len(m_out[a]) == len(n_out[b])
-                and len(m_in[a]) == len(n_in[b]))
+        return (len(m.out[a]) == len(n_out)
+                and len(m.inn[a]) == len(n_in))
 
     def backtrack(i):
-        if i == len(names_m):
+        if i == len(order):
             return True
-        a = names_m[i]
+        a = order[i]
         for b in by_sig[sig_m[a]]:
             if b in used or not consistent(a, b):
                 continue
@@ -552,11 +549,9 @@ def _iso_search(m, n, shift):
             used.discard(b)
         return False
 
-    found = backtrack(0)
-    # backtrack refers to itself through its closure; unbinding it frees
-    # the indexes now instead of at the next cyclic collection
-    backtrack = None
-    return dict(assign) if found else None
+    if not backtrack(0):
+        return None
+    return {m.gens[a].name: n.gens[b].name for a, b in assign.items()}
 
 
 # --- serialization ------------------------------------------------------
@@ -566,8 +561,9 @@ _IDEM_TO_TOKEN = {Vertex.FILLED: "filled", Vertex.HOLLOW: "hollow"}
 
 def serialize(m: TypeDStructure) -> str:
     lines = [f"flavor {m.flavor}"]
-    for g in sorted(m.gens.values(), key=lambda g: g.name):
+    for g in sorted(m.gens, key=lambda g: g.name):
         lines.append(f"gen {g.name} {_IDEM_TO_TOKEN[g.idem]} {g.hdeg}")
-    for (s, d) in sorted(m.arrows):
-        lines.append(f"arrow {s} {d} {m.arrows[s, d]}")
+    arrows = m.arrows
+    for (s, d) in sorted(arrows):
+        lines.append(f"arrow {s} {d} {arrows[s, d]}")
     return "\n".join(lines) + "\n"

@@ -1,66 +1,102 @@
 import pytest
 
-from khtangle import algebra, dstruct
-from khtangle.algebra import FILLED, HOLLOW, FLAVOR_B
+from khtangle import algebra, bimod, dstruct, tangles
+from khtangle.algebra import FILLED, HOLLOW, FLAVOR_B, FLAVOR_BT
+from test_serialize_gate import gate_words
 
 
-def two_step_bad():
-    m = dstruct.TypeDStructure(FLAVOR_B)
-    m.add_gen("x", FILLED, 0)
-    m.add_gen("y", HOLLOW, 1)
-    m.add_gen("z", FILLED, 2)
-    m.add_arrow("x", "y", algebra.spow(1, FILLED))
-    m.add_arrow("y", "z", algebra.spow(1, HOLLOW))
+def structure(gens, arrows=(), flavor=FLAVOR_B):
+    """A type D structure built by name: `gens` are (name, idem, hdeg)
+    in position order, and `arrows` (source name, target name, label)
+    are added in order."""
+    m = dstruct.TypeDStructure(flavor)
+    at = {name: m.add_gen(name, idem, hdeg) for name, idem, hdeg in gens}
+    for s, d, label in arrows:
+        m.add_arrow(at[s], at[d], label)
     return m
 
 
+def names(m):
+    return [g.name for g in m.gens]
+
+
+def two_step_bad():
+    return structure([("x", FILLED, 0), ("y", HOLLOW, 1), ("z", FILLED, 2)],
+                     [("x", "y", algebra.spow(1, FILLED)),
+                      ("y", "z", algebra.spow(1, HOLLOW))])
+
+
 def test_check_d_squared():
-    m = dstruct.TypeDStructure(FLAVOR_B)
-    assert dstruct.check_d_squared(m) == []
-    m.add_gen("a", FILLED, 0)
-    m.add_gen("b", FILLED, 1)
-    m.add_arrow("a", "b", algebra.h_elem(FILLED))
+    assert dstruct.check_d_squared(dstruct.TypeDStructure(FLAVOR_B)) == []
+    m = structure([("a", FILLED, 0), ("b", FILLED, 1)],
+                  [("a", "b", algebra.h_elem(FILLED))])
     assert dstruct.check_d_squared(m) == []
     assert dstruct.check_d_squared(two_step_bad()) == [("x", "z")]
 
 
 def test_arrow_accumulation_cancels():
-    m = dstruct.TypeDStructure(FLAVOR_B)
-    m.add_gen("a", FILLED, 0)
-    m.add_gen("b", FILLED, 1)
-    m.add_arrow("a", "b", algebra.dpow(1, FILLED))
-    m.add_arrow("a", "b", algebra.dpow(1, FILLED))
+    m = structure([("a", FILLED, 0), ("b", FILLED, 1)],
+                  [("a", "b", algebra.dpow(1, FILLED)),
+                   ("a", "b", algebra.dpow(1, FILLED))])
     assert m.arrows == {}
+    assert m.out == m.inn == [{}, {}]
 
 
 def test_arrow_validation():
-    m = dstruct.TypeDStructure(FLAVOR_B)
-    m.add_gen("a", FILLED, 0)
-    m.add_gen("b", FILLED, 0)
+    m = structure([("a", FILLED, 0), ("b", FILLED, 0)])
     with pytest.raises(AssertionError):
-        m.add_arrow("a", "b", algebra.dpow(1, FILLED))  # hdeg not +1
-    m.add_gen("c", HOLLOW, 1)
+        m.add_arrow(0, 1, algebra.dpow(1, FILLED))  # hdeg not +1
+    c = m.add_gen("c", HOLLOW, 1)
     with pytest.raises(AssertionError):
-        m.add_arrow("a", "c", algebra.dpow(1, FILLED))  # endpoint mismatch
+        m.add_arrow(0, c, algebra.dpow(1, FILLED))  # endpoint mismatch
 
 
 def test_arrow_validation_reads_both_endpoints():
     # S from FILLED ends at HOLLOW: the label check of one endpoint pair
     # must not answer for another
-    m = dstruct.TypeDStructure(FLAVOR_B)
-    m.add_gen("a", FILLED, 0)
-    m.add_gen("b", HOLLOW, 1)
-    m.add_gen("c", FILLED, 1)
-    m.add_arrow("a", "b", algebra.spow(1, FILLED))
+    m = structure([("a", FILLED, 0), ("b", HOLLOW, 1), ("c", FILLED, 1)],
+                  [("a", "b", algebra.spow(1, FILLED))])
     with pytest.raises(AssertionError, match="does not run"):
-        m.add_arrow("a", "c", algebra.spow(1, FILLED))
-    m.add_arrow("a", "b", algebra.spow(1, FILLED))
+        m.add_arrow(0, 2, algebra.spow(1, FILLED))
+    m.add_arrow(0, 1, algebra.spow(1, FILLED))
     assert m.arrows == {}
 
 
-def test_cone_h_point():
+def test_add_gen_returns_positions():
     m = dstruct.TypeDStructure(FLAVOR_B)
-    m.add_gen("p", FILLED, 0)
+    assert [m.add_gen(name, FILLED, 0) for name in "qpr"] == [0, 1, 2]
+    assert names(m) == ["q", "p", "r"]
+    assert len(m.out) == len(m.inn) == 3
+
+
+def test_arrows_view_is_by_source_position():
+    # the view lists each source's arrows in the order added, sources in
+    # position order, whatever order the arrows came in
+    i = algebra.idem(FILLED)
+    m = structure([("b", FILLED, 0), ("a", FILLED, 0), ("d", FILLED, 1),
+                   ("c", FILLED, 1)],
+                  [("a", "d", i), ("b", "c", i), ("a", "c", i),
+                   ("b", "d", i)])
+    assert list(m.arrows) == [("b", "c"), ("b", "d"), ("a", "d"), ("a", "c")]
+    view = m.arrows
+    view.clear()
+    assert len(m.arrows) == 4
+
+
+def test_duplicate_names_are_refused():
+    assert dstruct.name_ids(["b", "a", "c"]) == [1, 0, 2]
+    with pytest.raises(ValueError, match="two generators are named 'a'"):
+        dstruct.name_ids(["a", "b", "a"])
+    m = dstruct.TypeDStructure(FLAVOR_B)
+    m.add_gen("a", FILLED, 0)
+    m.add_gen("a", FILLED, 1)
+    m.add_arrow(0, 1, algebra.h_elem(FILLED))
+    with pytest.raises(ValueError, match="named 'a'"):
+        dstruct.reduce(m)
+
+
+def test_cone_h_point():
+    m = structure([("p", FILLED, 0)])
     c = dstruct.cone_h(m)
     assert len(c.gens) == 2
     (label,) = c.arrows.values()
@@ -69,75 +105,59 @@ def test_cone_h_point():
 
 
 def test_cone_h_two_generators():
-    m = dstruct.TypeDStructure(FLAVOR_B)
-    m.add_gen("a", FILLED, 0)
-    m.add_gen("b", HOLLOW, 1)
-    m.add_arrow("a", "b", algebra.spow(1, FILLED))
+    m = structure([("a", FILLED, 0), ("b", HOLLOW, 1)],
+                  [("a", "b", algebra.spow(1, FILLED))])
     c = dstruct.cone_h(m)
     assert len(c.gens) == 4 and len(c.arrows) == 4
     assert dstruct.check_d_squared(c) == []
 
 
 def test_cone_h_empty():
-    assert dstruct.cone_h(dstruct.TypeDStructure(FLAVOR_B)).gens == {}
+    assert dstruct.cone_h(dstruct.TypeDStructure(FLAVOR_B)).gens == []
 
 
 def test_reduce_acyclic_pair():
-    m = dstruct.TypeDStructure(FLAVOR_B)
-    m.add_gen("x", FILLED, 0)
-    m.add_gen("y", FILLED, 1)
-    m.add_arrow("x", "y", algebra.idem(FILLED))
-    assert dstruct.reduce(m).gens == {}
+    m = structure([("x", FILLED, 0), ("y", FILLED, 1)],
+                  [("x", "y", algebra.idem(FILLED))])
+    assert dstruct.reduce(m).gens == []
 
 
 def test_reduce_is_a_fixed_point_without_idem_arrows():
-    m = dstruct.TypeDStructure(FLAVOR_B)
-    m.add_gen("a", FILLED, 0)
-    m.add_gen("b", FILLED, 1)
-    m.add_arrow("a", "b", algebra.h_elem(FILLED))
+    m = structure([("a", FILLED, 0), ("b", FILLED, 1)],
+                  [("a", "b", algebra.h_elem(FILLED))])
     r = dstruct.reduce(m)
-    assert r.gens.keys() == m.gens.keys() and r.arrows == m.arrows
+    assert names(r) == names(m) and r.arrows == m.arrows
 
 
 def test_reduce_zigzag():
     # p -> y (beta), x -> y (iota), x -> q (gamma): cancel x,y,
     # leaving p -> q with beta*gamma
-    m = dstruct.TypeDStructure(FLAVOR_B)
-    m.add_gen("p", FILLED, 0)
-    m.add_gen("x", HOLLOW, 0)
-    m.add_gen("y", HOLLOW, 1)
-    m.add_gen("q", FILLED, 1)
-    m.add_arrow("p", "y", algebra.spow(1, FILLED))
-    m.add_arrow("x", "y", algebra.idem(HOLLOW))
-    m.add_arrow("x", "q", algebra.spow(1, HOLLOW))
+    m = structure([("p", FILLED, 0), ("x", HOLLOW, 0), ("y", HOLLOW, 1),
+                   ("q", FILLED, 1)],
+                  [("p", "y", algebra.spow(1, FILLED)),
+                   ("x", "y", algebra.idem(HOLLOW)),
+                   ("x", "q", algebra.spow(1, HOLLOW))])
     r = dstruct.reduce(m)
-    assert set(r.gens) == {"p", "q"}
+    assert set(names(r)) == {"p", "q"}
     assert r.arrows == {("p", "q"): algebra.spow(2, FILLED)}
 
 
 def test_reduce_breaks_ties_by_name_not_insertion():
     # both arrows cost no fill-in; the tie goes to the target whose name
     # sorts first, "g10", so x -> g10 is cancelled and g2 is kept
-    m = dstruct.TypeDStructure(FLAVOR_B)
-    m.add_gen("x", FILLED, 0)
-    m.add_gen("g2", FILLED, 1)
-    m.add_gen("g10", FILLED, 1)
-    m.add_arrow("x", "g2", algebra.idem(FILLED))
-    m.add_arrow("x", "g10", algebra.idem(FILLED))
-    assert list(dstruct.reduce(m).gens) == ["g2"]
+    m = structure([("x", FILLED, 0), ("g2", FILLED, 1), ("g10", FILLED, 1)],
+                  [("x", "g2", algebra.idem(FILLED)),
+                   ("x", "g10", algebra.idem(FILLED))])
+    assert names(dstruct.reduce(m)) == ["g2"]
 
 
 def test_iso_check_identity_and_permutation():
     m = two_step_bad()  # any structure works for matching purposes
-    m = dstruct.TypeDStructure(FLAVOR_B)
-    m.add_gen("a", FILLED, 0)
-    m.add_gen("b", HOLLOW, 1)
-    m.add_arrow("a", "b", algebra.spow(1, FILLED))
+    m = structure([("a", FILLED, 0), ("b", HOLLOW, 1)],
+                  [("a", "b", algebra.spow(1, FILLED))])
     assert dstruct.iso_check(m, m) == {"a": "a", "b": "b"}
-    n = dstruct.TypeDStructure(FLAVOR_B)
-    n.add_gen("bb", HOLLOW, 4)
-    n.add_gen("aa", FILLED, 3)
-    n.add_arrow("aa", "bb", algebra.spow(1, FILLED))
+    n = structure([("bb", HOLLOW, 4), ("aa", FILLED, 3)],
+                  [("aa", "bb", algebra.spow(1, FILLED))])
     w = dstruct.iso_check(m, n)
     assert w == {"a": "aa", "b": "bb"}  # global shift by 3
 
@@ -145,54 +165,42 @@ def test_iso_check_identity_and_permutation():
 def test_reduce_keeps_a_non_unit_arrow():
     # i + D is not a unit in B, so cancelling x -> y would not be a
     # homotopy equivalence
-    m = dstruct.TypeDStructure(FLAVOR_B)
-    m.add_gen("x", FILLED, 0)
-    m.add_gen("y", FILLED, 1)
     label = algebra.idem(FILLED) + algebra.dpow(1, FILLED)
-    m.add_arrow("x", "y", label)
+    m = structure([("x", FILLED, 0), ("y", FILLED, 1)], [("x", "y", label)])
     r = dstruct.reduce(m)
-    assert set(r.gens) == {"x", "y"}
+    assert set(names(r)) == {"x", "y"}
     assert r.arrows == {("x", "y"): label}
 
 
 def test_iso_check_count_mismatch():
-    m = dstruct.TypeDStructure(FLAVOR_B)
-    m.add_gen("a", FILLED, 0)
-    n = dstruct.TypeDStructure(FLAVOR_B)
-    n.add_gen("a", HOLLOW, 0)
+    m = structure([("a", FILLED, 0)])
+    n = structure([("a", HOLLOW, 0)])
     assert dstruct.iso_check(m, n) == dstruct.NOT_FOUND
 
 
 def test_iso_check_degree_spreads_differ():
     # the same counts per idempotent, but no one shift aligns the degrees
-    m = dstruct.TypeDStructure(FLAVOR_B)
-    n = dstruct.TypeDStructure(FLAVOR_B)
-    for s, top in ((m, 1), (n, 2)):
-        s.add_gen("a", FILLED, 0)
-        s.add_gen("b", FILLED, top)
+    m, n = (structure([("a", FILLED, 0), ("b", FILLED, top)])
+            for top in (1, 2))
     assert dstruct.iso_check(m, n) == dstruct.NOT_FOUND
     assert dstruct.iso_check(n, m) == dstruct.NOT_FOUND
 
 
 def test_iso_check_finds_base_change():
     """Same homotopy type, different label bases: D vs S^2 chains."""
-    m = dstruct.TypeDStructure(FLAVOR_B)
-    n = dstruct.TypeDStructure(FLAVOR_B)
-    for s in (m, n):
-        s.add_gen("a", FILLED, 0)
-        s.add_gen("b", FILLED, 1)
-        s.add_gen("c", FILLED, 1)
-        s.add_gen("d", FILLED, 2)
+    gens = [("a", FILLED, 0), ("b", FILLED, 1), ("c", FILLED, 1),
+            ("d", FILLED, 2)]
     # m: a->b D, a->c S^2, both -> d with the complementary label
-    m.add_arrow("a", "b", algebra.dpow(1, FILLED))
-    m.add_arrow("a", "c", algebra.spow(2, FILLED))
-    m.add_arrow("b", "d", algebra.spow(2, FILLED))
-    m.add_arrow("c", "d", algebra.dpow(1, FILLED))
+    m = structure(gens, [("a", "b", algebra.dpow(1, FILLED)),
+                         ("a", "c", algebra.spow(2, FILLED)),
+                         ("b", "d", algebra.spow(2, FILLED)),
+                         ("c", "d", algebra.dpow(1, FILLED))])
     # n: the same after the base change b -> b + c
-    n.add_arrow("a", "b", algebra.dpow(1, FILLED))
-    n.add_arrow("a", "c", algebra.dpow(1, FILLED) + algebra.spow(2, FILLED))
-    n.add_arrow("b", "d", algebra.dpow(1, FILLED) + algebra.spow(2, FILLED))
-    n.add_arrow("c", "d", algebra.dpow(1, FILLED))
+    n = structure(gens, [
+        ("a", "b", algebra.dpow(1, FILLED)),
+        ("a", "c", algebra.dpow(1, FILLED) + algebra.spow(2, FILLED)),
+        ("b", "d", algebra.dpow(1, FILLED) + algebra.spow(2, FILLED)),
+        ("c", "d", algebra.dpow(1, FILLED))])
     assert not dstruct.check_d_squared(m)
     assert not dstruct.check_d_squared(n)
     w = dstruct.iso_check(m, n)
@@ -201,11 +209,8 @@ def test_iso_check_finds_base_change():
 
 
 def one_arrow(label):
-    m = dstruct.TypeDStructure(FLAVOR_B)
-    m.add_gen("a", FILLED, 0)
-    m.add_gen("b", FILLED, 1)
-    m.add_arrow("a", "b", label)
-    return m
+    return structure([("a", FILLED, 0), ("b", FILLED, 1)],
+                     [("a", "b", label)])
 
 
 @pytest.mark.xfail(strict=True, reason="the chain-map search reads "
@@ -228,12 +233,9 @@ def test_iso_check_refuses_cone_d_against_cone_d_squared():
 
 
 def test_serialization_roundtrip():
-    m = dstruct.TypeDStructure(FLAVOR_B)
-    m.add_gen("a", FILLED, 0)
-    m.add_gen("b", HOLLOW, 1)
-    m.add_gen("c", FILLED, 1)
-    m.add_arrow("a", "b", algebra.spow(1, FILLED))
-    m.add_arrow("a", "c", algebra.h_elem(FILLED))
+    m = structure([("a", FILLED, 0), ("b", HOLLOW, 1), ("c", FILLED, 1)],
+                  [("a", "b", algebra.spow(1, FILLED)),
+                   ("a", "c", algebra.h_elem(FILLED))])
     assert dstruct.serialize(m) == (
         "flavor B\n"
         "gen a filled 0\n"
@@ -242,3 +244,29 @@ def test_serialization_roundtrip():
         "arrow a b S\n"
         "arrow a c D+S^2\n")
     assert dstruct.serialize(dstruct.TypeDStructure(FLAVOR_B)) == "flavor B\n"
+
+
+def assert_mirrored(m):
+    """Every arrow sits in both `out` and `inn`, as one label object."""
+    assert len(m.out) == len(m.inn) == len(m.gens)
+    for s, from_s in enumerate(m.out):
+        for d, label in from_s.items():
+            assert m.inn[d][s] is label, (s, d)
+    assert {(s, d) for s, from_s in enumerate(m.out) for d in from_s} == \
+        {(s, d) for d, into_d in enumerate(m.inn) for s in into_d}
+
+
+@pytest.mark.parametrize("text", gate_words())
+def test_out_and_inn_mirror_each_other(text):
+    # serialization sorts the arrows, so it cannot see the two sides
+    # differ; elimination and both isomorphism searches read both
+    word = tangles.parse_tangle(text)
+    m = tangles.tangle_complex(word)
+    mq = m.map_labels(algebra.q_map, FLAVOR_BT)
+    box_y = dstruct.box_ad(mq, bimod.bimodule_Y())
+    delooped = tangles.deloop_translate(tangles.build_cube(word))
+    for made in (delooped, m, dstruct.cone_h(m), mq, box_y,
+                 dstruct.box_ad(m, bimod.bimodule_I()),
+                 dstruct.box_ad(m, bimod.bimodule_Q()),
+                 dstruct.reduce(box_y), dstruct.reduce(delooped)):
+        assert_mirrored(made)

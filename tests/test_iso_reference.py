@@ -11,43 +11,36 @@ and `iso_check` must return the same witness with either.
 import random
 
 from khtangle import algebra, dstruct, tangles
-from khtangle.algebra import FILLED, FLAVOR_B
+from khtangle.algebra import FILLED
 from test_deloop_reference import corpus_and_gate_words, reduced_complex
+from test_dstruct import structure
 
 
-def reference_signatures(m, shift, n, adj):
-    sig = {}
-    for tag, st, sh in (("m", m, shift), ("n", n, 0)):
-        for g in st.gens.values():
-            sig[tag, g.name] = (g.idem.value, g.hdeg + sh)
+def reference_signatures(m, shift, n):
+    sig = [[(g.idem.value, g.hdeg + sh) for g in st.gens]
+           for st, sh in ((m, shift), (n, 0))]
     for _ in range(3):
-        nxt = {}
-        for tag, st in (("m", m), ("n", n)):
-            out, inn = adj[tag]
-            for name in st.gens:
-                outs = sorted((id(l), sig[tag, d]) for d, l in out[name])
-                ins = sorted((id(l), sig[tag, s]) for s, l in inn[name])
-                nxt[tag, name] = (sig[tag, name], tuple(outs), tuple(ins))
-        canon = {v: i for i, v in enumerate(sorted(set(nxt.values())))}
-        sig = {k: canon[v] for k, v in nxt.items()}
-    return ({name: s for (t, name), s in sig.items() if t == "m"},
-            {name: s for (t, name), s in sig.items() if t == "n"})
+        nxt = [[(own[x],
+                 tuple(sorted((id(l), own[d]) for d, l in st.out[x].items())),
+                 tuple(sorted((id(l), own[s]) for s, l in st.inn[x].items())))
+                for x in range(len(st.gens))]
+               for st, own in zip((m, n), sig)]
+        canon = {v: i for i, v in enumerate(sorted(set(nxt[0] + nxt[1])))}
+        sig = [[canon[v] for v in row] for row in nxt]
+    return sig
 
 
 def partition(signatures, m, shift, n):
-    adj = {tag: (st.outgoing(), st.incoming())
-           for tag, st in (("m", m), ("n", n))}
-    sig_m, sig_n = signatures(m, shift, n, adj)
     classes = {}
-    for tag, sig in (("m", sig_m), ("n", sig_n)):
-        for name, colour in sig.items():
-            classes.setdefault(colour, set()).add((tag, name))
+    for tag, st, sig in zip("mn", (m, n), signatures(m, shift, n)):
+        for g, colour in zip(st.gens, sig, strict=True):
+            classes.setdefault(colour, set()).add((tag, g.name))
     return {frozenset(c) for c in classes.values()}
 
 
 def _same_refinement(monkeypatch, m, n):
-    shift = (min(g.hdeg for g in n.gens.values())
-             - min(g.hdeg for g in m.gens.values()))
+    shift = (min(g.hdeg for g in n.gens)
+             - min(g.hdeg for g in m.gens))
     assert (partition(dstruct._signatures, m, shift, n)
             == partition(reference_signatures, m, shift, n))
     witness = dstruct.iso_check(m, n)
@@ -80,13 +73,9 @@ def test_same_on_small_words(monkeypatch):
 
 
 def chain(last_label):
-    m = dstruct.TypeDStructure(FLAVOR_B)
-    for k in range(5):
-        m.add_gen(f"g{k}", FILLED, k)
-    for k in range(3):
-        m.add_arrow(f"g{k}", f"g{k + 1}", algebra.dpow(1, FILLED))
-    m.add_arrow("g3", "g4", last_label)
-    return m
+    return structure([(f"g{k}", FILLED, k) for k in range(5)],
+                     [(f"g{k}", f"g{k + 1}", algebra.dpow(1, FILLED))
+                      for k in range(3)] + [("g3", "g4", last_label)])
 
 
 def test_three_round_cap_on_chains_still_splitting(monkeypatch):

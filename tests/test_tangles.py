@@ -269,7 +269,8 @@ def test_boxing_with_quotient_bimodule_is_the_quotient_map():
         m = tangles.tangle_complex(tangles.parse_tangle(text))
         boxed = dstruct.box_ad(m, bimod.bimodule_Q())
         direct = m.map_labels(algebra.q_map, FLAVOR_BT)
-        renamed = {(s + suffix[m.gens[s].idem], d + suffix[m.gens[d].idem]): v
+        idem = {g.name: g.idem for g in m.gens}
+        renamed = {(s + suffix[idem[s]], d + suffix[idem[d]]): v
                    for (s, d), v in direct.arrows.items()}
         assert boxed.arrows == renamed, text
         assert len(boxed.gens) == len(m.gens)
@@ -334,7 +335,7 @@ def test_compare_deloops_once_and_keeps_the_d_squared_guard(monkeypatch):
     walks, events, faces, made = [], [], [], []
     walk, guard, faces_of = (tangles._deloop_arrows,
                              tangles._d_squared_is_zero, tangles._faces)
-    d_squared, eliminate = dstruct.Adjacency.d_squared, \
+    d_squared, eliminate = dstruct.check_d_squared, \
         dstruct.Adjacency.eliminate
     add_gen = dstruct.TypeDStructure.add_gen
     add_arrow = dstruct.TypeDStructure.add_arrow
@@ -353,9 +354,9 @@ def test_compare_deloops_once_and_keeps_the_d_squared_guard(monkeypatch):
             faces.append(face)
             yield face
 
-    def recording_d_squared(adj):
-        events.append(("d_squared", adj.n, sum(map(len, adj.out))))
-        return d_squared(adj)
+    def recording_d_squared(m):
+        events.append(("d_squared", len(m.gens), len(m.arrows)))
+        return d_squared(m)
 
     def recording_eliminate(adj):
         events.append(("eliminate",))
@@ -366,7 +367,7 @@ def test_compare_deloops_once_and_keeps_the_d_squared_guard(monkeypatch):
         return add_gen(m, name, idem, hdeg)
 
     def recording_add_arrow(m, src, dst, label):
-        made.append(src)
+        made.append(m.gens[src].name)
         return add_arrow(m, src, dst, label)
 
     def deloop(cube):
@@ -376,7 +377,7 @@ def test_compare_deloops_once_and_keeps_the_d_squared_guard(monkeypatch):
     monkeypatch.setattr(tangles, "_d_squared_is_zero", recording_guard)
     monkeypatch.setattr(tangles, "_faces", recording_faces)
     monkeypatch.setattr(tangles, "deloop_translate", deloop)
-    monkeypatch.setattr(dstruct.Adjacency, "d_squared", recording_d_squared)
+    monkeypatch.setattr(dstruct, "check_d_squared", recording_d_squared)
     monkeypatch.setattr(dstruct.Adjacency, "eliminate", recording_eliminate)
     monkeypatch.setattr(dstruct.TypeDStructure, "add_gen", recording_add_gen)
     monkeypatch.setattr(dstruct.TypeDStructure, "add_arrow",
@@ -431,14 +432,13 @@ def test_face_guard_rechecks_a_shared_edge_list_that_changed(monkeypatch):
     corrupt_edge(monkeypatch, cube, 3)
 
     m = dstruct.TypeDStructure()
-    for bits, res in cube.resolutions.items():
-        for decor in range(1 << len(res.loops)):
-            m.add_gen(tangles._gen_name(bits, decor), res.matching,
-                      bits.bit_count())
+    at = {(bits, decor): m.add_gen(tangles._gen_name(bits, decor),
+                                   res.matching, bits.bit_count())
+          for bits, res in cube.resolutions.items()
+          for decor in range(1 << len(res.loops))}
     for bits, j, arrows in tangles._deloop_arrows(cube):
         for decor, tdecor, label in tangles._triples(arrows):
-            m.add_arrow(tangles._gen_name(bits, decor),
-                        tangles._gen_name(bits | 1 << j, tdecor), label)
+            m.add_arrow(at[bits, decor], at[bits | 1 << j, tdecor], label)
     bad = dstruct.check_d_squared(m)
     assert bad
     message = f"d^2 != 0 after delooping: {bad[:3]}"
@@ -474,7 +474,7 @@ def test_compare_names_only_the_generators_that_survive_reduce(
     word = twist(9)
     cube = tangles.build_cube(word)
     assert sum(1 << len(r.loops) for r in cube.resolutions.values()) == 9842
-    survivors = list(tangles.tangle_complex(word).gens)
+    survivors = [g.name for g in tangles.tangle_complex(word).gens]
     assert len(survivors) == 10
     named = []
     gen_name = tangles._gen_name
