@@ -43,11 +43,19 @@ class TypeDStructure:
 
     __slots__ = ("flavor", "gens", "out", "inn")
 
-    def __init__(self, flavor=FLAVOR_B, gens=()):
+    def __init__(self, flavor=FLAVOR_B, gens=(), blocks=()):
+        """The generators `gens`, in position order, and the arrows of
+        each block (src, dst, arrows) as `Adjacency` loads them: an
+        arrow (i, j, label) joins positions src[i] and dst[j].  No two
+        arrows may join the same pair and no label may be zero."""
         self.flavor = flavor
         self.gens = list(gens)
-        self.out = [{} for _ in self.gens]
-        self.inn = [{} for _ in self.gens]
+        out = self.out = [{} for _ in self.gens]
+        inn = self.inn = [{} for _ in self.gens]
+        for src, dst, arrows in blocks:
+            for i, j, label in arrows:
+                s, d = src[i], dst[j]
+                out[s][d] = inn[d][s] = label
 
     def add_gen(self, name, idem, hdeg):
         """Append a generator; its position."""
@@ -74,14 +82,18 @@ class TypeDStructure:
         else:
             from_s[dst] = into_d[src] = new
 
+    def triples(self):
+        """(s, d, label) for every arrow s -> d, by source position."""
+        for s, from_s in enumerate(self.out):
+            for d, label in from_s.items():
+                yield s, d, label
+
     @property
     def arrows(self):
         """{(source name, target name): label}, by source position: a
         view made on each read."""
         names = [g.name for g in self.gens]
-        return {(names[s], names[d]): label
-                for s, from_s in enumerate(self.out)
-                for d, label in from_s.items()}
+        return {(names[s], names[d]): label for s, d, label in self.triples()}
 
     def gen_counts(self):
         """Generator count per (idempotent, hdeg)."""
@@ -101,11 +113,10 @@ class TypeDStructure:
     def map_labels(self, func, flavor):
         """Apply func to every arrow label; drop zeros."""
         res = TypeDStructure(flavor, self.gens)
-        for s, from_s in enumerate(self.out):
-            for d, label in from_s.items():
-                new = func(label)
-                if not new.is_zero():
-                    res.out[s][d] = res.inn[d][s] = new
+        for s, d, label in self.triples():
+            new = func(label)
+            if not new.is_zero():
+                res.out[s][d] = res.inn[d][s] = new
         return res
 
 
@@ -128,9 +139,8 @@ class Adjacency:
     __slots__ = ("ids", "gen", "n", "out", "inn", "keys")
 
     def __init__(self, ids, gen, blocks):
-        """Load the arrows of each block (src, dst, arrows) in order: an
-        arrow (i, j, label) of a block joins ids src[i] and dst[j].  No
-        two arrows may join the same pair and no label may be zero."""
+        """Load the arrows of `blocks` in order, on ids, as
+        `TypeDStructure` loads them on positions."""
         self.ids, self.gen = ids, gen
         n = self.n = len(ids)
         out = self.out = [{} for _ in range(n)]
@@ -235,17 +245,14 @@ class Adjacency:
 
     def reduced(self, flavor):
         """Eliminate, then the type D structure on the survivors in
-        position order: their rows of `out` and `inn`, renumbered."""
+        position order, each survivor's `out` row renumbered."""
         self.eliminate()
-        out, inn = self.out, self.inn
+        out = self.out
         kept = [(i, k) for i, k in enumerate(self.ids) if out[k] is not None]
-        res = TypeDStructure(flavor, [self.gen(i) for i, _ in kept])
         new = {k: j for j, (_, k) in enumerate(kept)}
-        res.out = [{new[d]: label for d, label in out[k].items()}
-                   for _, k in kept]
-        res.inn = [{new[s]: label for s, label in inn[k].items()}
-                   for _, k in kept]
-        return res
+        return TypeDStructure(flavor, [self.gen(i) for i, _ in kept], [(
+            new, new, ((k, d, label) for _, k in kept
+                       for d, label in out[k].items()))])
 
 
 def nonzero_two_step(legs):
@@ -292,10 +299,8 @@ def name_ids(names):
 def check_d_squared(m: TypeDStructure):
     """Generator name pairs (x, z) where the two-step path sum is
     non-zero, by x in position order."""
-    out, gens = m.out, m.gens
-    bad = nonzero_two_step([(((x, y, a) for x, from_x in enumerate(out)
-                              for y, a in from_x.items()), out)])
-    return [(gens[x].name, gens[z].name) for x, z in bad]
+    bad = nonzero_two_step([(m.triples(), m.out)])
+    return [(m.gens[x].name, m.gens[z].name) for x, z in bad]
 
 
 def cone_h(m: TypeDStructure) -> TypeDStructure:
@@ -306,10 +311,9 @@ def cone_h(m: TypeDStructure) -> TypeDStructure:
     for g in m.gens:
         out.add_gen(f"{g.name}.0", g.idem, g.hdeg)
         out.add_gen(f"{g.name}.1", g.idem, g.hdeg + 1)
-    for s, from_s in enumerate(m.out):
-        for d, label in from_s.items():
-            out.add_arrow(2 * s, 2 * d, label)
-            out.add_arrow(2 * s + 1, 2 * d + 1, label)
+    for s, d, label in m.triples():
+        out.add_arrow(2 * s, 2 * d, label)
+        out.add_arrow(2 * s + 1, 2 * d + 1, label)
     for i, g in enumerate(m.gens):
         out.add_arrow(2 * i, 2 * i + 1, algebra.h_elem(g.idem))
     return out
@@ -329,13 +333,12 @@ def box_ad(m: TypeDStructure, bim) -> TypeDStructure:
     """
     assert m.flavor == bim.a_flavor
     out = TypeDStructure(bim.d_flavor)
-    position = {}
     for g in m.gens:
         for b in bim.gens.values():
             if g.idem == b.left_idem:
-                name = f"{g.name}*{b.name}"
-                position[name] = out.add_gen(name, b.right_idem,
-                                             g.hdeg + b.hdeg)
+                out.add_gen(f"{g.name}*{b.name}", b.right_idem,
+                            g.hdeg + b.hdeg)
+    position = {g.name: i for i, g in enumerate(out.gens)}
 
     names = [g.name for g in m.gens]
     left_out = {names[s]: [(names[d], (), t) for d, label in from_s.items()
@@ -343,8 +346,8 @@ def box_ad(m: TypeDStructure, bim) -> TypeDStructure:
                 for s, from_s in enumerate(m.out)}
     # no path of j monomials weighs more than j times the heaviest one
     depth = max((len(a.inputs) for a in bim.actions), default=0)
-    bound = depth * max((l.max_weight for from_s in m.out
-                         for l in from_s.values()), default=0)
+    bound = depth * max((l.max_weight for _, _, l in m.triples()),
+                        default=0)
     left_idems = {g.name: g.idem for g in m.gens}
     n_arrows = 0
     for src, dst, _, outm in bimod.box_matches(left_idems, left_out, bim,
@@ -366,9 +369,8 @@ def reduce(m: TypeDStructure) -> TypeDStructure:
     keeps m's order of generators and of each generator's arrows.
     """
     ids = name_ids([g.name for g in m.gens])
-    return Adjacency(ids, m.gens.__getitem__, [(ids, ids, (
-        (s, d, label) for s, from_s in enumerate(m.out)
-        for d, label in from_s.items()))]).reduced(m.flavor)
+    return Adjacency(ids, m.gens.__getitem__,
+                     [(ids, ids, m.triples())]).reduced(m.flavor)
 
 
 # --- isomorphism testing ------------------------------------------------
@@ -445,8 +447,8 @@ def _chain_iso_search(m, n, shift):
     """
     import random as _random
 
-    max_label = max((l.max_weight for st in (m, n) for out in st.out
-                     for l in out.values()), default=0)
+    max_label = max((l.max_weight for st in (m, n)
+                     for _, _, l in st.triples()), default=0)
     max_w = max_label + 2
     unknowns = []
     for x, gx in enumerate(m.gens):
@@ -523,16 +525,14 @@ def _iso_search(m, n, shift):
     used = set()
 
     def consistent(a, b):
-        n_out, n_in = n.out[b], n.inn[b]
-        for d, l in m.out[a].items():
-            if d in assign and n_out.get(assign[d]) != l:
+        # arrow counts must match exactly, and so must the labels of the
+        # arrows to generators already assigned
+        for mine, theirs in ((m.out[a], n.out[b]), (m.inn[a], n.inn[b])):
+            if len(mine) != len(theirs) or any(
+                    k in assign and theirs.get(assign[k]) != l
+                    for k, l in mine.items()):
                 return False
-        for s, l in m.inn[a].items():
-            if s in assign and n_in.get(assign[s]) != l:
-                return False
-        # arrow counts must match exactly
-        return (len(m.out[a]) == len(n_out)
-                and len(m.inn[a]) == len(n_in))
+        return True
 
     def backtrack(i):
         if i == len(order):
@@ -563,7 +563,6 @@ def serialize(m: TypeDStructure) -> str:
     lines = [f"flavor {m.flavor}"]
     for g in sorted(m.gens, key=lambda g: g.name):
         lines.append(f"gen {g.name} {_IDEM_TO_TOKEN[g.idem]} {g.hdeg}")
-    arrows = m.arrows
-    for (s, d) in sorted(arrows):
-        lines.append(f"arrow {s} {d} {arrows[s, d]}")
+    for (s, d), label in sorted(m.arrows.items()):
+        lines.append(f"arrow {s} {d} {label}")
     return "\n".join(lines) + "\n"

@@ -210,14 +210,13 @@ def build_cube(word: TangleWord, star="nw") -> ResolutionCube:
 # with equal arrows share one list and its index.  Every two-step path
 # runs bits -> bits|i -> bits|i|j, so each d^2 entry lives on one 2-face
 # and is a function of that face's four arrow lists alone:
-# `_d_squared_is_zero` checks each distinct face once, and only if one
-# fails is the whole cube made (`_named`), for `dstruct.check_d_squared`
-# to name the bad pairs.  The arrows then load edge by edge, in walk
-# order, into `dstruct.Adjacency`, the elimination engine of `reduce`:
-# an edge is the ids of its source and target blocks and its arrow
-# list, so nothing is made per arrow.  `tangle_complex` reduces the
-# adjacency, naming only the survivors; `deloop_translate` reads the
-# same edges into a `TypeDStructure` on positions.
+# `_d_squared_is_zero` checks each distinct face once; if one fails,
+# `dstruct.check_d_squared` names the bad pairs of the whole cube.  The
+# arrows then load edge by edge, in walk order, into `dstruct.Adjacency`:
+# an edge is the ids of its source and target blocks and its arrow list,
+# so nothing is made per arrow.  `tangle_complex` reduces the adjacency,
+# naming only the survivors; `deloop_translate` loads the same edges on
+# positions into a `TypeDStructure`.
 
 def _gen_name(bits, decor):
     return f"v{bits}d{decor}"
@@ -360,25 +359,18 @@ def _guarded(cube: ResolutionCube):
 
     ids = _name_ids(cube)
     if not _d_squared_is_zero(lists, edges, c):
-        bad = dstruct.check_d_squared(_named(gen, blocks, len(ids)))
+        at = range(len(ids))
+        bad = dstruct.check_d_squared(dstruct.TypeDStructure(
+            FLAVOR_B, map(gen, at), blocks(at)))
         raise AssertionError(f"d^2 != 0 after delooping: {bad[:3]}")
     return ids, gen, blocks
-
-
-def _named(gen, blocks, n):
-    """The type D structure on the n generators that `gen` makes and the
-    arrows of `blocks`, on positions."""
-    m = dstruct.TypeDStructure(FLAVOR_B, map(gen, range(n)))
-    for src, dst, arrows in blocks(range(n)):
-        for i, j, label in arrows:
-            m.out[src[i]][dst[j]] = m.inn[dst[j]][src[i]] = label
-    return m
 
 
 def deloop_translate(cube: ResolutionCube) -> dstruct.TypeDStructure:
     """The delooped cube as a type D structure, checked for d^2 = 0."""
     ids, gen, blocks = _guarded(cube)
-    return _named(gen, blocks, len(ids))
+    at = range(len(ids))
+    return dstruct.TypeDStructure(FLAVOR_B, map(gen, at), blocks(at))
 
 
 def _saddle_shape(src, tgt, site, star_port):
