@@ -113,10 +113,12 @@ class TypeDStructure:
     def map_labels(self, func, flavor):
         """Apply func to every arrow label; drop zeros."""
         res = TypeDStructure(flavor, self.gens)
-        for s, d, label in self.triples():
-            new = func(label)
-            if not new.is_zero():
-                res.out[s][d] = res.inn[d][s] = new
+        out, inn = res.out, res.inn
+        for s, from_s in enumerate(self.out):
+            for d, label in from_s.items():
+                new = func(label)
+                if not new.is_zero():
+                    out[s][d] = inn[d][s] = new
         return res
 
 
@@ -291,8 +293,10 @@ def name_ids(names):
     ids = [0] * len(names)
     for k, i in enumerate(order):
         ids[i] = k
-        if k and names[i] == names[order[k - 1]]:
-            raise ValueError(f"two generators are named {names[i]!r}")
+    if len(set(names)) < len(names):
+        name = next(names[i] for i, j in zip(order, order[1:])
+                    if names[i] == names[j])
+        raise ValueError(f"two generators are named {name!r}")
     return ids
 
 
@@ -307,10 +311,8 @@ def cone_h(m: TypeDStructure) -> TypeDStructure:
     """Mapping cone of multiplication by the central element H: the
     copies of generator i sit at positions 2i (.0) and 2i + 1 (.1)."""
     assert m.flavor == FLAVOR_B
-    out = TypeDStructure(FLAVOR_B)
-    for g in m.gens:
-        out.add_gen(f"{g.name}.0", g.idem, g.hdeg)
-        out.add_gen(f"{g.name}.1", g.idem, g.hdeg + 1)
+    out = TypeDStructure(FLAVOR_B, [DGen(f"{g.name}.{k}", g.idem, g.hdeg + k)
+                                    for g in m.gens for k in (0, 1)])
     for s, d, label in m.triples():
         out.add_arrow(2 * s, 2 * d, label)
         out.add_arrow(2 * s + 1, 2 * d + 1, label)
@@ -332,12 +334,9 @@ def box_ad(m: TypeDStructure, bim) -> TypeDStructure:
     are its inputs, exactly as in `bimod.box_bimods`.
     """
     assert m.flavor == bim.a_flavor
-    out = TypeDStructure(bim.d_flavor)
-    for g in m.gens:
-        for b in bim.gens.values():
-            if g.idem == b.left_idem:
-                out.add_gen(f"{g.name}*{b.name}", b.right_idem,
-                            g.hdeg + b.hdeg)
+    out = TypeDStructure(bim.d_flavor, [
+        DGen(f"{g.name}*{b.name}", b.right_idem, g.hdeg + b.hdeg)
+        for g in m.gens for b in bim.gens.values() if g.idem == b.left_idem])
     position = {g.name: i for i, g in enumerate(out.gens)}
 
     names = [g.name for g in m.gens]
@@ -528,10 +527,11 @@ def _iso_search(m, n, shift):
         # arrow counts must match exactly, and so must the labels of the
         # arrows to generators already assigned
         for mine, theirs in ((m.out[a], n.out[b]), (m.inn[a], n.inn[b])):
-            if len(mine) != len(theirs) or any(
-                    k in assign and theirs.get(assign[k]) != l
-                    for k, l in mine.items()):
+            if len(mine) != len(theirs):
                 return False
+            for k, l in mine.items():
+                if k in assign and theirs.get(assign[k]) != l:
+                    return False
         return True
 
     def backtrack(i):
