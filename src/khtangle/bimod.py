@@ -167,8 +167,13 @@ def bimodule_Y() -> ADBimodule:
     return _mk_bim("Y", FLAVOR_BT, FLAVOR_B, gens, acts)
 
 
+@functools.cache
 def bimodule_Q() -> ADBimodule:
-    """The quotient bimodule: full-algebra inputs, quotient outputs."""
+    """The quotient bimodule: full-algebra inputs, quotient outputs.
+
+    One shared instance, as for `bimodule_Y`: the lemma verifier
+    builds it several times.
+    """
     gens = [BimGen("z", FILLED, FILLED, 0), BimGen("w", HOLLOW, HOLLOW, 0)]
     acts = [Action("z", "w", (_S(1),), _S(1)),
             Action("w", "z", (_S(1),), _S(1))]
@@ -178,8 +183,13 @@ def bimodule_Q() -> ADBimodule:
     return _mk_bim("Q", FLAVOR_B, FLAVOR_BT, gens, acts)
 
 
+@functools.cache
 def bimodule_I() -> ADBimodule:
-    """The cone-of-identity bimodule, enumerated as pattern families."""
+    """The cone-of-identity bimodule, enumerated as pattern families.
+
+    One shared instance, as for `bimodule_Y`: the lemma verifier
+    builds it several times.
+    """
     gens = [BimGen("l", FILLED, FILLED, 0), BimGen("b", HOLLOW, HOLLOW, 0),
             BimGen("m", FILLED, FILLED, 1), BimGen("y", HOLLOW, HOLLOW, 1)]
     acts = []
@@ -213,8 +223,13 @@ def identity_bimodule(flavor, structural=True) -> ADBimodule:
     return _mk_bim(f"id[{flavor}]", flavor, flavor, gens, acts)
 
 
+@functools.cache
 def bimodule_QY_expected() -> ADBimodule:
-    """The box tensor of Q and Y, transcribed as a standalone table."""
+    """The box tensor of Q and Y, transcribed as a standalone table.
+
+    One shared instance, as for `bimodule_Y`: the lemma verifier
+    builds it several times.
+    """
     gens = [BimGen("z*t", FILLED, FILLED, 0), BimGen("w*u", HOLLOW, HOLLOW, 0),
             BimGen("z*k", FILLED, FILLED, 1), BimGen("w*v", HOLLOW, HOLLOW, 1)]
     acts = []
@@ -356,11 +371,12 @@ def diff_ad_morphism(mor: ADMorphism, bound):
 
 def compose_concrete(h2_items, h1_items, bound):
     """Concrete composition: h1 first, then h2."""
+    h2_from = {}
+    for s2, d2, in2, out2 in h2_items:
+        h2_from.setdefault(s2, []).append((d2, in2, out2))
     acc = set()
     for (s1, d1, in1, out1) in h1_items:
-        for (s2, d2, in2, out2) in h2_items:
-            if d1 != s2:
-                continue
+        for d2, in2, out2 in h2_from.get(d1, ()):
             prod = out1 * out2
             if not prod.is_zero():
                 acc.symmetric_difference_update({(s1, d2, in1 + in2, prod)})
@@ -396,21 +412,23 @@ def _action_index(bim: ADBimodule, bound):
 def box_matches(left_idems, left_out, right: ADBimodule, bound):
     """The box-tensor matcher behind box_bimods and dstruct.box_ad.
 
-    `left_idems` maps each left generator to its D-side idempotent and
-    `left_out` maps it to its concrete outgoing actions (target, inputs,
-    output); a type D structure's arrow monomials enter as actions with
-    no inputs.  A concrete right action with r inputs, r = 0 included,
-    fires on every path of r left actions whose outputs equal its
-    inputs in order.  Right actions are instantiated up to input weight
-    `bound`.  Yields one (source, target, inputs, output) per firing,
-    generator names joined by "*"; equal firings cancel over F2.
+    `left_idems` yields each left generator with its D-side idempotent,
+    as (generator, idempotent) pairs, and `left_out[x]` lists the
+    concrete outgoing actions (target, inputs, output) of generator x; a
+    type D structure's arrow monomials enter as actions with no inputs.
+    A concrete right action with r inputs, r = 0 included, fires on every
+    path of r left actions whose outputs equal its inputs in order.
+    Right actions are instantiated up to input weight `bound`.  Yields
+    one ((left source, right source), (left target, right target),
+    inputs, output) per firing, right generators by name; equal firings
+    cancel over F2.
     """
     index = _action_index(right, bound)
     depth = max((len(a.inputs) for a in right.actions), default=0)
     by_idem = {}
     for g in right.gens.values():
         by_idem.setdefault(g.left_idem, []).append(g.name)
-    for x, idem in left_idems.items():
+    for x, idem in left_idems:
         starts = by_idem.get(idem)
         if not starts:
             continue
@@ -424,7 +442,7 @@ def box_matches(left_idems, left_out, right: ADBimodule, bound):
         for end, ins, outs in paths:
             for b in starts:
                 for bd, rout in index.get((b, outs), ()):
-                    yield f"{x}*{b}", f"{end}*{bd}", ins, rout
+                    yield (x, b), (end, bd), ins, rout
 
 
 def box_bimods(left: ADBimodule, right: ADBimodule, bound) -> frozenset:
@@ -433,11 +451,12 @@ def box_bimods(left: ADBimodule, right: ADBimodule, bound) -> frozenset:
     left_out = {name: [] for name in left.gens}
     for s, d, ins, out in _actions(left, bound):
         left_out[s].append((d, ins, out))
-    left_idems = {g.name: g.right_idem for g in left.gens.values()}
+    left_idems = [(g.name, g.right_idem) for g in left.gens.values()]
     acc = set()
-    for item in box_matches(left_idems, left_out, right, bound):
-        if sum(m.max_weight for m in item[2]) <= bound:
-            acc ^= {item}
+    for (x, b), (end, bd), ins, out in box_matches(left_idems, left_out,
+                                                  right, bound):
+        if sum(m.max_weight for m in ins) <= bound:
+            acc ^= {(f"{x}*{b}", f"{end}*{bd}", ins, out)}
     return frozenset(acc)
 
 

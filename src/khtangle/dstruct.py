@@ -148,6 +148,7 @@ class Adjacency:
         out = self.out = [{} for _ in range(n)]
         inn = self.inn = [{} for _ in range(n)]
         keys = self.keys = []
+        append = keys.append
         nn = n * n
         for src, dst, arrows in blocks:
             for i, j, label in arrows:
@@ -155,24 +156,31 @@ class Adjacency:
                 from_s, into_d = out[s], inn[d]
                 from_s[d] = into_d[s] = label
                 if label.is_idem:
-                    keys.append((len(into_d) - 1) * (len(from_s) - 1) * nn
-                                + s * n + d)
+                    append((len(into_d) - 1) * (len(from_s) - 1) * nn
+                           + s * n + d)
 
     def eliminate(self):
         """Cancel arrows labelled exactly by an idempotent until none
         remain, cheapest fill-in first and ties by (s, d); the `out` and
         `inn` of a cancelled pair become None, s's first.
 
-        Keys come in increasing order from two sources: the load's keys,
-        which never change, sorted once into a run, and a heap of the
-        keys made here.  The next key is the smaller of the two heads,
-        taken off its source, so the keys come as from one heap of all
-        of them; equal keys are equal (cost, s, d), so their order does
-        not matter.  Keys are refreshed lazily: a key whose arrow is
-        gone or no longer an idempotent is dropped, one whose cost rose
-        goes on the heap at its current cost, and one whose cost fell is
-        cancelled at once, since at its current cost it would be below
-        every other key.
+        Keys are read in increasing order, as from one heap of all of
+        them; equal keys are equal (cost, s, d), so their order does not
+        matter.  The load's keys never change and are sorted once into a
+        run.  A key made here waits in `later`, bucketed by its cost,
+        until the read reaches that cost, and then goes on a heap, which
+        holds only keys of cost at most `level`, the cost read up to:
+        the next key is the smaller of the run's head and the heap's,
+        and once both are past `level` the level goes up to the cheaper
+        of the run's head and the cheapest bucket, which then makes the
+        heap.  Most keys made here die before they are read, and a key
+        with a cancelled end stays dead, so a bucket drops those as it
+        makes the heap; a key whose arrow fill-in removed stays, as
+        fill-in can make that arrow again.  Keys are refreshed lazily: a
+        key whose arrow is gone or no longer an idempotent is dropped,
+        one whose cost rose waits again at its current cost, and one
+        whose cost fell is cancelled at once, since at its current cost
+        it would be below every other key.
         """
         import heapq   # imported here: set-up of the package needs none
 
@@ -187,6 +195,8 @@ class Adjacency:
         run.append(end)
         run.sort(reverse=True)
         heap = [end]
+        later = {}
+        level, limit = 0, nn   # limit = (level + 1) * nn
         # labels are interned and few: a dict of products per left label
         # spares a method call per fill-in entry
         products = {}
@@ -194,56 +204,84 @@ class Adjacency:
             key = run[-1]
             if heap[0] < key:
                 key = pop(heap)
-            elif key == end:
-                break
-            else:
+            elif key < limit:
                 run.pop()
-            c, arrow = divmod(key, nn)
-            x, y = divmod(arrow, n)
+            else:
+                # the heap is empty and the run's head is past the level
+                # (end // nn is nn, above every cost)
+                level = min(key // nn, min(later, default=nn))
+                if level == nn:
+                    break
+                limit = (level + 1) * nn
+                heap = [k for k in later.pop(level, ())
+                        if out[k // n % n] is not None
+                        and out[k % n] is not None]
+                heap.append(end)
+                heapq.heapify(heap)
+                continue
+            # most keys read are dead: test the source, then the arrow,
+            # before decoding the cost
+            x = key // n % n
             from_x = out[x]
-            label = None if from_x is None else from_x.get(y)
+            if from_x is None:
+                continue   # x cancelled
+            y = key % n
+            label = from_x.get(y)
             if label is None or not label.is_idem:
-                continue   # cancelled, or no longer an idempotent
+                continue   # y cancelled, or no longer an idempotent
             into_y = inn[y]
             actual = (len(into_y) - 1) * (len(from_x) - 1)
-            if actual > c:
-                push(heap, actual * nn + arrow)
+            if actual > key // nn:
+                if actual > level:
+                    later.setdefault(actual, []).append(
+                        actual * nn + key % nn)
+                else:
+                    push(heap, actual * nn + key % nn)
                 continue
-            if actual:
-                into_y = [(p, l) for p, l in into_y.items() if p != x]
-                from_x = [(q, l) for q, l in from_x.items() if q != y]
-            else:
-                # no fill-in: y's only source is x, or x's only target y
-                into_y = ()
-            for g in (x, y):
-                for d in out[g]:
-                    del inn[d][g]
-                for s in inn[g]:
-                    del out[s][g]
-                out[g] = inn[g] = None
-            for p, beta in into_y:
+            # detach the pair's rows, which then hold the fill-in's
+            # sources into y and targets from x, and clear every
+            # reference to x and y from the other rows
+            del from_x[y], into_y[x]
+            for d in from_x:
+                del inn[d][x]
+            for s in inn[x]:
+                del out[s][x]
+            for d in out[y]:
+                del inn[d][y]
+            for s in into_y:
+                del out[s][y]
+            out[x] = out[y] = inn[x] = inn[y] = None
+            if not actual:
+                continue   # y's only source was x, or x's only target y
+            # an F2 sum is zero exactly when its two interned terms are
+            # one value, and a product when it is the interned zero
+            zero = algebra.zero(label.flavor)
+            for p, beta in into_y.items():
                 from_p = out[p]
                 times_beta = products.get(beta)
                 if times_beta is None:
                     times_beta = products[beta] = {}
-                for q, gamma in from_x:
+                for q, gamma in from_x.items():
                     prod = times_beta.get(gamma)
                     if prod is None:
                         prod = times_beta[gamma] = beta * gamma
-                    if prod.is_zero():
+                    if prod is zero:
                         continue
                     cur = from_p.get(q)
                     if cur is not None:
-                        prod = cur + prod
-                        if prod.is_zero():
-                            del from_p[q]
-                            del inn[q][p]
+                        if cur is prod:
+                            del from_p[q], inn[q][p]
                             continue
+                        prod = cur + prod
                     into_q = inn[q]
                     from_p[q] = into_q[p] = prod
                     if prod.is_idem:
-                        push(heap, (len(into_q) - 1) * (len(from_p) - 1) * nn
-                             + p * n + q)
+                        cost = (len(into_q) - 1) * (len(from_p) - 1)
+                        if cost > level:
+                            later.setdefault(cost, []).append(
+                                cost * nn + p * n + q)
+                        else:
+                            push(heap, cost * nn + p * n + q)
 
     def reduced(self, flavor):
         """Eliminate, then the type D structure on the survivors in
@@ -279,10 +317,13 @@ def nonzero_two_step(legs):
                 prod = times_a.get(b)
                 if prod is None:
                     prod = times_a[b] = a * b
+                # None is a zero sum, kept in its slot: an F2 sum of two
+                # interned values is zero exactly when they are one value
                 cur = sums.get(z)
-                sums[z] = prod if cur is None else cur + prod
+                sums[z] = prod if cur is None else \
+                    None if cur is prod else cur + prod
     return [(x, z) for x, sums in acc.items() for z, total in sums.items()
-            if not total.is_zero()]
+            if total is not None and not total.is_zero()]
 
 
 def name_ids(names):
@@ -334,24 +375,29 @@ def box_ad(m: TypeDStructure, bim) -> TypeDStructure:
     are its inputs, exactly as in `bimod.box_bimods`.
     """
     assert m.flavor == bim.a_flavor
-    out = TypeDStructure(bim.d_flavor, [
-        DGen(f"{g.name}*{b.name}", b.right_idem, g.hdeg + b.hdeg)
-        for g in m.gens for b in bim.gens.values() if g.idem == b.left_idem])
-    position = {g.name: i for i, g in enumerate(out.gens)}
+    # generator (s, b) sits at first[s] + offset[b]: m's generators in
+    # turn, each with the bimodule generators of its idempotent in order
+    offset, first, count = {}, [], {}
+    for b in bim.gens.values():
+        offset[b.name] = count.get(b.left_idem, 0)
+        count[b.left_idem] = offset[b.name] + 1
+    gens = []
+    for g in m.gens:
+        first.append(len(gens))
+        gens += [DGen(f"{g.name}*{b.name}", b.right_idem, g.hdeg + b.hdeg)
+                 for b in bim.gens.values() if g.idem == b.left_idem]
+    out = TypeDStructure(bim.d_flavor, gens)
 
-    names = [g.name for g in m.gens]
-    left_out = {names[s]: [(names[d], (), t) for d, label in from_s.items()
-                           for t in label.monomials()]
-                for s, from_s in enumerate(m.out)}
+    left_out = [[(d, (), t) for d, label in from_s.items()
+                 for t in label.monomials()] for from_s in m.out]
     # no path of j monomials weighs more than j times the heaviest one
     depth = max((len(a.inputs) for a in bim.actions), default=0)
     bound = depth * max((l.max_weight for _, _, l in m.triples()),
                         default=0)
-    left_idems = {g.name: g.idem for g in m.gens}
     n_arrows = 0
-    for src, dst, _, outm in bimod.box_matches(left_idems, left_out, bim,
-                                                bound):
-        out.add_arrow(position[src], position[dst], outm)
+    for (s, b), (d, bd), _, outm in bimod.box_matches(
+            enumerate(g.idem for g in m.gens), left_out, bim, bound):
+        out.add_arrow(first[s] + offset[b], first[d] + offset[bd], outm)
         n_arrows += 1
         if n_arrows > MAX_BOX_ARROWS:
             raise RuntimeError("box tensor diverged: arrow cap hit")
@@ -534,23 +580,27 @@ def _iso_search(m, n, shift):
                     return False
         return True
 
-    def backtrack(i):
-        if i == len(order):
-            return True
-        a = order[i]
-        for b in by_sig[sig_m[a]]:
-            if b in used or not consistent(a, b):
-                continue
-            assign[a] = b
-            used.add(b)
-            if backtrack(i + 1):
-                return True
-            del assign[a]
-            used.discard(b)
-        return False
-
-    if not backtrack(0):
-        return None
+    # depth first on an explicit stack, not by recursion, which a
+    # structure of a thousand generators would take past Python's limit:
+    # `tries[i]` holds the candidates of order[i] not yet tried, in the
+    # order of its colour class, and order[:len(tries) - 1] are assigned
+    tries = [iter(by_sig[sig_m[order[0]]])] if order else []
+    while len(assign) < len(order):
+        if not tries:
+            return None
+        a = order[len(tries) - 1]
+        for b in tries[-1]:
+            if b not in used and consistent(a, b):
+                assign[a] = b
+                used.add(b)
+                if len(tries) < len(order):
+                    tries.append(iter(by_sig[sig_m[order[len(tries)]]]))
+                break
+        else:
+            # every candidate of a failed: take back its predecessor's
+            tries.pop()
+            if tries:
+                used.discard(assign.pop(order[len(tries) - 1]))
     return {m.gens[a].name: n.gens[b].name for a, b in assign.items()}
 
 

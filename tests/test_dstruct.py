@@ -208,6 +208,19 @@ def test_iso_check_finds_base_change():
     assert isinstance(w, dict) and "entries" in w
 
 
+@pytest.mark.parametrize("crossings", [7, 8])
+def test_iso_check_matches_structures_of_thousands_of_generators(crossings):
+    # delooped x1^7 and x1^8 have 1,094 and 3,281 generators: a search
+    # that recursed once per generator would pass Python's limit
+    word = tangles.parse_tangle(" ".join(["x1"] * crossings))
+    m = tangles.deloop_translate(tangles.build_cube(word))
+    assert len(m.gens) > 1000
+    w = dstruct.iso_check(m, m)
+    assert sorted(w) == sorted(w.values()) == sorted(names(m))
+    arrows = m.arrows
+    assert {(w[s], w[d]): label for (s, d), label in arrows.items()} == arrows
+
+
 def one_arrow(label):
     return structure([("a", FILLED, 0), ("b", FILLED, 1)],
                      [("a", "b", label)])
