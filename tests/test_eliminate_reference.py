@@ -2,9 +2,10 @@
 
 The reference below heapifies every load key and refreshes the keys
 lazily on one heap.  `eliminate` reads the load keys from a sorted run
-and puts on a heap only the keys made while it cancels; it must cancel
-the same pairs in the same order, so the reduced structure, its
-generator order, its arrow order and its labels are the reference's.
+and buckets the keys made while it cancels by cost, heaping a bucket
+when the read reaches its cost; it must cancel the same pairs in the
+same order, so the reduced structure, its generator order, its arrow
+order and its labels are the reference's.
 """
 
 import heapq
@@ -133,10 +134,10 @@ def test_larger_words_are_reduced_as_the_reference(monkeypatch):
 
 # Hand-built cases on generators 0..n-1 (id = position), arrows "s d
 # label" loaded in the order given, all at one vertex.  Keys are
-# written (cost, s, d).  In each, fill-in sums an idempotent arrow to
-# zero and a later cancellation makes it an idempotent again, so that
-# its load key, still unread in the run, is live once more: dropping
-# that key when its arrow died would cancel another pair.
+# written (cost, s, d).  In the first four, fill-in sums an idempotent
+# arrow to zero and a later cancellation makes it an idempotent again,
+# so that its load key, still unread in the run, is live once more:
+# dropping that key when its arrow died would cancel another pair.
 I, D = algebra.idem(FILLED), algebra.dpow(1, FILLED)
 LABELS = {"i": I, "D": D, "i+D": I + D}
 
@@ -174,7 +175,14 @@ def _loaded(n, arrows):
          "6 9 i, 4 3 D, 10 9 i, 0 9 i, 5 9 i, 6 7 i, 5 7 i, 10 12 i, "
          "10 11 i, 6 2 i",
      [(1, 12), (5, 7), (0, 8), (4, 11), (6, 9)]),
-], ids=["comes-back", "cost-down", "stale-twice", "equal-keys"])
+    # the bucket drop: (0, 1, 2) and (0, 1, 4) rise to cost 2 and wait in
+    # its bucket; cancelling 5 -> 2 at (1, 5, 2) sums 1 -> 4 to zero, and
+    # bucket 2, as it becomes the heap, drops (2, 1, 2), whose target is
+    # cancelled, and keeps (2, 1, 4), whose arrow is gone but whose ends
+    # live, as fill-in could make that arrow again
+    (7, "1 4 i, 1 2 i, 1 6 D, 5 4 i, 5 2 i", [(5, 2)]),
+], ids=["comes-back", "cost-down", "stale-twice", "equal-keys",
+        "bucket-drop"])
 def test_hand_built_cases_are_reduced_as_the_reference(n, arrows, cancelled):
     adj, ref = _loaded(n, arrows), _loaded(n, arrows)
     assert cancelled_by(dstruct.Adjacency.eliminate, adj) == \
