@@ -167,20 +167,20 @@ class Adjacency:
         Keys are read in increasing order, as from one heap of all of
         them; equal keys are equal (cost, s, d), so their order does not
         matter.  The load's keys never change and are sorted once into a
-        run.  A key made here waits in `later`, bucketed by its cost,
-        until the read reaches that cost, and then goes on a heap, which
-        holds only keys of cost at most `level`, the cost read up to:
-        the next key is the smaller of the run's head and the heap's,
-        and once both are past `level` the level goes up to the cheaper
-        of the run's head and the cheapest bucket, which then makes the
-        heap.  Most keys made here die before they are read, and a key
-        with a cancelled end stays dead, so a bucket drops those as it
-        makes the heap; a key whose arrow fill-in removed stays, as
-        fill-in can make that arrow again.  Keys are refreshed lazily: a
-        key whose arrow is gone or no longer an idempotent is dropped,
-        one whose cost rose waits again at its current cost, and one
-        whose cost fell is cancelled at once, since at its current cost
-        it would be below every other key.
+        run.  A key made here waits in `later`, in a bucket for its cost,
+        until the read reaches that cost; a heap holds the made keys of
+        cost at most `level`, the cost read so far.  The next key is the
+        smaller of the run's head and the heap's; once both are past
+        `level`, the level rises to the cheaper of the run's head and
+        the cheapest bucket, and that bucket becomes the heap.  Most made
+        keys die unread, and a key with a cancelled end stays dead, so a
+        bucket drops those as it becomes the heap; a key whose arrow
+        fill-in removed stays, as fill-in can make that arrow again.
+        Keys are refreshed lazily: a key whose arrow is gone or no
+        longer an idempotent is dropped, one whose cost rose waits again
+        at its current cost, and one whose cost fell is cancelled at
+        once, since at its current cost it would be below every other
+        key.
         """
         import heapq   # imported here: set-up of the package needs none
 
