@@ -209,15 +209,18 @@ class Adjacency:
             else:
                 # the heap is empty and the run's head is past the level
                 # (end // nn is nn, above every cost)
-                level = min(key // nn, min(later, default=nn))
+                level = key // nn
+                if later:
+                    level = min(level, min(later))
                 if level == nn:
                     break
                 limit = (level + 1) * nn
-                heap = [k for k in later.pop(level, ())
-                        if out[k // n % n] is not None
-                        and out[k % n] is not None]
-                heap.append(end)
-                heapq.heapify(heap)
+                if level in later:
+                    heap = [k for k in later.pop(level)
+                            if out[k // n % n] is not None
+                            and out[k % n] is not None]
+                    heap.append(end)
+                    heapq.heapify(heap)
                 continue
             # most keys read are dead: test the source, then the arrow,
             # before decoding the cost

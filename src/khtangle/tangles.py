@@ -256,12 +256,13 @@ def _faces(edges, c):
     """The arrow-list indices of the edges bits -> bits|i, bits|i ->
     bits|i|j, bits -> bits|j and bits|j -> bits|i|j of every 2-face of
     the cube: for each bits and each pair i < j of its unset bits."""
+    pairs = [(i, j, (1 << i) | (1 << j))
+             for i in range(c) for j in range(i + 1, c)]
     for bits in range(1 << c):
-        at = bits * c
-        for i, j in itertools.combinations(
-                [k for k in range(c) if not bits >> k & 1], 2):
-            yield (edges[at + i], edges[(bits | 1 << i) * c + j],
-                   edges[at + j], edges[(bits | 1 << j) * c + i])
+        for i, j, both in pairs:
+            if not bits & both:
+                yield (edges[bits * c + i], edges[(bits | (1 << i)) * c + j],
+                       edges[bits * c + j], edges[(bits | (1 << j)) * c + i])
 
 
 def _by_source(arrows):
