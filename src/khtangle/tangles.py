@@ -145,12 +145,12 @@ class ResolutionCube:
 # Each resolution deloops to 2^(its loops) generators.  A loop of cups
 # and caps alone is a loop of every resolution, so a cube with c
 # crossings and l such loops deloops to at least 2^(c + l) generators.
-# The cap admits x1^10 (29,525 generators; `compare` takes 0.8-1.0 s
+# The cap admits x1^10 (29,525 generators; `compare` takes 0.4-0.7 s
 # and 46 MB peak RSS in a fresh process on a 2-vCPU Xeon VM, six runs
-# at 7e36ced, import included; the spread is the host's drift) and the
+# at 034e0b0, import included; the spread is the host's drift) and the
 # worst criterion-6 word (26,244).  It refuses x1^11 (88,574
 # generators) before any delooping, although with the cap lifted
-# `compare` takes 2.2-3.2 s and 111 MB there: the cap bounds the size
+# `compare` takes 1.5-1.9 s and 111 MB there: the cap bounds the size
 # of the delooped cube, not the 30 s per-tangle budget.
 MAX_GENERATORS = 50_000
 
