@@ -11,6 +11,16 @@ Ships the cone-of-identity bimodule I, the quotient bimodule Q, the
 two-layer bimodule Y, structural/enumerated identity bimodules, the
 mutually inverse morphisms f : I -> Q box Y and g backwards, and the
 truncated verification that they are chain isomorphisms.
+
+Each bimodule and morphism holds its concrete tables, one per bound, as
+immutable tuples built on first use; a new `ADBimodule` or `ADMorphism`
+starts with none.  A table at a bound below a cached one is that table
+filtered to input weight <= bound, in the same order: within a family
+the input weight does not fall as k grows, and the F2 cancellation
+pairs equal items, of equal weight.  A composition forms only the pairs
+whose input weights sum to at most the bound: a composite weighs the sum
+of its factors' weights, so one past the bound could cancel only
+composites past it too.
 """
 
 from __future__ import annotations
@@ -31,10 +41,14 @@ class Pattern:
     stride: int = 0
 
     def __post_init__(self):
-        assert self.letter in "SDi"
-        assert self.offset >= 0 and self.stride in (0, 1, 2)
-        if self.letter == "i":
-            assert self.offset == 0 and self.stride == 0
+        # raised, not asserted: _check_families relies on stride <= 2
+        _require(self.letter in ("S", "D", "i"),
+                 f"pattern letter {self.letter!r} is not S, D or i")
+        _require(self.offset >= 0 and self.stride in (0, 1, 2),
+                 f"pattern {self.letter} needs offset >= 0 and stride "
+                 f"0, 1 or 2, not {self.offset} and {self.stride}")
+        _require(self.letter != "i" or self.offset == self.stride == 0,
+                 "pattern i takes no offset or stride")
 
     def exponent(self, k):
         return self.offset + self.stride * k
@@ -89,6 +103,9 @@ class ADBimodule:
     d_flavor: str
     gens: dict            # name -> BimGen
     actions: tuple        # tuple of Action
+    # bound -> concrete actions, see _table
+    _tables: dict = field(default_factory=dict, init=False, repr=False,
+                          compare=False)
     # bound -> index of the concrete actions, see _action_index
     _index: dict = field(default_factory=dict, init=False, repr=False,
                          compare=False)
@@ -96,6 +113,19 @@ class ADBimodule:
     def __post_init__(self):
         _check_families("action", self.actions, self.gens, self.gens,
                         self.a_flavor, self.d_flavor, 1)
+
+    @functools.cached_property
+    def depth(self):
+        """The most inputs any action consumes."""
+        return max((len(a.inputs) for a in self.actions), default=0)
+
+    @functools.cached_property
+    def gens_by_idem(self):
+        """A-side idempotent -> names of the generators there, in order."""
+        out = {}
+        for g in self.gens.values():
+            out[g.left_idem] = out.get(g.left_idem, ()) + (g.name,)
+        return out
 
 
 def _check_families(what, families, src_gens, dst_gens, a_flavor, d_flavor,
@@ -259,6 +289,9 @@ class ADMorphism:
     source: ADBimodule
     target: ADBimodule
     components: tuple    # tuple of Action (src in source, dst in target)
+    # bound -> concrete components, see _table
+    _tables: dict = field(default_factory=dict, init=False, repr=False,
+                          compare=False)
 
     def __post_init__(self):
         _check_families("component", self.components, self.source.gens,
@@ -266,7 +299,9 @@ class ADMorphism:
                         self.target.d_flavor, 0)
 
 
+@functools.cache
 def morphism_f() -> ADMorphism:
+    """f : I -> Q box Y.  One shared instance, as for `bimodule_Y`."""
     comps = [Action("l", "z*t", (), _IOTA), Action("b", "w*u", (), _IOTA),
              Action("m", "z*k", (), _IOTA), Action("y", "w*v", (), _IOTA)]
     for a, b in [("m", "z*t"), ("y", "w*u")]:
@@ -277,7 +312,9 @@ def morphism_f() -> ADMorphism:
     return ADMorphism("f", bimodule_I(), bimodule_QY_expected(), tuple(comps))
 
 
+@functools.cache
 def morphism_g() -> ADMorphism:
+    """g : Q box Y -> I.  One shared instance, as for `bimodule_Y`."""
     comps = [Action("z*t", "l", (), _IOTA), Action("w*u", "b", (), _IOTA),
              Action("z*k", "m", (), _IOTA), Action("w*v", "y", (), _IOTA)]
     for a, b in [("z*k", "l"), ("w*v", "b")]:
@@ -327,9 +364,36 @@ def _instantiate_all(families, gens, a_flavor, d_flavor, bound):
     return list(acc)
 
 
+def _weight(item):
+    """The total input weight of a concrete action or component."""
+    return sum(m.max_weight for m in item[2])
+
+
+def _table(tables, bound, families, gens, a_flavor, d_flavor):
+    """The concrete items of `families` of input weight <= bound, as a
+    tuple memoized per bound in `tables`: filtered from the smallest
+    cached table of a higher bound if there is one, else instantiated."""
+    table = tables.get(bound)
+    if table is None:
+        above = [b for b in tables if b > bound]
+        if above:
+            table = tuple(i for i in tables[min(above)]
+                          if _weight(i) <= bound)
+        else:
+            table = tuple(_instantiate_all(families, gens, a_flavor,
+                                           d_flavor, bound))
+        tables[bound] = table
+    return table
+
+
 def _actions(bim: ADBimodule, bound):
-    return _instantiate_all(bim.actions, bim.gens, bim.a_flavor,
-                            bim.d_flavor, bound)
+    return _table(bim._tables, bound, bim.actions, bim.gens, bim.a_flavor,
+                  bim.d_flavor)
+
+
+def _components(mor: ADMorphism, bound):
+    return _table(mor._tables, bound, mor.components, mor.source.gens,
+                  mor.source.a_flavor, mor.target.d_flavor)
 
 
 def instantiate_actions(bim: ADBimodule, bound):
@@ -338,14 +402,11 @@ def instantiate_actions(bim: ADBimodule, bound):
 
 
 def instantiate_morphism(mor: ADMorphism, bound):
-    return frozenset(_instantiate_all(
-        mor.components, mor.source.gens, mor.source.a_flavor,
-        mor.target.d_flavor, bound))
+    return frozenset(_components(mor, bound))
 
 
 def _filter_weight(items, bound):
-    return frozenset(i for i in items
-                     if sum(m.max_weight for m in i[2]) <= bound)
+    return frozenset(i for i in items if _weight(i) <= bound)
 
 
 def diff_ad_morphism(mor: ADMorphism, bound):
@@ -356,11 +417,9 @@ def diff_ad_morphism(mor: ADMorphism, bound):
     by the morphism, and the morphism with one input split into two
     non-idempotent factors (the A-side multiplication terms).
     """
-    h = instantiate_morphism(mor, bound)
-    acc = set(compose_concrete(instantiate_actions(mor.target, bound), h,
-                               bound)
-              ^ compose_concrete(h, instantiate_actions(mor.source, bound),
-                                 bound))
+    h = _components(mor, bound)
+    acc = set(compose_concrete(_actions(mor.target, bound), h, bound)
+              ^ compose_concrete(h, _actions(mor.source, bound), bound))
     for (cs, cd, cin, cout) in h:
         for i, mono in enumerate(cin):
             for first, second in algebra.splits(mono):
@@ -370,23 +429,33 @@ def diff_ad_morphism(mor: ADMorphism, bound):
 
 
 def compose_concrete(h2_items, h1_items, bound):
-    """Concrete composition: h1 first, then h2."""
+    """Concrete composition: h1 first, then h2, of input weight <= bound.
+
+    A pair is formed only if its input weights sum to at most the bound:
+    the composite weighs that sum, and equal composites weigh the same,
+    so one past the bound could cancel only composites past it too.
+    """
     h2_from = {}
-    for s2, d2, in2, out2 in h2_items:
-        h2_from.setdefault(s2, []).append((d2, in2, out2))
+    for item in h2_items:
+        h2_from.setdefault(item[0], []).append((_weight(item),) + item[1:])
     acc = set()
-    for (s1, d1, in1, out1) in h1_items:
-        for d2, in2, out2 in h2_from.get(d1, ()):
-            prod = out1 * out2
-            if not prod.is_zero():
-                acc.symmetric_difference_update({(s1, d2, in1 + in2, prod)})
-    return _filter_weight(acc, bound)
+    for item in h1_items:
+        s1, d1, in1, out1 = item
+        room = bound - _weight(item)
+        for w2, d2, in2, out2 in h2_from.get(d1, ()):
+            if w2 <= room:
+                prod = out1 * out2
+                if not prod.is_zero():
+                    acc ^= {(s1, d2, in1 + in2, prod)}
+    return frozenset(acc)
 
 
 def compose_ad_morphisms(h2: ADMorphism, h1: ADMorphism, bound):
-    assert h1.target.name == h2.source.name
-    return compose_concrete(instantiate_morphism(h2, bound),
-                            instantiate_morphism(h1, bound), bound)
+    _require(h1.target.name == h2.source.name,
+             f"{h2.name} starts at {h2.source.name}, not at "
+             f"{h1.name}'s target {h1.target.name}")
+    return compose_concrete(_components(h2, bound), _components(h1, bound),
+                            bound)
 
 
 def identity_components(bim: ADBimodule):
@@ -424,10 +493,7 @@ def box_matches(left_idems, left_out, right: ADBimodule, bound):
     cancel over F2.
     """
     index = _action_index(right, bound)
-    depth = max((len(a.inputs) for a in right.actions), default=0)
-    by_idem = {}
-    for g in right.gens.values():
-        by_idem.setdefault(g.left_idem, []).append(g.name)
+    depth, by_idem = right.depth, right.gens_by_idem
     for x, idem in left_idems:
         starts = by_idem.get(idem)
         if not starts:
@@ -447,7 +513,9 @@ def box_matches(left_idems, left_out, right: ADBimodule, bound):
 
 def box_bimods(left: ADBimodule, right: ADBimodule, bound) -> frozenset:
     """Concrete action set of the box tensor, truncated by input weight."""
-    assert left.d_flavor == right.a_flavor
+    _require(left.d_flavor == right.a_flavor,
+             f"{left.name} emits {left.d_flavor} but {right.name} "
+             f"consumes {right.a_flavor}")
     left_out = {name: [] for name in left.gens}
     for s, d, ins, out in _actions(left, bound):
         left_out[s].append((d, ins, out))
@@ -465,11 +533,11 @@ def box_bimods(left: ADBimodule, right: ADBimodule, bound) -> frozenset:
 def max_weight_shift(bim_or_mor, bound=12):
     """Largest |output weight - input weight| over instantiated actions."""
     if isinstance(bim_or_mor, ADBimodule):
-        items = instantiate_actions(bim_or_mor, bound)
+        items = _actions(bim_or_mor, bound)
     else:
-        items = instantiate_morphism(bim_or_mor, bound)
-    return max((abs(out.max_weight - sum(m.max_weight for m in ins))
-                for (_, _, ins, out) in items), default=0)
+        items = _components(bim_or_mor, bound)
+    return max((abs(item[3].max_weight - _weight(item)) for item in items),
+               default=0)
 
 
 def verify_lemma_main(bound=16, margin=8):
@@ -480,7 +548,8 @@ def verify_lemma_main(bound=16, margin=8):
     both morphisms are cycles, both composites are identities, and the
     arity-graded sub-identities of the composites hold.
     """
-    assert bound > margin >= 8
+    _require(bound > margin >= 8,
+             f"bound {bound} and margin {margin} need bound > margin >= 8")
     report = {"checks": {}, "pass": True}
     f, g = morphism_f(), morphism_g()
     qy = f.target

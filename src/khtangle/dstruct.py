@@ -394,9 +394,8 @@ def box_ad(m: TypeDStructure, bim) -> TypeDStructure:
     left_out = [[(d, (), t) for d, label in from_s.items()
                  for t in label.monomials()] for from_s in m.out]
     # no path of j monomials weighs more than j times the heaviest one
-    depth = max((len(a.inputs) for a in bim.actions), default=0)
-    bound = depth * max((l.max_weight for _, _, l in m.triples()),
-                        default=0)
+    bound = bim.depth * max((l.max_weight for _, _, l in m.triples()),
+                            default=0)
     n_arrows = 0
     for (s, b), (d, bd), _, outm in bimod.box_matches(
             enumerate(g.idem for g in m.gens), left_out, bim, bound):

@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import os
 import subprocess
@@ -11,6 +12,8 @@ from khtangle import algebra, bimod
 from khtangle.algebra import (FILLED, HOLLOW, FLAVOR_B, FLAVOR_BT, dpow, idem,
                               monomials_between, spow)
 from khtangle.bimod import Action, Pattern
+
+from test_tangles import run_python
 
 
 def test_pattern_format():
@@ -230,3 +233,131 @@ def test_verify_lemma_main_passes():
 def test_verify_lemma_rejects_tight_bounds():
     with pytest.raises(AssertionError):
         bimod.verify_lemma_main(8, 8)
+
+
+def test_bimod_argument_checks_survive_python_O():
+    # an assert would vanish under -O: verify_lemma_main(8, 8) would run
+    # at an effective bound of 0, and a stride of 3 would slip past the
+    # parity argument of _check_families
+    out = run_python("""
+        from khtangle import bimod
+        for make in (lambda: bimod.verify_lemma_main(8, 8),
+                     lambda: bimod.Pattern("S", 0, 3)):
+            try:
+                make()
+            except AssertionError as e:
+                print("refused:", e)
+    """, "-O")
+    assert out.splitlines() == [
+        "refused: bound 8 and margin 8 need bound > margin >= 8",
+        "refused: pattern S needs offset >= 0 and stride 0, 1 or 2, "
+        "not 0 and 3"]
+
+
+def reference_compose(h2_items, h1_items, bound):
+    """Composition as it was first written: every pair formed, then the
+    composites past the bound filtered out."""
+    h2_from = {}
+    for s2, d2, in2, out2 in h2_items:
+        h2_from.setdefault(s2, []).append((d2, in2, out2))
+    acc = set()
+    for (s1, d1, in1, out1) in h1_items:
+        for d2, in2, out2 in h2_from.get(d1, ()):
+            prod = out1 * out2
+            if not prod.is_zero():
+                acc.symmetric_difference_update({(s1, d2, in1 + in2, prod)})
+    return bimod._filter_weight(acc, bound)
+
+
+def fresh_table(bim_or_mor, bound):
+    """The concrete table instantiated anew, bypassing every cache."""
+    if isinstance(bim_or_mor, bimod.ADBimodule):
+        return bimod._instantiate_all(
+            bim_or_mor.actions, bim_or_mor.gens, bim_or_mor.a_flavor,
+            bim_or_mor.d_flavor, bound)
+    return bimod._instantiate_all(
+        bim_or_mor.components, bim_or_mor.source.gens,
+        bim_or_mor.source.a_flavor, bim_or_mor.target.d_flavor, bound)
+
+
+def broken_f():
+    f = bimod.morphism_f()
+    return bimod.ADMorphism("f'", f.source, f.target, tuple(
+        c for c in f.components if not (c.src == "m" and c.dst == "w*u")))
+
+
+@pytest.mark.parametrize("bound", [8, 12, 16, 24])
+def test_composition_within_the_bound_matches_the_reference(bound):
+    f, g, fb = bimod.morphism_f(), bimod.morphism_g(), broken_f()
+    i, qy = f.source, f.target
+    acts, comps = bimod._actions, bimod._components
+    # (later, earlier): every composition the lemma and the broken f make
+    for h2, h1 in [(acts(qy, bound), comps(f, bound)),
+                   (comps(f, bound), acts(i, bound)),
+                   (acts(i, bound), comps(g, bound)),
+                   (comps(g, bound), acts(qy, bound)),
+                   (comps(g, bound), comps(f, bound)),
+                   (comps(f, bound), comps(g, bound)),
+                   (acts(qy, bound), comps(fb, bound)),
+                   (comps(fb, bound), acts(i, bound)),
+                   (comps(g, bound), comps(fb, bound))]:
+        assert (bimod.compose_concrete(h2, h1, bound)
+                == reference_compose(h2, h1, bound))
+
+
+def table_owners():
+    return [bimod.bimodule_I(), bimod.bimodule_Q(), bimod.bimodule_Y(),
+            bimod.bimodule_QY_expected(),
+            bimod.identity_bimodule(FLAVOR_B),
+            bimod.identity_bimodule(FLAVOR_B, structural=False),
+            bimod.identity_bimodule(FLAVOR_BT),
+            bimod.morphism_f(), bimod.morphism_g(), broken_f()]
+
+
+def table(owner, bound):
+    if isinstance(owner, bimod.ADBimodule):
+        return bimod._actions(owner, bound)
+    return bimod._components(owner, bound)
+
+
+@pytest.mark.parametrize("owner", table_owners(), ids=lambda o: o.name)
+def test_cached_tables_equal_fresh_instantiation_in_order(owner):
+    bounds = range(8, 25)
+    built = dataclasses.replace(owner)      # empty caches, built per bound
+    assert not built._tables
+    filtered = dataclasses.replace(owner)   # 8..23 filtered from 24
+    table(filtered, 24)
+    for bound in bounds:
+        expected = fresh_table(owner, bound)
+        assert list(table(built, bound)) == expected, bound
+        assert list(table(filtered, bound)) == expected, bound
+        assert isinstance(table(filtered, bound), tuple)
+    # built ascending, so no bound was filtered from a higher one
+    assert list(built._tables) == list(bounds)
+
+
+@pytest.mark.parametrize("bound", [24, 40])
+def test_verify_lemma_main_passes_on_wider_windows(bound):
+    report = bimod.verify_lemma_main(bound, 8)
+    assert report["pass"], report["checks"]
+    assert len(report["checks"]) == 9
+
+
+def test_verify_lemma_main_instantiates_each_table_once():
+    out = run_python("""
+        from khtangle import bimod
+        calls = []
+        build = bimod._instantiate_all
+
+        def counted(families, gens, a_flavor, d_flavor, bound):
+            calls.append((families, bound))
+            return build(families, gens, a_flavor, d_flavor, bound)
+
+        bimod._instantiate_all = counted
+        assert bimod.verify_lemma_main(16, 8)["pass"]
+        assert bimod.verify_lemma_main(16, 8)["pass"]
+        print(len(calls), len(set(calls)), sorted({b for _, b in calls}))
+    """)
+    # Y, Q, I, QY, f and g at bound 16; the weight shifts at bound 12
+    # are filtered from those tables, and a second run builds none
+    assert out.splitlines() == ["6 6 [16]"]
