@@ -15,6 +15,7 @@ from __future__ import annotations
 import importlib.resources
 
 from . import f2
+from .algebra import FILLED, HOLLOW, FLAVOR_BT, idem, spow
 
 GENERATORS = (
     "a0", "b0", "c0", "d0",
@@ -191,23 +192,18 @@ def verify_subalgebra(tables):
 
 # --- dictionary with the quotient quiver algebra ------------------------
 
+# quotient-algebra monomial -> a/c/p generator; FILLED is L0, HOLLOW L1
+BT_TO_SUB = {
+    idem(FILLED, FLAVOR_BT): "a0",
+    idem(HOLLOW, FLAVOR_BT): "a1",
+    spow(2, FILLED, FLAVOR_BT): "c0",
+    spow(2, HOLLOW, FLAVOR_BT): "c1",
+    spow(1, HOLLOW, FLAVOR_BT): "p01",
+    spow(1, FILLED, FLAVOR_BT): "p10",
+}
+
+
 def bt_to_sub(x):
-    """Translate a quotient-algebra element to the a/c/p subalgebra.
-
-    Input is a BElem of the H=0 flavor; output an f2 vector of generator
-    names.  FILLED corresponds to L0, HOLLOW to L1.
-    """
-    from .algebra import FILLED, HOLLOW, FLAVOR_BT, idem, spow
-
-    out = set()
-    table = {
-        idem(FILLED, FLAVOR_BT): "a0",
-        idem(HOLLOW, FLAVOR_BT): "a1",
-        spow(2, FILLED, FLAVOR_BT): "c0",
-        spow(2, HOLLOW, FLAVOR_BT): "c1",
-        spow(1, HOLLOW, FLAVOR_BT): "p01",
-        spow(1, FILLED, FLAVOR_BT): "p10",
-    }
-    for t in x.monomials():
-        out ^= {table[t]}
-    return frozenset(out)
+    """The a/c/p generators of a quotient-algebra element, as an f2
+    vector of generator names."""
+    return frozenset(BT_TO_SUB[t] for t in x.monomials())

@@ -7,10 +7,10 @@ offset + stride*k in one shared non-negative parameter.  Verification
 instantiates families up to a weight bound and computes exactly below
 it.
 
-Ships the cone-of-identity bimodule I, the quotient bimodule Q, the
-two-layer bimodule Y, structural/enumerated identity bimodules, the
-mutually inverse morphisms f : I -> Q box Y and g backwards, and the
-truncated verification that they are chain isomorphisms.
+Derives the two-layer Y from the functor table, the quotient bimodule Q
+from the quotient map and the cone of the identity I from the identity
+bimodule; transcribes Q box Y and the morphisms f : I -> Q box Y and g,
+mutually inverse, and verifies, truncated, that they are chain isomorphisms.
 
 Each bimodule and morphism holds its concrete tables, one per bound, as
 immutable tuples built on first use; a new `ADBimodule` or `ADMorphism`
@@ -26,9 +26,10 @@ composites past it too.
 from __future__ import annotations
 
 import functools
+import itertools
 from dataclasses import dataclass, field
 
-from . import algebra
+from . import acat, algebra, functor
 from .algebra import BElem, Vertex, FILLED, HOLLOW, FLAVOR_B, FLAVOR_BT
 
 
@@ -174,76 +175,78 @@ def _D(offset, stride=0):
 _IOTA = Pattern("i")
 
 
+def _pattern(mono: BElem) -> Pattern:
+    """The fixed pattern of a monomial."""
+    (kind, n, _), = mono.terms
+    return _IOTA if kind == "i" else Pattern(kind.upper(), n)
+
+
+def _h_cone(name, flavors, names, terms) -> ADBimodule:
+    """Two layers joined by each vertex's H arrow: `names` names the
+    top (hdeg 0) then bottom generators, filled then hollow, and a term
+    (slot, source vertex, target vertex, inputs, output) runs from the
+    slot's first end to its second, as in `cones` (t top, b bottom)."""
+    gens = [BimGen(n, v, v, h) for (h, v), n in
+            zip(itertools.product((0, 1), (FILLED, HOLLOW)), names)]
+    at = {("tb"[g.hdeg], g.left_idem): g.name for g in gens}
+    acts = [Action(at[slot[0], s], at[slot[1], d], ins, out)
+            for slot, s, d, ins, out in terms]
+    acts += [Action(at["t", v], at["b", v], (), _pattern(m))
+             for v in (FILLED, HOLLOW) for m in algebra.h_elem(v).monomials()]
+    return _mk_bim(name, *flavors, gens, acts)
+
+
 @functools.cache
 def bimodule_Y() -> ADBimodule:
-    """Two layers joined by H: quotient-algebra inputs, full outputs.
-
-    One shared instance: every `compare` boxes with it, and its checks
-    and concrete-action index are then built once per process.
-    """
-    gens = [BimGen("t", FILLED, FILLED, 0), BimGen("u", HOLLOW, HOLLOW, 0),
-            BimGen("k", FILLED, FILLED, 1), BimGen("v", HOLLOW, HOLLOW, 1)]
-    acts = []
-    for a, b in [("t", "u"), ("u", "t"), ("k", "v"), ("v", "k")]:
-        acts.append(Action(a, b, (_S(1),), _S(1)))
-    for g in "tukv":
-        acts.append(Action(g, g, (_S(2),), _D(1)))
-    for a, b in [("t", "k"), ("u", "v")]:
-        acts.append(Action(a, b, (), _D(1)))
-        acts.append(Action(a, b, (), _S(2)))
-    for a, b in [("k", "t"), ("v", "u")]:
-        acts.append(Action(a, b, (_S(2), _S(2)), _D(1)))
-        acts.append(Action(a, b, (_S(1), _S(1)), _IOTA))
-    return _mk_bim("Y", FLAVOR_BT, FLAVOR_B, gens, acts)
+    """The functor F on the a/c/p subalgebra as an H-cone: a key of
+    non-unit generators gives an action per term of its image, its inputs
+    the key's quotient monomials in path order (the key reversed).  Every
+    `compare` boxes with this one instance, checked and indexed once."""
+    preimage = {g: _pattern(m) for m, g in acat.BT_TO_SUB.items()
+                if not m.is_idem}
+    terms = []
+    for key in functor.F_TABLE:
+        if set(key) <= preimage.keys():
+            f = functor.apply_F(functor.F_TABLE, key)
+            ins = tuple(preimage[g] for g in reversed(key))
+            # sorted: BElem hashes by identity, so set order varies
+            terms += [(slot, f.src, f.dst, ins, _pattern(m))
+                      for slot, m in sorted(f.terms)]
+    return _h_cone("Y", (FLAVOR_BT, FLAVOR_B), "tukv", terms)
 
 
 @functools.cache
 def bimodule_Q() -> ADBimodule:
-    """The quotient bimodule: full-algebra inputs, quotient outputs.
-
-    One shared instance, as for `bimodule_Y`: the lemma verifier
-    builds it several times.
-    """
+    """The quotient map, an action t -> u per monomial u of q(t); weight
+    2 covers them all, as q keeps weight and the quotient has no heavier.
+    One shared instance, as for `bimodule_Y`."""
     gens = [BimGen("z", FILLED, FILLED, 0), BimGen("w", HOLLOW, HOLLOW, 0)]
-    acts = [Action("z", "w", (_S(1),), _S(1)),
-            Action("w", "z", (_S(1),), _S(1))]
-    for g in "zw":
-        acts.append(Action(g, g, (_D(1),), _S(2)))
-        acts.append(Action(g, g, (_S(2),), _S(2)))
+    acts = [Action(s.name, d.name, (_pattern(t),), _pattern(u))
+            for s, d in itertools.product(gens, repeat=2)
+            for t in algebra.monomials_between(s.left_idem, d.left_idem, 2)
+            if not t.is_idem for u in algebra.q_map(t).monomials()]
     return _mk_bim("Q", FLAVOR_B, FLAVOR_BT, gens, acts)
 
 
 @functools.cache
 def bimodule_I() -> ADBimodule:
-    """The cone-of-identity bimodule, enumerated as pattern families.
-
-    One shared instance, as for `bimodule_Y`: the lemma verifier
-    builds it several times.
-    """
-    gens = [BimGen("l", FILLED, FILLED, 0), BimGen("b", HOLLOW, HOLLOW, 0),
-            BimGen("m", FILLED, FILLED, 1), BimGen("y", HOLLOW, HOLLOW, 1)]
-    acts = []
-    for a, b in [("l", "b"), ("b", "l"), ("m", "y"), ("y", "m")]:
-        acts.append(Action(a, b, (_S(1, 2),), _S(1, 2)))
-    for g in "lbmy":
-        acts.append(Action(g, g, (_D(1, 1),), _D(1, 1)))
-        acts.append(Action(g, g, (_S(2, 2),), _S(2, 2)))
-    for a, b in [("l", "m"), ("b", "y")]:
-        acts.append(Action(a, b, (), _D(1)))
-        acts.append(Action(a, b, (), _S(2)))
-    return _mk_bim("I", FLAVOR_B, FLAVOR_B, gens, acts)
+    """The H-cone of `identity_bimodule`, its non-unit actions in both
+    layers.  One shared instance, as for `bimodule_Y`."""
+    ident = identity_bimodule(FLAVOR_B)
+    terms = [(slot, ident.gens[a.src].left_idem, ident.gens[a.dst].left_idem,
+              a.inputs, a.output)
+             for a in ident.actions if a.inputs != (_IOTA,)
+             for slot in ("tt", "bb")]
+    return _h_cone("I", (FLAVOR_B, FLAVOR_B), "lbmy", terms)
 
 
-def identity_bimodule(flavor, structural=True) -> ADBimodule:
-    """Pass-through bimodule: even S powers loop at a generator, odd ones
-    connect the two.  Structural uses one D family, enumerated splits
-    it by parity."""
+def identity_bimodule(flavor) -> ADBimodule:
+    """Pass-through bimodule: even S powers and D powers loop at a
+    generator, odd S powers connect the two."""
     gens = [BimGen("e.f", FILLED, FILLED, 0), BimGen("e.h", HOLLOW, HOLLOW, 0)]
     acts = [Action(g.name, g.name, (_IOTA,), _IOTA) for g in gens]
     if flavor == FLAVOR_B:
-        loops = [_S(2, 2)] + ([_D(1, 1)] if structural
-                              else [_D(1, 2), _D(2, 2)])
-        connecting = _S(1, 2)
+        loops, connecting = [_S(2, 2), _D(1, 1)], _S(1, 2)
     else:
         loops, connecting = [_S(2)], _S(1)
     for a, b in [("e.f", "e.f"), ("e.h", "e.h"), ("e.f", "e.h"),
@@ -399,10 +402,6 @@ def _components(mor: ADMorphism, bound):
 def instantiate_actions(bim: ADBimodule, bound):
     """All concrete actions with total input weight <= bound, F2-reduced."""
     return frozenset(_actions(bim, bound))
-
-
-def instantiate_morphism(mor: ADMorphism, bound):
-    return frozenset(_components(mor, bound))
 
 
 def _filter_weight(items, bound):

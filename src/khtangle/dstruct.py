@@ -354,7 +354,8 @@ def check_d_squared(m: TypeDStructure):
 def cone_h(m: TypeDStructure) -> TypeDStructure:
     """Mapping cone of multiplication by the central element H: the
     copies of generator i sit at positions 2i (.0) and 2i + 1 (.1)."""
-    assert m.flavor == FLAVOR_B
+    if m.flavor != FLAVOR_B:   # raised, not asserted: python -O too
+        raise ValueError(f"cone_h needs a B structure, not {m.flavor}")
     out = TypeDStructure(FLAVOR_B, [DGen(f"{g.name}.{k}", g.idem, g.hdeg + k)
                                     for g in m.gens for k in (0, 1)])
     for s, d, label in m.triples():
@@ -377,7 +378,8 @@ def box_ad(m: TypeDStructure, bim) -> TypeDStructure:
     with j inputs fires on every arrow path of length j whose monomials
     are its inputs, exactly as in `bimod.box_bimods`.
     """
-    assert m.flavor == bim.a_flavor
+    if m.flavor != bim.a_flavor:   # raised, not asserted: python -O too
+        raise ValueError(f"{bim.name} consumes {bim.a_flavor}, not {m.flavor}")
     # generator (s, b) sits at first[s] + offset[b]: m's generators in
     # turn, each with the bimodule generators of its idempotent in order
     offset, first, count = {}, [], {}

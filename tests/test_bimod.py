@@ -8,11 +8,12 @@ from pathlib import Path
 
 import pytest
 
-from khtangle import algebra, bimod
+from khtangle import algebra, bimod, dstruct, functor, tangles
 from khtangle.algebra import (FILLED, HOLLOW, FLAVOR_B, FLAVOR_BT, dpow, idem,
                               monomials_between, spow)
 from khtangle.bimod import Action, Pattern
 
+from test_serialize_gate import gate_words
 from test_tangles import run_python
 
 
@@ -134,13 +135,153 @@ def test_ill_typed_families_rejected_under_python_O():
         "refused: action t->t (- | 1) breaks the degree rule"]
 
 
+def _S(offset, stride=0):
+    return Pattern("S", offset, stride)
+
+
+def _D(offset, stride=0):
+    return Pattern("D", offset, stride)
+
+
+_IOTA = Pattern("i")
+
+
+def enumerated_identity():
+    """The identity bimodule of the full algebra with its D family split
+    by parity of the exponent."""
+    gens = [bimod.BimGen("e.f", FILLED, FILLED, 0),
+            bimod.BimGen("e.h", HOLLOW, HOLLOW, 0)]
+    acts = [Action(g.name, g.name, (_IOTA,), _IOTA) for g in gens]
+    for a, b in [("e.f", "e.f"), ("e.h", "e.h"), ("e.f", "e.h"),
+                 ("e.h", "e.f")]:
+        for p in [_S(2, 2), _D(1, 2), _D(2, 2)] if a == b else [_S(1, 2)]:
+            acts.append(Action(a, b, (p,), p))
+    return bimod._mk_bim(f"id[{FLAVOR_B}]", FLAVOR_B, FLAVOR_B, gens, acts)
+
+
+def transcribed_Y():
+    """Y as it was written out by hand before it was derived from F."""
+    gens = [bimod.BimGen("t", FILLED, FILLED, 0),
+            bimod.BimGen("u", HOLLOW, HOLLOW, 0),
+            bimod.BimGen("k", FILLED, FILLED, 1),
+            bimod.BimGen("v", HOLLOW, HOLLOW, 1)]
+    acts = []
+    for a, b in [("t", "u"), ("u", "t"), ("k", "v"), ("v", "k")]:
+        acts.append(Action(a, b, (_S(1),), _S(1)))
+    for g in "tukv":
+        acts.append(Action(g, g, (_S(2),), _D(1)))
+    for a, b in [("t", "k"), ("u", "v")]:
+        acts.append(Action(a, b, (), _D(1)))
+        acts.append(Action(a, b, (), _S(2)))
+    for a, b in [("k", "t"), ("v", "u")]:
+        acts.append(Action(a, b, (_S(2), _S(2)), _D(1)))
+        acts.append(Action(a, b, (_S(1), _S(1)), _IOTA))
+    return bimod._mk_bim("Y", FLAVOR_BT, FLAVOR_B, gens, acts)
+
+
+def transcribed_Q():
+    """Q as it was written out by hand before it was derived from q."""
+    gens = [bimod.BimGen("z", FILLED, FILLED, 0),
+            bimod.BimGen("w", HOLLOW, HOLLOW, 0)]
+    acts = [Action("z", "w", (_S(1),), _S(1)),
+            Action("w", "z", (_S(1),), _S(1))]
+    for g in "zw":
+        acts.append(Action(g, g, (_D(1),), _S(2)))
+        acts.append(Action(g, g, (_S(2),), _S(2)))
+    return bimod._mk_bim("Q", FLAVOR_B, FLAVOR_BT, gens, acts)
+
+
+def transcribed_I():
+    """I as it was written out by hand before it was derived from the
+    identity bimodule."""
+    gens = [bimod.BimGen("l", FILLED, FILLED, 0),
+            bimod.BimGen("b", HOLLOW, HOLLOW, 0),
+            bimod.BimGen("m", FILLED, FILLED, 1),
+            bimod.BimGen("y", HOLLOW, HOLLOW, 1)]
+    acts = []
+    for a, b in [("l", "b"), ("b", "l"), ("m", "y"), ("y", "m")]:
+        acts.append(Action(a, b, (_S(1, 2),), _S(1, 2)))
+    for g in "lbmy":
+        acts.append(Action(g, g, (_D(1, 1),), _D(1, 1)))
+        acts.append(Action(g, g, (_S(2, 2),), _S(2, 2)))
+    for a, b in [("l", "m"), ("b", "y")]:
+        acts.append(Action(a, b, (), _D(1)))
+        acts.append(Action(a, b, (), _S(2)))
+    return bimod._mk_bim("I", FLAVOR_B, FLAVOR_B, gens, acts)
+
+
+TRANSCRIBED = {"Y": transcribed_Y, "Q": transcribed_Q, "I": transcribed_I}
+
+
 def test_structural_and_enumerated_identities_agree():
     for bound in (7, 20):
-        structural = bimod.instantiate_actions(
-            bimod.identity_bimodule(FLAVOR_B, structural=True), bound)
-        enumerated = bimod.instantiate_actions(
-            bimod.identity_bimodule(FLAVOR_B, structural=False), bound)
-        assert structural == enumerated
+        assert (bimod.instantiate_actions(bimod.identity_bimodule(FLAVOR_B),
+                                          bound)
+                == bimod.instantiate_actions(enumerated_identity(), bound))
+
+
+@pytest.mark.parametrize("name", TRANSCRIBED)
+def test_derived_bimodules_equal_their_transcriptions(name):
+    derived = getattr(bimod, f"bimodule_{name}")()
+    ref = TRANSCRIBED[name]()
+    assert (derived.name, derived.a_flavor, derived.d_flavor) == \
+        (ref.name, ref.a_flavor, ref.d_flavor)
+    assert list(derived.gens.items()) == list(ref.gens.items())
+    for bound in (8, 16, 24, 40):
+        assert (bimod.instantiate_actions(derived, bound)
+                == bimod.instantiate_actions(ref, bound)), bound
+        # the actions come in another order, but the box tensor reads
+        # them per (source, inputs), and there the targets come in the
+        # same order: so it adds the same arrows in the same order
+        index = bimod._action_index(derived, bound)
+        ref_index = bimod._action_index(ref, bound)
+        assert index.keys() == ref_index.keys()
+        for key, fired in index.items():
+            assert sorted(fired) == sorted(ref_index[key])
+            assert [d for d, _ in fired] == [d for d, _ in ref_index[key]]
+
+
+def _derive_Y(monkeypatch, table, build=bimod.bimodule_Y.__wrapped__):
+    """Y built anew from `table` in place of `functor.F_TABLE`."""
+    monkeypatch.setattr(functor, "F_TABLE", table)
+    return build()
+
+
+def test_y_follows_the_functor_table(monkeypatch):
+    """Every single-entry mutation of F either leaves Y as it is (keys
+    outside the a/c/p subalgebra), is refused (a redirect inside it
+    breaks the degree rule) or changes Y; the two c deletions then break
+    some gate words' verdicts, the two p deletions none of them."""
+    y = bimod.bimodule_Y()
+    assert _derive_Y(monkeypatch, dict(functor.F_TABLE)) == y
+    actions = bimod.instantiate_actions(y, 16)
+    complexes = [tangles.tangle_complex(tangles.parse_tangle(w))
+                 for w in gate_words()]
+    unchanged, refused, broken = [], [], {}
+    for name, table in functor.table_mutations():
+        try:
+            mutant = _derive_Y(monkeypatch, table)
+        except AssertionError as e:
+            assert "breaks the degree rule" in str(e)
+            refused.append(name)
+            continue
+        if bimod.instantiate_actions(mutant, 16) == actions:
+            unchanged.append(name)
+            continue
+        monkeypatch.setattr(bimod, "bimodule_Y", lambda: mutant)
+        broken[name] = sum(
+            dstruct.iso_check(dstruct.cone_h(m), tangles._two_layer_image(m))
+            == dstruct.NOT_FOUND for m in complexes)
+    sub = [str(k) for k in functor.F_TABLE
+           if len(k) > 1 and set(k) <= {"c0", "c1", "p01", "p10"}]
+    assert len(unchanged) == 20 and not any(k in n for n in unchanged
+                                            for k in sub)
+    assert refused == [f"redirect f2{k}" for k in sub]
+    assert len(complexes) == 35
+    assert broken == {"delete f2('p01', 'p10')": 0,
+                      "delete f2('p10', 'p01')": 0,
+                      "delete f2('c0', 'c0')": 1,
+                      "delete f2('c1', 'c1')": 6}
 
 
 def test_box_qy_contains_expected_actions():
@@ -309,7 +450,7 @@ def table_owners():
     return [bimod.bimodule_I(), bimod.bimodule_Q(), bimod.bimodule_Y(),
             bimod.bimodule_QY_expected(),
             bimod.identity_bimodule(FLAVOR_B),
-            bimod.identity_bimodule(FLAVOR_B, structural=False),
+            enumerated_identity(),
             bimod.identity_bimodule(FLAVOR_BT),
             bimod.morphism_f(), bimod.morphism_g(), broken_f()]
 

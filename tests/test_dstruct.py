@@ -3,6 +3,7 @@ import pytest
 from khtangle import algebra, bimod, dstruct, tangles
 from khtangle.algebra import FILLED, HOLLOW, FLAVOR_B, FLAVOR_BT
 from test_serialize_gate import gate_words
+from test_tangles import run_python
 
 
 def structure(gens, arrows=(), flavor=FLAVOR_B):
@@ -114,6 +115,26 @@ def test_cone_h_two_generators():
 
 def test_cone_h_empty():
     assert dstruct.cone_h(dstruct.TypeDStructure(FLAVOR_B)).gens == []
+
+
+def test_wrong_flavors_are_refused_under_python_O():
+    # an assert would vanish under -O: box_ad would box a B structure
+    # with Y, which consumes the quotient, and cone_h would return a B
+    # structure holding quotient labels
+    out = run_python("""
+        from khtangle import algebra, bimod, dstruct, tangles
+        m = tangles.tangle_complex(tangles.parse_tangle("x1"))
+        mq = m.map_labels(algebra.q_map, algebra.FLAVOR_BT)
+        for make in (lambda: dstruct.box_ad(m, bimod.bimodule_Y()),
+                     lambda: dstruct.cone_h(mq)):
+            try:
+                make()
+            except ValueError as e:
+                print("refused:", e)
+    """, "-O")
+    assert out.splitlines() == [
+        "refused: Y consumes Bt, not B",
+        "refused: cone_h needs a B structure, not Bt"]
 
 
 def test_reduce_acyclic_pair():
