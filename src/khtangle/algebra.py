@@ -15,6 +15,7 @@ and kills S^3.
 from __future__ import annotations
 
 import enum
+import functools
 
 
 class Vertex(enum.Enum):
@@ -237,9 +238,11 @@ def q_map(x: BElem) -> BElem:
     return _make(frozenset(acc), FLAVOR_BT)
 
 
+@functools.cache
 def splits(x: BElem):
     """The pairs (a, b) of non-idempotent monomials with a * b = x, for a
-    monomial x: the path x cut at each of its interior points."""
+    monomial x: the path x cut at each of its interior points.  Made
+    once per monomial, which is interned and so lives as long."""
     (t,) = x.terms
     kind, n, v = t
     out = []
@@ -248,7 +251,7 @@ def splits(x: BElem):
         second = (kind, n - i, _end(first))
         out.append((_make(frozenset([first]), x.flavor),
                     _make(frozenset([second]), x.flavor)))
-    return out
+    return tuple(out)
 
 
 def monomials_between(src: Vertex, dst: Vertex, max_weight: int,

@@ -68,12 +68,17 @@ class TypeDStructure:
         """F2-accumulate label onto the arrow src -> dst (positions)."""
         if label.is_zero():
             return
-        assert label.flavor == self.flavor
+        # raised, not asserted: python -O too
+        if label.flavor != self.flavor:
+            raise AssertionError(f"label {label} is {label.flavor}, "
+                                 f"not {self.flavor}")
         gs, gd = self.gens[src], self.gens[dst]
-        assert label.runs(gs.idem, gd.idem), \
-            f"label {label} does not run {gs.idem!r} -> {gd.idem!r}"
-        assert gd.hdeg == gs.hdeg + 1, \
-            f"arrow {gs.name} -> {gd.name} does not raise hdeg by 1"
+        if not label.runs(gs.idem, gd.idem):
+            raise AssertionError(
+                f"label {label} does not run {gs.idem!r} -> {gd.idem!r}")
+        if gd.hdeg != gs.hdeg + 1:
+            raise AssertionError(
+                f"arrow {gs.name} -> {gd.name} does not raise hdeg by 1")
         from_s, into_d = self.out[src], self.inn[dst]
         cur = from_s.get(dst)
         new = label if cur is None else cur + label

@@ -14,6 +14,15 @@ crossing's smoothing.  A vertex of the cube records its end-pairing
 Delooping turns the cube into a type D structure over the full quiver
 algebra with dotted-cobordism labels, and the two comparison pipelines
 build the H-cone and the two-layer bimodule image from it.
+
+`compare` decides each distinct reduced complex once per process: the
+H-cone, the image and the isomorphism search depend on the reduced
+complex alone, which it keys on its exact structure (flavour,
+generators, arrow rows in order), holding the `MAX_DECISIONS` (4,096)
+most recently used decisions.  Words repeat complexes often: 12,600
+words of `every_word(5)` give 349 distinct ones at nw, 161,668 of
+`every_word(6)` give 2,057, and a stream of 200 `random_word(rng, 2)`
+words holds 80 to 84.
 """
 
 from __future__ import annotations
@@ -22,7 +31,7 @@ import bisect
 import functools
 import itertools
 import random
-from collections import defaultdict
+from collections import OrderedDict, defaultdict
 from dataclasses import dataclass
 
 from . import algebra, bimod, dstruct
@@ -508,14 +517,56 @@ INDETERMINATE = "INDETERMINATE"
 MISMATCH = "MISMATCH"
 
 
-def compare(word: TangleWord, star="nw"):
-    """Verdict on whether the two invariants agree for this tangle.
+# the decisions of the most recently used reduced complexes, keyed as in
+# `compare`: every_word(6) at nw gives 2,057 distinct ones
+_DECISIONS = OrderedDict()
+MAX_DECISIONS = 4096
 
-    Both invariants come from one reduced complex.  Its H-cone needs no
-    further reduction: no arrow of a reduced complex, and neither H,
-    has an idempotent summand.
+
+def compare(word: TangleWord, star="nw"):
+    """Verdict on whether the two invariants agree for this tangle, and
+    its witness.
+
+    Both invariants come from one reduced complex m, and so does the
+    decision, which is memoized on m's exact structure: its flavour, its
+    generators in position order and each `out` row in order.  The key
+    is exact because everything after `tangle_complex` reads only
+    `gens`, the `out` rows in their order, and `inn`, which
+    `Adjacency.reduced` derives from `out` and which `iso_check` reads
+    without regard to order; labels are interned, so the key holds them
+    as they are, and `_chain_iso_search` draws from a fixed seed, so a
+    decision is a function of the key.  A repeated m costs the key and
+    a lookup.  The memo holds the `MAX_DECISIONS` most recently used
+    decisions; an exception, such as the box tensor's arrow cap, is
+    raised each time and never stored.  Each call returns its own copy
+    of the witness.
     """
     m = tangle_complex(word, star)
+    key = (m.flavor, tuple(m.gens),
+           tuple(tuple(row.items()) for row in m.out))
+    try:
+        verdict, witness = _DECISIONS[key]
+        _DECISIONS.move_to_end(key)
+    except KeyError:
+        verdict, witness = _DECISIONS[key] = _decide(m)
+        if len(_DECISIONS) > MAX_DECISIONS:
+            _DECISIONS.popitem(last=False)
+    return verdict, _fresh(witness)
+
+
+def _fresh(witness):
+    """A copy of a witness down to its immutable leaves."""
+    if isinstance(witness, dict):
+        return {k: _fresh(v) for k, v in witness.items()}
+    if isinstance(witness, list):
+        return [_fresh(v) for v in witness]
+    return witness
+
+
+def _decide(m):
+    """The verdict and witness for the reduced complex m.  Its H-cone
+    needs no further reduction: no arrow of a reduced complex, and
+    neither H, has an idempotent summand."""
     lhs = dstruct.cone_h(m)
     rhs = _two_layer_image(m)
     witness = dstruct.iso_check(lhs, rhs)

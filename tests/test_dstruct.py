@@ -63,6 +63,30 @@ def test_arrow_validation_reads_both_endpoints():
     assert m.arrows == {}
 
 
+def test_arrow_validation_survives_python_O():
+    # an assert would vanish under -O and let a quotient S, or any
+    # label, join two FILLED generators of one hdeg in a B structure
+    code = """
+        from khtangle import algebra, dstruct
+        from khtangle.algebra import FILLED
+        m = dstruct.TypeDStructure(algebra.FLAVOR_B)
+        a, b = m.add_gen("a", FILLED, 0), m.add_gen("b", FILLED, 0)
+        for label in (algebra.spow(1, FILLED, algebra.FLAVOR_BT),
+                      algebra.spow(1, FILLED), algebra.dpow(1, FILLED)):
+            try:
+                m.add_arrow(a, b, label)
+            except AssertionError as e:
+                print("refused:", e)
+        print(len(list(m.triples())))
+    """
+    for flags in ((), ("-O",)):
+        assert run_python(code, *flags).splitlines() == [
+            "refused: label S is Bt, not B",
+            "refused: label S does not run FILLED -> FILLED",
+            "refused: arrow a -> b does not raise hdeg by 1",
+            "0"], flags
+
+
 def test_add_gen_returns_positions():
     m = dstruct.TypeDStructure(FLAVOR_B)
     assert [m.add_gen(name, FILLED, 0) for name in "qpr"] == [0, 1, 2]
