@@ -15,14 +15,20 @@ Delooping turns the cube into a type D structure over the full quiver
 algebra with dotted-cobordism labels, and the two comparison pipelines
 build the H-cone and the two-layer bimodule image from it.
 
-`compare` decides each distinct reduced complex once per process: the
-H-cone, the image and the isomorphism search depend on the reduced
-complex alone, which it keys on its exact structure (flavour,
-generators, arrow rows in order), holding the `MAX_DECISIONS` (4,096)
-most recently used decisions.  Words repeat complexes often: 12,600
-words of `every_word(5)` give 349 distinct ones at nw, 161,668 of
-`every_word(6)` give 2,057, and a stream of 200 `random_word(rng, 2)`
-words holds 80 to 84.
+`compare` decides each distinct reduced complex once per process, and
+reduces each distinct delooped cube once: the H-cone, the image and the
+isomorphism search depend on the reduced complex alone, which it keys on
+its exact structure (flavour, generators, arrow rows in order), and the
+reduced complex depends on the walk of the delooped cube alone (its
+interned edge arrow lists and each resolution's loop count and
+matching), which it looks up first, before the d^2 guard, the load and
+the elimination.  Each map holds the `MAX_DECISIONS` (4,096) most
+recently used entries, and each edge shape is expanded once per
+process.  Words repeat both often: 12,600 words of `every_word(5)` give
+1,210 distinct cubes and 349 distinct complexes at nw, 161,668 of
+`every_word(6)` give 9,390 and 2,057, and the first 200
+`random_word(Random(s), 2)` words of seeds s = 101-110 hold 91 to 108
+cubes and 79 to 89 complexes.
 """
 
 from __future__ import annotations
@@ -215,42 +221,61 @@ def build_cube(word: TangleWord, star="nw") -> ResolutionCube:
 #
 # Generator (bits, decor) of the delooped cube is decoration `decor` of
 # resolution `bits`, named v{bits}d{decor}; its position is its place in
-# deloop order, resolution by resolution.  `_guarded` numbers the
-# generators by sorted name from their blocks alone (`_name_ids`) and
-# interns the arrow list of each cube edge from one walk
-# (`_deloop_arrows`), which expands each distinct edge shape once: edges
-# with equal arrows share one list and its index.  Every two-step path
-# runs bits -> bits|i -> bits|i|j, so each d^2 entry lives on one 2-face
-# and is a function of that face's four arrow lists alone:
-# `_d_squared_is_zero` checks each distinct face once; if one fails,
-# `dstruct.check_d_squared` names the bad pairs of the whole cube.  The
-# arrows then load edge by edge, in walk order, into `dstruct.Adjacency`:
-# an edge is the ids of its source and target blocks and its arrow list,
-# so nothing is made per arrow.  `tangle_complex` reduces the adjacency,
-# naming only the survivors; `deloop_translate` loads the same edges on
-# positions into a `TypeDStructure`.
+# deloop order, resolution by resolution.  `_edge_lists` interns the
+# arrow list of each cube edge from one walk (`_deloop_arrows`), which
+# expands each distinct edge shape once per process: edges with equal
+# arrows share one list and its index.  `_guarded` numbers the
+# generators by sorted name from their blocks alone (`_name_ids`).
+# Every two-step path runs bits -> bits|i -> bits|i|j, so each d^2
+# entry lives on one 2-face and is a function of that face's four arrow
+# lists alone: `_d_squared_is_zero` checks each distinct face once; if
+# one fails, `dstruct.check_d_squared` names the bad pairs of the whole
+# cube.  The arrows then load edge by edge, in walk order, into
+# `dstruct.Adjacency`: an edge is the ids of its source and target
+# blocks and its arrow list, so nothing is made per arrow.  `_reduced`
+# reduces the adjacency, naming only the survivors, for `tangle_complex`
+# and `compare`; `deloop_translate` loads the same edges on positions
+# into a `TypeDStructure`.
 
 def _gen_name(bits, decor):
     return f"v{bits}d{decor}"
+
+
+# the arrows of every edge shape expanded so far in this process, by
+# shape: a patched deloop rule must come with `_EXPANDED.clear()`
+_EXPANDED = {}
 
 
 def _deloop_arrows(cube: ResolutionCube):
     """Expand loops into dot decorations and saddles into algebra labels:
     (bits, j, (decor, tdecor, label, ...)) for the edge flipping crossing
     j of each resolution, the arrows of every source decoration in deloop
-    order, flat.  Edges of one shape share one tuple, expanded once."""
+    order, flat.  Edges of one shape share one tuple, expanded once per
+    process."""
     star_port = cube.ends[cube.star]
-    expanded = {}
     for bits, src in cube.resolutions.items():
         for j, site in enumerate(cube.sites):
             if (bits >> j) & 1:
                 continue
             shape = _saddle_shape(src, cube.resolutions[bits | (1 << j)],
                                   site, star_port)
-            arrows = expanded.get(shape)
+            arrows = _EXPANDED.get(shape)
             if arrows is None:
-                arrows = expanded[shape] = _saddle_arrows(*shape)
+                arrows = _EXPANDED[shape] = _saddle_arrows(*shape)
             yield bits, j, arrows
+
+
+def _edge_lists(cube: ResolutionCube):
+    """One walk of `_deloop_arrows` as (edges, lists): edges[bits * c + j]
+    indexes in `lists` the arrow list of the edge flipping crossing j of
+    resolution bits, 0 (no arrows) where that bit is set; equal lists
+    share one index."""
+    c = len(cube.sites)
+    edges = [0] * (c << c)
+    index = {(): 0}
+    for bits, j, edge in _deloop_arrows(cube):
+        edges[bits * c + j] = index.setdefault(edge, len(index))
+    return tuple(edges), tuple(index)
 
 
 def _triples(arrows):
@@ -333,14 +358,14 @@ def _name_ids(cube: ResolutionCube):
     return ids
 
 
-def _guarded(cube: ResolutionCube):
+def _guarded(cube: ResolutionCube, edges, lists):
     """The generators' sorted-name ids in deloop order, a function that
     makes the DGen at a position, and a function `blocks(per)` that
     gives, for a list `per` over positions, the arrows of each edge as
     (per of its source block, per of its target block, its (decor,
-    tdecor, label) triples), once d^2 = 0 holds on every 2-face; if it
-    fails on one, the error names the first bad pairs of the whole
-    cube."""
+    tdecor, label) triples), once d^2 = 0 holds on every 2-face of the
+    walk (edges, lists) that `_edge_lists` gives; if it fails on one,
+    the error names the first bad pairs of the whole cube."""
     # resolution bits holds the positions start[bits] to start[bits + 1]
     res = cube.resolutions
     start = list(itertools.accumulate(
@@ -351,15 +376,7 @@ def _guarded(cube: ResolutionCube):
         return dstruct.DGen(_gen_name(bits, i - start[bits]),
                             res[bits].matching, bits.bit_count())
 
-    # edges[bits * c + j] indexes the arrow list of the edge flipping
-    # crossing j of resolution bits in `lists`, 0 (no arrows) where that
-    # bit is set
     c = len(cube.sites)
-    edges = [0] * (c << c)
-    index = {(): 0}
-    for bits, j, edge in _deloop_arrows(cube):
-        edges[bits * c + j] = index.setdefault(edge, len(index))
-    lists = list(index)
 
     def blocks(per):
         for k, e in enumerate(edges):
@@ -380,7 +397,7 @@ def _guarded(cube: ResolutionCube):
 
 def deloop_translate(cube: ResolutionCube) -> dstruct.TypeDStructure:
     """The delooped cube as a type D structure, checked for d^2 = 0."""
-    ids, gen, blocks = _guarded(cube)
+    ids, gen, blocks = _guarded(cube, *_edge_lists(cube))
     at = range(len(ids))
     return dstruct.TypeDStructure(FLAVOR_B, map(gen, at), blocks(at))
 
@@ -493,7 +510,13 @@ def tangle_complex(word: TangleWord, star="nw"):
     loaded edge by edge into reduce's adjacency on ids from `_name_ids`:
     no delooped structure and no list of its arrows is made, and only
     the generators that survive are named."""
-    ids, gen, blocks = _guarded(build_cube(word, star))
+    cube = build_cube(word, star)
+    return _reduced(cube, *_edge_lists(cube))
+
+
+def _reduced(cube, edges, lists):
+    """The reduced complex of the cube whose walk is (edges, lists)."""
+    ids, gen, blocks = _guarded(cube, edges, lists)
     return dstruct.Adjacency(ids, gen, blocks(ids)).reduced(FLAVOR_B)
 
 
@@ -517,9 +540,11 @@ INDETERMINATE = "INDETERMINATE"
 MISMATCH = "MISMATCH"
 
 
-# the decisions of the most recently used reduced complexes, keyed as in
-# `compare`: every_word(6) at nw gives 2,057 distinct ones
+# the decisions of the most recently used reduced complexes, and the
+# reduced complex of the most recently used delooped cubes, keyed as in
+# `compare`: every_word(6) at nw gives 2,057 complexes from 9,390 cubes
 _DECISIONS = OrderedDict()
+_CUBES = OrderedDict()
 MAX_DECISIONS = 4096
 
 
@@ -530,28 +555,64 @@ def compare(word: TangleWord, star="nw"):
     Both invariants come from one reduced complex m, and so does the
     decision, which is memoized on m's exact structure: its flavour, its
     generators in position order and each `out` row in order.  The key
-    is exact because everything after `tangle_complex` reads only
+    is exact because everything after the reduction reads only
     `gens`, the `out` rows in their order, and `inn`, which
     `Adjacency.reduced` derives from `out` and which `iso_check` reads
     without regard to order; labels are interned, so the key holds them
     as they are, and `_chain_iso_search` draws from a fixed seed, so a
-    decision is a function of the key.  A repeated m costs the key and
-    a lookup.  The memo holds the `MAX_DECISIONS` most recently used
-    decisions; an exception, such as the box tensor's arrow cap, is
-    raised each time and never stored.  Each call returns its own copy
-    of the witness.
+    decision is a function of the key.
+
+    m is looked up first by the walk of the delooped cube, before the
+    d^2 guard, the load and the elimination: by `_edge_lists`'s (edges,
+    lists) and each resolution's loop count and matching, in bits order.
+    That key is exact too, as m is a function of it: the generators'
+    names, idempotents, hdegs and sorted-name ids come from the loop
+    counts and matchings, the arrows from edges and lists, and the star
+    enters only through the lists.  It holds the deloop rules' output,
+    not their inputs, so a walk with a changed arrow misses and meets
+    the guard.  A repeated cube costs the walk, whose edge shapes are
+    expanded once per process, and two lookups; a new cube of a known m
+    costs the front half and one lookup.
+
+    Each map holds its `MAX_DECISIONS` most recently used entries, and
+    a cube is recorded only once its decision is stored; an exception,
+    such as the box tensor's arrow cap, is raised each time and never
+    stored.  Each call returns its own copy of the witness.
     """
-    m = tangle_complex(word, star)
-    key = (m.flavor, tuple(m.gens),
-           tuple(tuple(row.items()) for row in m.out))
-    try:
-        verdict, witness = _DECISIONS[key]
-        _DECISIONS.move_to_end(key)
-    except KeyError:
-        verdict, witness = _DECISIONS[key] = _decide(m)
-        if len(_DECISIONS) > MAX_DECISIONS:
-            _DECISIONS.popitem(last=False)
+    cube = build_cube(word, star)
+    edges, lists = _edge_lists(cube)
+    walk = (edges, lists, tuple(
+        [(len(r.loops), r.matching) for r in cube.resolutions.values()]))
+    key = _recall(_CUBES, walk)
+    decision = _recall(_DECISIONS, key)
+    if decision is None:
+        m = _reduced(cube, edges, lists)
+        key = (m.flavor, tuple(m.gens),
+               tuple(tuple(row.items()) for row in m.out))
+        decision = _recall(_DECISIONS, key)
+        if decision is None:
+            decision = _decide(m)
+            _remember(_DECISIONS, key, decision)
+        _remember(_CUBES, walk, key)
+    verdict, witness = decision
     return verdict, _fresh(witness)
+
+
+def _recall(memo, key):
+    """memo[key], now the most recently used, or None if absent."""
+    value = memo.get(key)
+    if value is not None:
+        memo.move_to_end(key)
+    return value
+
+
+def _remember(memo, key, value):
+    """Store memo[key] as the most recently used, dropping the least
+    recently used past `MAX_DECISIONS`."""
+    memo[key] = value
+    memo.move_to_end(key)
+    if len(memo) > MAX_DECISIONS:
+        memo.popitem(last=False)
 
 
 def _fresh(witness):

@@ -463,7 +463,11 @@ def test_compare_expands_each_edge_shape_once(monkeypatch):
 
     monkeypatch.setattr(tangles, "_saddle_shape", counting_shape)
     monkeypatch.setattr(tangles, "_saddle_arrows", counting_expand)
-    for n, edges, shapes in ((8, 1024, 36), (9, 2304, 45)):
+    # shapes are expanded once per process: x1^9 has 45, 36 of them
+    # x1^8's, and deciding it afresh expands none
+    for n, edges, shapes in ((8, 1024, 36), (9, 2304, 9), (9, 2304, 0)):
+        tangles._DECISIONS.clear()
+        tangles._CUBES.clear()
         counts.update(edges=0, shapes=0)
         assert tangles.compare(twist(n))[0] == tangles.EQUIVALENT
         assert counts == {"edges": edges, "shapes": shapes}
@@ -497,3 +501,17 @@ def test_every_word_is_every_short_word_random_word_makes():
     made = {w for w in (tangles.random_word(rng) for _ in range(20000))
             if len(w.slices) <= 4}
     assert made <= set(words)
+
+
+def test_every_word_of_at_most_five_slices_is_equivalent_at_every_star():
+    # the census at k <= 5: 12,600 words at each star, of which nw gives
+    # 1,210 distinct delooped cubes and 349 distinct reduced complexes
+    words = list(tangles.every_word(5))
+    assert len(words) == 12600
+    for star in tangles.STAR_CHOICES:
+        bad = [str(w) for w in words
+               if tangles.compare(w, star)[0] != tangles.EQUIVALENT]
+        assert bad == [], (star, bad[:5])
+        if star == "nw":
+            assert (len(tangles._CUBES), len(tangles._DECISIONS)) == \
+                (1210, 349)
