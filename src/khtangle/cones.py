@@ -181,8 +181,11 @@ def _diff_matrix(src, dst, weight):
 
 
 def homology_dims(src: Vertex, dst: Vertex, max_weight: int):
-    """Per-weight homology dimensions of Hom(cone(src), cone(dst))."""
-    assert max_weight >= 4
+    """Per-weight homology dimensions of Hom(cone(src), cone(dst)), for
+    weights up to max_weight, which must be at least 4."""
+    # raised, not asserted: python -O too
+    if max_weight < 4:
+        raise ValueError(f"max_weight {max_weight} is below 4")
     dims = {}
     ranks = {w: f2.rank(_diff_matrix(src, dst, w))
              for w in range(-2, max_weight + 1)}

@@ -16,19 +16,15 @@ algebra with dotted-cobordism labels, and the two comparison pipelines
 build the H-cone and the two-layer bimodule image from it.
 
 `compare` decides each distinct reduced complex once per process, and
-reduces each distinct delooped cube once: the H-cone, the image and the
-isomorphism search depend on the reduced complex alone, which it keys on
-its exact structure (flavour, generators, arrow rows in order), and the
-reduced complex depends on the walk of the delooped cube alone (its
-interned edge arrow lists and each resolution's loop count and
-matching), which it looks up first, before the d^2 guard, the load and
-the elimination.  Each map holds the `MAX_DECISIONS` (4,096) most
-recently used entries, and each edge shape is expanded once per
-process.  Words repeat both often: 12,600 words of `every_word(5)` give
-1,210 distinct cubes and 349 distinct complexes at nw, 161,668 of
-`every_word(6)` give 9,390 and 2,057, and the first 200
-`random_word(Random(s), 2)` words of seeds s = 101-110 hold 91 to 108
-cubes and 79 to 89 complexes.
+reduces each distinct walk of the delooped cube once, as `functools`
+caches of `MAX_DECISIONS` (4,096) entries over two pure functions:
+`_complex_key` from the walk to the reduced complex's exact key, and
+`_decision` from that key to the verdict.  `_saddle_arrows` expands
+each edge shape once per process.  Words repeat both often: 12,600
+words of `every_word(5)` give 1,210 distinct walks and 349 distinct
+complexes at nw, 161,668 of `every_word(6)` give 9,390 and 2,057, and
+the first 200 `random_word(Random(s), 2)` words of seeds s = 101-110
+hold 91 to 108 walks and 79 to 89 complexes.
 """
 
 from __future__ import annotations
@@ -37,7 +33,7 @@ import bisect
 import functools
 import itertools
 import random
-from collections import OrderedDict, defaultdict
+from collections import defaultdict
 from dataclasses import dataclass
 
 from . import algebra, bimod, dstruct
@@ -221,11 +217,12 @@ def build_cube(word: TangleWord, star="nw") -> ResolutionCube:
 #
 # Generator (bits, decor) of the delooped cube is decoration `decor` of
 # resolution `bits`, named v{bits}d{decor}; its position is its place in
-# deloop order, resolution by resolution.  `_edge_lists` interns the
-# arrow list of each cube edge from one walk (`_deloop_arrows`), which
-# expands each distinct edge shape once per process: edges with equal
-# arrows share one list and its index.  `_guarded` numbers the
-# generators by sorted name from their blocks alone (`_name_ids`).
+# deloop order, resolution by resolution.  `_walk` interns the arrow
+# list of each cube edge from one walk (`_deloop_arrows`), whose edge
+# shapes `_saddle_arrows` expands once per process: edges with equal
+# arrows share one list and its index.  The walk is all that the rest
+# reads of the cube: `_guarded` numbers the generators by sorted name
+# from their blocks alone (`_name_ids`).
 # Every two-step path runs bits -> bits|i -> bits|i|j, so each d^2
 # entry lives on one 2-face and is a function of that face's four arrow
 # lists alone: `_d_squared_is_zero` checks each distinct face once; if
@@ -241,32 +238,22 @@ def _gen_name(bits, decor):
     return f"v{bits}d{decor}"
 
 
-# the arrows of every edge shape expanded so far in this process, by
-# shape: a patched deloop rule must come with `_EXPANDED.clear()`
-_EXPANDED = {}
-
-
 def _deloop_arrows(cube: ResolutionCube):
     """Expand loops into dot decorations and saddles into algebra labels:
     (bits, j, (decor, tdecor, label, ...)) for the edge flipping crossing
     j of each resolution, the arrows of every source decoration in deloop
-    order, flat.  Edges of one shape share one tuple, expanded once per
-    process."""
+    order, flat.  Edges of one shape share one tuple."""
     star_port = cube.ends[cube.star]
     for bits, src in cube.resolutions.items():
         for j, site in enumerate(cube.sites):
-            if (bits >> j) & 1:
-                continue
-            shape = _saddle_shape(src, cube.resolutions[bits | (1 << j)],
-                                  site, star_port)
-            arrows = _EXPANDED.get(shape)
-            if arrows is None:
-                arrows = _EXPANDED[shape] = _saddle_arrows(*shape)
-            yield bits, j, arrows
+            if not (bits >> j) & 1:
+                yield bits, j, _saddle_arrows(*_saddle_shape(
+                    src, cube.resolutions[bits | (1 << j)], site, star_port))
 
 
-def _edge_lists(cube: ResolutionCube):
-    """One walk of `_deloop_arrows` as (edges, lists): edges[bits * c + j]
+def _walk(cube: ResolutionCube):
+    """One walk of `_deloop_arrows` as (res, edges, lists): res[bits] is
+    resolution bits's (loop count, matching), and edges[bits * c + j]
     indexes in `lists` the arrow list of the edge flipping crossing j of
     resolution bits, 0 (no arrows) where that bit is set; equal lists
     share one index."""
@@ -275,7 +262,9 @@ def _edge_lists(cube: ResolutionCube):
     index = {(): 0}
     for bits, j, edge in _deloop_arrows(cube):
         edges[bits * c + j] = index.setdefault(edge, len(index))
-    return tuple(edges), tuple(index)
+    res = tuple([(len(r.loops), r.matching)
+                 for r in cube.resolutions.values()])
+    return res, tuple(edges), tuple(index)
 
 
 def _triples(arrows):
@@ -340,43 +329,42 @@ def _name_ranks(n, suffix):
     return tuple(dstruct.name_ids([f"{i}{suffix}" for i in range(n)]))
 
 
-def _name_ids(cube: ResolutionCube):
+def _name_ids(res):
     """The rank of each generator's name in sorted order, in deloop order,
-    without a name: v{bits}d{decor} sorts by its block's prefix
-    f"{bits}d" first, which no other block's names start with, and then
-    by str(decor), the same order for every block of one loop count."""
-    res = cube.resolutions
+    without a name, from the walk's res: v{bits}d{decor} sorts by its
+    block's prefix f"{bits}d" first, which no other block's names start
+    with, and then by str(decor), the same order for every block of one
+    loop count."""
     block = _name_ranks(len(res), "d")
     size = [0] * len(res)
-    for bits, r in res.items():
-        size[block[bits]] = 1 << len(r.loops)
+    for bits, (loops, _) in enumerate(res):
+        size[block[bits]] = 1 << loops
     start = list(itertools.accumulate(size, initial=0))
     ids = []
-    for bits, r in res.items():
-        ids += map(start[block[bits]].__add__,
-                   _name_ranks(1 << len(r.loops), ""))
+    for bits, (loops, _) in enumerate(res):
+        ids += map(start[block[bits]].__add__, _name_ranks(1 << loops, ""))
     return ids
 
 
-def _guarded(cube: ResolutionCube, edges, lists):
+def _guarded(walk):
     """The generators' sorted-name ids in deloop order, a function that
     makes the DGen at a position, and a function `blocks(per)` that
     gives, for a list `per` over positions, the arrows of each edge as
     (per of its source block, per of its target block, its (decor,
     tdecor, label) triples), once d^2 = 0 holds on every 2-face of the
-    walk (edges, lists) that `_edge_lists` gives; if it fails on one,
-    the error names the first bad pairs of the whole cube."""
+    walk that `_walk` gives; if it fails on one, the error names the
+    first bad pairs of the whole cube."""
+    res, edges, lists = walk
     # resolution bits holds the positions start[bits] to start[bits + 1]
-    res = cube.resolutions
     start = list(itertools.accumulate(
-        (1 << len(r.loops) for r in res.values()), initial=0))
+        (1 << loops for loops, _ in res), initial=0))
 
     def gen(i):
         bits = bisect.bisect_right(start, i) - 1
         return dstruct.DGen(_gen_name(bits, i - start[bits]),
-                            res[bits].matching, bits.bit_count())
+                            res[bits][1], bits.bit_count())
 
-    c = len(cube.sites)
+    c = len(res).bit_length() - 1
 
     def blocks(per):
         for k, e in enumerate(edges):
@@ -386,7 +374,7 @@ def _guarded(cube: ResolutionCube, edges, lists):
                 yield (per[start[bits]:start[bits + 1]],
                        per[start[t]:start[t + 1]], _triples(lists[e]))
 
-    ids = _name_ids(cube)
+    ids = _name_ids(res)
     if not _d_squared_is_zero(lists, edges, c):
         at = range(len(ids))
         bad = dstruct.check_d_squared(dstruct.TypeDStructure(
@@ -397,7 +385,7 @@ def _guarded(cube: ResolutionCube, edges, lists):
 
 def deloop_translate(cube: ResolutionCube) -> dstruct.TypeDStructure:
     """The delooped cube as a type D structure, checked for d^2 = 0."""
-    ids, gen, blocks = _guarded(cube, *_edge_lists(cube))
+    ids, gen, blocks = _guarded(_walk(cube))
     at = range(len(ids))
     return dstruct.TypeDStructure(FLAVOR_B, map(gen, at), blocks(at))
 
@@ -421,10 +409,13 @@ def _saddle_shape(src, tgt, site, star_port):
                    for lid in src.loops]))
 
 
+@functools.cache
 def _saddle_arrows(v, w, n_touched, kinds, loops):
     """Arrows for a cube edge of the shape that `_saddle_shape` gives, as
     one flat tuple decor, tdecor, label, decor, ... (read by `_triples`)
-    for every source dot decoration in turn.
+    for every source dot decoration in turn, worked out once per shape
+    and process.  The cache is keyed on the rules' input, so a patched
+    deloop rule must come with `_saddle_arrows.cache_clear()`.
 
     The saddle rule depends on a decoration only through the number of
     dotted source loops the saddle touches, so it is worked out once per
@@ -510,13 +501,12 @@ def tangle_complex(word: TangleWord, star="nw"):
     loaded edge by edge into reduce's adjacency on ids from `_name_ids`:
     no delooped structure and no list of its arrows is made, and only
     the generators that survive are named."""
-    cube = build_cube(word, star)
-    return _reduced(cube, *_edge_lists(cube))
+    return _reduced(_walk(build_cube(word, star)))
 
 
-def _reduced(cube, edges, lists):
-    """The reduced complex of the cube whose walk is (edges, lists)."""
-    ids, gen, blocks = _guarded(cube, edges, lists)
+def _reduced(walk):
+    """The reduced complex of the cube whose walk `_walk` gives."""
+    ids, gen, blocks = _guarded(walk)
     return dstruct.Adjacency(ids, gen, blocks(ids)).reduced(FLAVOR_B)
 
 
@@ -540,79 +530,53 @@ INDETERMINATE = "INDETERMINATE"
 MISMATCH = "MISMATCH"
 
 
-# the decisions of the most recently used reduced complexes, and the
-# reduced complex of the most recently used delooped cubes, keyed as in
-# `compare`: every_word(6) at nw gives 2,057 complexes from 9,390 cubes
-_DECISIONS = OrderedDict()
-_CUBES = OrderedDict()
-MAX_DECISIONS = 4096
-
-
 def compare(word: TangleWord, star="nw"):
     """Verdict on whether the two invariants agree for this tangle, and
-    its witness.
+    its witness: `_decision(_complex_key(_walk(cube)))`, each caller
+    getting its own copy of the witness.
 
-    Both invariants come from one reduced complex m, and so does the
-    decision, which is memoized on m's exact structure: its flavour, its
-    generators in position order and each `out` row in order.  The key
-    is exact because everything after the reduction reads only
-    `gens`, the `out` rows in their order, and `inn`, which
-    `Adjacency.reduced` derives from `out` and which `iso_check` reads
-    without regard to order; labels are interned, so the key holds them
-    as they are, and `_chain_iso_search` draws from a fixed seed, so a
-    decision is a function of the key.
+    Both caches are exact.  The reduced complex m is a function of the
+    walk: the generators' names, idempotents, hdegs and sorted-name ids
+    come from each resolution's loop count and matching, the arrows
+    from the edges and their lists, and the star enters only through
+    the lists.  The walk holds the deloop rules' output, not their
+    input, so a walk with a changed arrow misses and meets the d^2
+    guard.  The decision is a function of m: everything after the
+    reduction reads only `gens`, the `out` rows in their order, and
+    `inn`, which follows from them; labels are interned, and
+    `_chain_iso_search` draws from a fixed seed.
 
-    m is looked up first by the walk of the delooped cube, before the
-    d^2 guard, the load and the elimination: by `_edge_lists`'s (edges,
-    lists) and each resolution's loop count and matching, in bits order.
-    That key is exact too, as m is a function of it: the generators'
-    names, idempotents, hdegs and sorted-name ids come from the loop
-    counts and matchings, the arrows from edges and lists, and the star
-    enters only through the lists.  It holds the deloop rules' output,
-    not their inputs, so a walk with a changed arrow misses and meets
-    the guard.  A repeated cube costs the walk, whose edge shapes are
-    expanded once per process, and two lookups; a new cube of a known m
-    costs the front half and one lookup.
-
-    Each map holds its `MAX_DECISIONS` most recently used entries, and
-    a cube is recorded only once its decision is stored; an exception,
-    such as the box tensor's arrow cap, is raised each time and never
-    stored.  Each call returns its own copy of the witness.
+    A repeated walk costs the cube, the walk and two lookups; a new walk
+    of a known m costs the guard, the load and the elimination too.  An
+    exception, such as the box tensor's arrow cap, is raised each time:
+    its walk's key is kept, and `_decision` stores no exception.
     """
-    cube = build_cube(word, star)
-    edges, lists = _edge_lists(cube)
-    walk = (edges, lists, tuple(
-        [(len(r.loops), r.matching) for r in cube.resolutions.values()]))
-    key = _recall(_CUBES, walk)
-    decision = _recall(_DECISIONS, key)
-    if decision is None:
-        m = _reduced(cube, edges, lists)
-        key = (m.flavor, tuple(m.gens),
-               tuple(tuple(row.items()) for row in m.out))
-        decision = _recall(_DECISIONS, key)
-        if decision is None:
-            decision = _decide(m)
-            _remember(_DECISIONS, key, decision)
-        _remember(_CUBES, walk, key)
-    verdict, witness = decision
+    verdict, witness = _decision(_complex_key(_walk(build_cube(word, star))))
     return verdict, _fresh(witness)
 
 
-def _recall(memo, key):
-    """memo[key], now the most recently used, or None if absent."""
-    value = memo.get(key)
-    if value is not None:
-        memo.move_to_end(key)
-    return value
+# every_word(6) at nw gives 2,057 distinct complexes from 9,390 walks
+MAX_DECISIONS = 4096
 
 
-def _remember(memo, key, value):
-    """Store memo[key] as the most recently used, dropping the least
-    recently used past `MAX_DECISIONS`."""
-    memo[key] = value
-    memo.move_to_end(key)
-    if len(memo) > MAX_DECISIONS:
-        memo.popitem(last=False)
+@functools.lru_cache(maxsize=MAX_DECISIONS)
+def _complex_key(walk):
+    """The exact key of the walk's reduced complex m: its flavour, its
+    generators in position order, and each `out` row's items in order."""
+    m = _reduced(walk)
+    return (m.flavor, tuple(m.gens),
+            tuple(tuple(row.items()) for row in m.out))
+
+
+@functools.lru_cache(maxsize=MAX_DECISIONS)
+def _decision(key):
+    """The verdict and witness of the reduced complex whose key
+    `_complex_key` gives, rebuilt with the `out` and `inn` orders of
+    `Adjacency.reduced`: its arrows load row by row, in order."""
+    flavor, gens, rows = key
+    n = range(len(gens))
+    return _decide(dstruct.TypeDStructure(flavor, gens, [(n, n, (
+        (s, d, label) for s, row in enumerate(rows) for d, label in row))]))
 
 
 def _fresh(witness):

@@ -5,10 +5,11 @@ from khtangle import tangles
 
 @pytest.fixture(autouse=True)
 def cold_compare():
-    """Each test starts with no memoized `compare` decision, no
-    memoized cube and no expanded edge shape, so a test that patches the
+    """Each test starts with every cache of `tangles` empty: no walk,
+    decision or edge shape is cached, so a test that patches the
     pipeline or the deloop rules sees it run on words and shapes that
-    earlier tests decided or expanded."""
-    tangles._DECISIONS.clear()
-    tangles._CUBES.clear()
-    tangles._EXPANDED.clear()
+    earlier tests decided or expanded.  The caches are found as the
+    module's attributes with a `cache_clear`, so none can be missed."""
+    for value in list(vars(tangles).values()):
+        if hasattr(value, "cache_clear"):
+            value.cache_clear()

@@ -1,10 +1,11 @@
-"""`compare` memoizes its decision on the reduced complex, and the
-reduced complex on the walk of the delooped cube.
+"""`compare` caches its decision on the reduced complex (`_decision`),
+and the reduced complex's key on the walk of the delooped cube
+(`_complex_key`).
 
 A hit must answer exactly as deciding afresh would, must run none of
 the pipeline after the walk, must hand out a witness the caller may
-change, and each memo must stay within its cap.  A walk changed by a
-patched deloop rule must miss and meet the d^2 guard.
+change, and each cache must hold `MAX_DECISIONS` entries.  A walk
+changed by a patched deloop rule must miss and meet the d^2 guard.
 """
 
 import random
@@ -21,15 +22,19 @@ def word(text):
 
 
 def cold(w, star="nw"):
-    tangles._DECISIONS.clear()
+    tangles._decision.cache_clear()
     return tangles.compare(w, star)
 
 
 def coldest(w, star="nw"):
-    """`compare` with no memoized decision, cube or edge shape."""
-    tangles._CUBES.clear()
-    tangles._EXPANDED.clear()
+    """`compare` with no cached decision, walk or edge shape."""
+    tangles._complex_key.cache_clear()
+    tangles._saddle_arrows.cache_clear()
     return cold(w, star)
+
+
+def size(cache):
+    return cache.cache_info().currsize
 
 
 def test_warm_and_cold_compare_agree():
@@ -39,9 +44,30 @@ def test_warm_and_cold_compare_agree():
     cases += [(word(" ".join(["x1"] * n)), "nw") for n in range(1, 9)]
     warm = [tangles.compare(w, star) for w, star in cases]
     # words share reduced complexes, so most of the first pass were hits
-    assert len(tangles._DECISIONS) < len(cases) // 10
+    assert size(tangles._decision) < len(cases) // 10
     again = [tangles.compare(w, star) for w, star in cases]
     assert warm == again == [cold(w, star) for w, star in cases]
+
+
+def test_a_decision_rebuilds_the_reduced_complex_in_order(monkeypatch):
+    # `_decision` decides the structure it rebuilds from a key; `out`
+    # and `inn` must list the arrows in `tangle_complex`'s order
+    monkeypatch.setattr(tangles, "_decide", lambda m: m)
+    cases = [(w, star) for star in tangles.STAR_CHOICES
+             for w in tangles.every_word(4)]
+    cases += [(word(" ".join(["x1"] * n)), "nw") for n in range(1, 9)]
+    # those complexes have no row of two arrows; six of the first 64
+    # criterion-6 words have one, so that a row order can go wrong
+    rng = random.Random(0)
+    cases += [(tangles.random_word(rng, 8), "nw") for _ in range(64)]
+    for w, star in cases:
+        walk = tangles._walk(tangles.build_cube(w, star))
+        m = tangles._decision.__wrapped__(tangles._complex_key(walk))
+        ref = tangles.tangle_complex(w, star)
+        assert (m.flavor, m.gens) == (ref.flavor, ref.gens), (str(w), star)
+        for rows, ref_rows in ((m.out, ref.out), (m.inn, ref.inn)):
+            assert [list(row.items()) for row in rows] == \
+                [list(row.items()) for row in ref_rows], (str(w), star)
 
 
 def test_a_hit_runs_no_cone_box_or_iso(monkeypatch):
@@ -72,21 +98,11 @@ def test_mutating_a_witness_does_not_change_the_next(text):
     assert tangles.compare(word(text)) == expected
 
 
-def test_the_memo_keeps_the_most_recently_used_up_to_its_cap(monkeypatch):
+def test_both_caches_hold_max_decisions_entries():
     # the cap holds every distinct reduced complex of every_word(6) at nw
     assert tangles.MAX_DECISIONS >= 2057
-    monkeypatch.setattr(tangles, "MAX_DECISIONS", 3)
-    texts = ["x1", "x1 x1", "x1 x1 x1", "x1 y1", "x1 x1 y1"]
-    for text in texts:
-        tangles.compare(word(text))
-        assert len(tangles._DECISIONS) <= 3
-    # a hit on the oldest kept decision makes it the newest, so the next
-    # miss drops the one after it
-    kept = list(tangles._DECISIONS)
-    tangles.compare(word("x1 x1 x1"))
-    assert list(tangles._DECISIONS) == kept[1:] + kept[:1]
-    tangles.compare(word("x1"))
-    assert list(tangles._DECISIONS)[:2] == [kept[2], kept[0]]
+    for cache in (tangles._complex_key, tangles._decision):
+        assert cache.cache_info().maxsize == tangles.MAX_DECISIONS
 
 
 def test_an_exception_is_raised_each_time_and_not_stored(monkeypatch):
@@ -94,7 +110,8 @@ def test_an_exception_is_raised_each_time_and_not_stored(monkeypatch):
     for _ in range(2):
         with pytest.raises(RuntimeError, match="arrow cap"):
             tangles.compare(word("x1"))
-    assert len(tangles._DECISIONS) == 0
+    # the walk's key is kept, and `_decision` stores no exception
+    assert size(tangles._complex_key) == 1 and size(tangles._decision) == 0
     monkeypatch.undo()
     assert tangles.compare(word("x1"))[0] == tangles.EQUIVALENT
 
@@ -103,7 +120,8 @@ def test_warm_and_cold_compare_agree_on_two_crossing_words():
     words = [tangles.random_word(random.Random(s), 2) for s in range(2000)]
     cases = [(w, star) for star in tangles.STAR_CHOICES for w in words]
     warm = [tangles.compare(w, star) for w, star in cases]
-    assert len(tangles._DECISIONS) < len(tangles._CUBES) < len(cases) // 10
+    assert size(tangles._decision) < size(tangles._complex_key) < \
+        len(cases) // 10
     # deciding afresh is a function of the word and the star
     fresh = {}
     for w, star in cases:
@@ -123,61 +141,26 @@ def test_a_repeated_cube_runs_no_guard_load_or_elimination(monkeypatch):
             return f(*args)
         monkeypatch.setattr(owner, name, wrapper)
 
+    def expanded():
+        return tangles._saddle_arrows.cache_info().misses
+
     counted(tangles, "_d_squared_is_zero")
-    counted(tangles, "_saddle_arrows")
     counted(dstruct.Adjacency, "__init__")
     counted(dstruct.Adjacency, "eliminate")
     first = tangles.compare(word("x1 x1 x1"))
-    assert {"_d_squared_is_zero", "_saddle_arrows", "__init__",
-            "eliminate"} <= set(calls)
+    assert {"_d_squared_is_zero", "__init__", "eliminate"} <= set(calls)
+    shapes = expanded()
+    assert shapes
     calls.clear()
     assert tangles.compare(word("x1 x1 x1")) == first
-    assert calls == []
+    assert calls == [] and expanded() == shapes
     # "x1 x1 x1 u1 n2" walks the same cube; a new cube of a known
     # complex runs the guard, and then looks the decision up
     assert tangles.compare(word("x1 x1 x1 u1 n2")) == first
     assert calls == []
     assert tangles.compare(word("u1 x3 x3 x3 n2")) == first
     assert "_d_squared_is_zero" in calls and "eliminate" in calls
-    assert len(tangles._CUBES) == 2 and len(tangles._DECISIONS) == 1
-
-
-def test_no_cube_is_stored_when_the_decision_raises(monkeypatch):
-    monkeypatch.setattr(dstruct, "MAX_BOX_ARROWS", 0)
-    for _ in range(2):
-        with pytest.raises(RuntimeError, match="arrow cap"):
-            tangles.compare(word("x1"))
-    assert len(tangles._CUBES) == len(tangles._DECISIONS) == 0
-
-
-def test_the_cube_memo_keeps_the_most_recently_used_up_to_its_cap(
-        monkeypatch):
-    monkeypatch.setattr(tangles, "MAX_DECISIONS", 3)
-    # five cubes, the first four of one reduced complex
-    texts = ["x1 x1 x1", "x1 u1 x3 x3 n2", "u1 x3 x3 x3 n2",
-             "u1 x3 x3 n2 x1", "x1 x1"]
-    for text in texts:
-        tangles.compare(word(text))
-        assert len(tangles._CUBES) <= 3
-    assert len(tangles._DECISIONS) == 2
-    kept = list(tangles._CUBES)
-    assert len(kept) == 3
-    guards = []
-    guard = tangles._d_squared_is_zero
-
-    def counted(*args):
-        guards.append(args)
-        return guard(*args)
-
-    monkeypatch.setattr(tangles, "_d_squared_is_zero", counted)
-    # a hit on the oldest kept cube makes it the newest
-    tangles.compare(word(texts[2]))
-    assert guards == []
-    assert list(tangles._CUBES) == kept[1:] + kept[:1]
-    # a dropped cube misses, and drops the least recently used
-    tangles.compare(word(texts[0]))
-    assert len(guards) == 1
-    assert list(tangles._CUBES)[:2] == [kept[2], kept[0]]
+    assert size(tangles._complex_key) == 2 and size(tangles._decision) == 1
 
 
 @pytest.mark.parametrize("bug", DELOOP_BUGS)
@@ -186,6 +169,6 @@ def test_a_patched_rule_misses_the_cube_memo_and_meets_the_guard(
     w = word("x1 y1")
     assert tangles.compare(w)[0] == tangles.EQUIVALENT
     monkeypatch.setattr(algebra, *DELOOP_BUGS[bug])
-    tangles._EXPANDED.clear()
+    tangles._saddle_arrows.cache_clear()
     with pytest.raises(AssertionError, match=r"^d\^2 != 0 after delooping"):
         tangles.compare(w)

@@ -152,7 +152,8 @@ def test_block_ids_are_the_sorted_name_ids():
         names = [tangles._gen_name(bits, decor)
                  for bits, res in cube.resolutions.items()
                  for decor in range(1 << len(res.loops))]
-        assert tangles._name_ids(cube) == dstruct.name_ids(names), text
+        res = tangles._walk(cube)[0]
+        assert tangles._name_ids(res) == dstruct.name_ids(names), text
 
 
 def test_outputs_are_the_reference_on_large_words():

@@ -3,6 +3,7 @@ import pytest
 from khtangle import acat, cones, functor
 from khtangle.algebra import FILLED, dpow, spow
 from khtangle.cones import BasisName
+from test_tangles import run_python
 
 
 @pytest.fixture(scope="module")
@@ -102,3 +103,22 @@ def test_broken_tables_fail_quasi_iso():
     bad = {**functor.F_TABLE, ("c0",): [BasisName("C", True, 1, "0")]}
     rep = functor.verify_quasi_iso(max_weight=10, tables=bad)
     assert not rep["pass"]
+
+
+def test_a_weight_below_four_is_refused_under_python_O():
+    # an assert would vanish under -O: weights 2 and 3 would pass with
+    # no failure, and weight 1 would die with a KeyError
+    code = """
+        from khtangle import cones, functor
+        from khtangle.algebra import FILLED
+        for check in (lambda w: cones.homology_dims(FILLED, FILLED, w),
+                      lambda w: functor.verify_quasi_iso(w)):
+            for w in (1, 2, 3):
+                try:
+                    check(w)
+                except ValueError as e:
+                    print("refused:", e)
+    """
+    expected = [f"refused: max_weight {w} is below 4" for w in (1, 2, 3)] * 2
+    for flags in ((), ("-O",)):
+        assert run_python(code, *flags).splitlines() == expected, flags

@@ -450,27 +450,24 @@ def test_face_guard_rechecks_a_shared_edge_list_that_changed(monkeypatch):
 
 
 def test_compare_expands_each_edge_shape_once(monkeypatch):
-    shape, expand = tangles._saddle_shape, tangles._saddle_arrows
-    counts = {"edges": 0, "shapes": 0}
+    shape = tangles._saddle_shape
+    edges = []
 
     def counting_shape(*args):
-        counts["edges"] += 1
+        edges.append(args)
         return shape(*args)
 
-    def counting_expand(*shape):
-        counts["shapes"] += 1
-        return expand(*shape)
-
     monkeypatch.setattr(tangles, "_saddle_shape", counting_shape)
-    monkeypatch.setattr(tangles, "_saddle_arrows", counting_expand)
+    expand = tangles._saddle_arrows.cache_info
     # shapes are expanded once per process: x1^9 has 45, 36 of them
     # x1^8's, and deciding it afresh expands none
-    for n, edges, shapes in ((8, 1024, 36), (9, 2304, 9), (9, 2304, 0)):
-        tangles._DECISIONS.clear()
-        tangles._CUBES.clear()
-        counts.update(edges=0, shapes=0)
+    for n, n_edges, shapes in ((8, 1024, 36), (9, 2304, 9), (9, 2304, 0)):
+        tangles._complex_key.cache_clear()
+        tangles._decision.cache_clear()
+        edges.clear()
+        before = expand().misses
         assert tangles.compare(twist(n))[0] == tangles.EQUIVALENT
-        assert counts == {"edges": edges, "shapes": shapes}
+        assert (len(edges), expand().misses - before) == (n_edges, shapes)
 
 
 def test_compare_names_only_the_generators_that_survive_reduce(
@@ -505,7 +502,7 @@ def test_every_word_is_every_short_word_random_word_makes():
 
 def test_every_word_of_at_most_five_slices_is_equivalent_at_every_star():
     # the census at k <= 5: 12,600 words at each star, of which nw gives
-    # 1,210 distinct delooped cubes and 349 distinct reduced complexes
+    # 1,210 distinct walks and 349 distinct reduced complexes
     words = list(tangles.every_word(5))
     assert len(words) == 12600
     for star in tangles.STAR_CHOICES:
@@ -513,5 +510,5 @@ def test_every_word_of_at_most_five_slices_is_equivalent_at_every_star():
                if tangles.compare(w, star)[0] != tangles.EQUIVALENT]
         assert bad == [], (star, bad[:5])
         if star == "nw":
-            assert (len(tangles._CUBES), len(tangles._DECISIONS)) == \
-                (1210, 349)
+            assert (tangles._complex_key.cache_info().currsize,
+                    tangles._decision.cache_info().currsize) == (1210, 349)
