@@ -110,10 +110,22 @@ def test_an_exception_is_raised_each_time_and_not_stored(monkeypatch):
     for _ in range(2):
         with pytest.raises(RuntimeError, match="arrow cap"):
             tangles.compare(word("x1"))
-    # the walk's key is kept, and `_decision` stores no exception
-    assert size(tangles._complex_key) == 1 and size(tangles._decision) == 0
+    assert size(tangles._decision) == 0
     monkeypatch.undo()
     assert tangles.compare(word("x1"))[0] == tangles.EQUIVALENT
+
+
+def test_no_cube_is_stored_when_the_decision_raises(monkeypatch):
+    monkeypatch.setattr(dstruct, "MAX_BOX_ARROWS", 0)
+    with pytest.raises(RuntimeError, match="arrow cap"):
+        tangles.compare(word("x1"))
+    # the walk's key is kept, but no decision: the second call skips
+    # the reduction and raises again in `_decision`
+    assert size(tangles._complex_key) == 1 and size(tangles._decision) == 0
+    with pytest.raises(RuntimeError, match="arrow cap"):
+        tangles.compare(word("x1"))
+    assert tangles._complex_key.cache_info().hits == 1
+    assert size(tangles._decision) == 0
 
 
 def test_warm_and_cold_compare_agree_on_two_crossing_words():
