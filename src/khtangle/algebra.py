@@ -114,7 +114,10 @@ class BElem:
             return self._add[other._n]
         except KeyError:
             pass
-        assert self.flavor == other.flavor
+        # raised, not asserted: python -O too, and only on a memo miss
+        if self.flavor != other.flavor:
+            raise ValueError(f"flavor mismatch in sum: {self.flavor} + "
+                             f"{other.flavor}")
         r = self._add[other._n] = _make(self.terms ^ other.terms, self.flavor)
         return r
 
@@ -123,7 +126,9 @@ class BElem:
             return self._mul[other._n]
         except KeyError:
             pass
-        assert self.flavor == other.flavor, "flavor mismatch in product"
+        if self.flavor != other.flavor:
+            raise ValueError(f"flavor mismatch in product: {self.flavor} * "
+                             f"{other.flavor}")
         acc = set()
         for x in self.terms:
             for y in other.terms:
@@ -203,12 +208,14 @@ def idem(v: Vertex, flavor=FLAVOR_B):
 
 
 def spow(n: int, v: Vertex, flavor=FLAVOR_B):
-    assert n >= 1
+    if n < 1:   # raised, not asserted: python -O too
+        raise ValueError(f"S^{n}: the exponent must be at least 1")
     return _make(frozenset([("s", n, v)]), flavor)
 
 
 def dpow(n: int, v: Vertex, flavor=FLAVOR_B):
-    assert n >= 1
+    if n < 1:
+        raise ValueError(f"D^{n}: the exponent must be at least 1")
     return _make(frozenset([("d", n, v)]), flavor)
 
 
@@ -223,7 +230,8 @@ _H = h_elem(FILLED) + h_elem(HOLLOW)
 def h_mul(x: BElem) -> BElem:
     """Multiply by the central element H (full algebra only): e goes to
     D + S^2, S^n to S^(n+2) and D^n to D^(n+1)."""
-    assert x.flavor == FLAVOR_B
+    if x.flavor != FLAVOR_B:   # raised, not asserted: python -O too
+        raise ValueError(f"h_mul needs a B element, not {x.flavor}")
     return x * _H
 
 

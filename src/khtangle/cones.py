@@ -30,15 +30,17 @@ class ConeMorphism:
     terms: frozenset   # of (slot, monomial), each monomial src -> dst
 
     def __post_init__(self):
+        # raised, not asserted here and below: python -O too
         for slot, t in self.terms:
-            assert slot in SLOTS and t.runs(self.src, self.dst), \
-                f"{slot} term {t} does not run src -> dst"
+            if not (slot in SLOTS and t.runs(self.src, self.dst)):
+                raise ValueError(f"{slot} term {t} does not run src -> dst")
 
     def is_zero(self):
         return not self.terms
 
     def __add__(self, other):
-        assert (self.src, self.dst) == (other.src, other.dst)
+        if (self.src, self.dst) != (other.src, other.dst):
+            raise ValueError("object mismatch in sum")
         return ConeMorphism(self.src, self.dst, self.terms ^ other.terms)
 
     def __str__(self):
@@ -65,7 +67,8 @@ def identity_mor(v: Vertex) -> ConeMorphism:
 def compose_C(f: ConeMorphism, g: ConeMorphism) -> ConeMorphism:
     """Composite "f then g" by 2x2 matrix multiplication: a term of f in
     slot (a, b) times a term of g in slot (b, c) lands in slot (a, c)."""
-    assert f.dst == g.src, "object mismatch in composition"
+    if f.dst != g.src:
+        raise ValueError("object mismatch in composition")
     return _sum(f.src, g.dst, ((s[0] + r[1], m)
                                for s, x in f.terms for r, y in g.terms
                                if s[1] == r[0] for m in (x * y).monomials()))
@@ -103,10 +106,11 @@ class BasisName:
     sub: str      # "0" / "1" for endo families, "01" / "10" for P/Q
 
     def __post_init__(self):
-        assert self.family in ENDO_FAMILIES + CROSS_FAMILIES
-        assert self.index >= (0 if self.family in ("A", "B") else 1)
-        assert self.sub in (("0", "1") if self.family in ENDO_FAMILIES
-                            else ("01", "10"))
+        if not (self.family in ENDO_FAMILIES + CROSS_FAMILIES
+                and self.index >= (0 if self.family in ("A", "B") else 1)
+                and self.sub in (("0", "1") if self.family in ENDO_FAMILIES
+                                 else ("01", "10"))):
+            raise ValueError(f"no basis element {self!r}")
 
     # the subscript reads target then source, as a sequence does
     @property

@@ -15,16 +15,21 @@ Delooping turns the cube into a type D structure over the full quiver
 algebra with dotted-cobordism labels, and the two comparison pipelines
 build the H-cone and the two-layer bimodule image from it.
 
-`compare` decides each distinct reduced complex once per process, and
-reduces each distinct walk of the delooped cube once, as `functools`
-caches of `MAX_DECISIONS` (4,096) entries over two pure functions:
-`_complex_key` from the walk to the reduced complex's exact key, and
-`_decision` from that key to the verdict.  `_saddle_arrows` expands
-each edge shape once per process.  Words repeat both often: 12,600
-words of `every_word(5)` give 1,210 distinct walks and 349 distinct
-complexes at nw, 161,668 of `every_word(6)` give 9,390 and 2,057, and
-the first 200 `random_word(Random(s), 2)` words of seeds s = 101-110
-hold 91 to 108 walks and 79 to 89 complexes.
+`compare` decides each distinct reduced complex once per process, up
+to an order-preserving renaming of its generators and a global hdeg
+shift, and reduces each distinct walk of the delooped cube once, as
+`functools` caches of `MAX_DECISIONS` (4,096) entries over two pure
+functions: `_complex_key` from the walk to the reduced complex's key
+(its generators named by the ranks of their names, their hdegs taken
+above the lowest, and its arrows), the names by rank and the lowest
+hdeg, and `_decision` from that key to the verdict, whose witness
+`compare` renames back.  `_saddle_arrows` expands each edge shape once
+per process.  Words repeat both often: 12,600 words of `every_word(5)`
+give 1,210 distinct walks and 64 distinct keys at nw (349 complexes
+with their own names and hdegs), 161,668 of `every_word(6)` give 9,390
+walks and 481 keys (2,057 complexes), and the first 200
+`random_word(Random(s), 2)` words of seeds s = 101-110 hold 91 to 108
+walks and 37 to 44 keys (79 to 89 complexes).
 """
 
 from __future__ import annotations
@@ -532,8 +537,9 @@ MISMATCH = "MISMATCH"
 
 def compare(word: TangleWord, star="nw"):
     """Verdict on whether the two invariants agree for this tangle, and
-    its witness: `_decision(_complex_key(_walk(cube)))`, each caller
-    getting its own copy of the witness.
+    its witness: `_decision` of the reduced complex's key, the key from
+    `_complex_key(_walk(cube))`, with the witness renamed to the
+    complex's own names and hdegs.
 
     Both caches are exact.  The reduced complex m is a function of the
     walk: the generators' names, idempotents, hdegs and sorted-name ids
@@ -541,31 +547,75 @@ def compare(word: TangleWord, star="nw"):
     from the edges and their lists, and the star enters only through
     the lists.  The walk holds the deloop rules' output, not their
     input, so a walk with a changed arrow misses and meets the d^2
-    guard.  The decision is a function of m: everything after the
-    reduction reads only `gens`, the `out` rows in their order, and
-    `inn`, which follows from them; labels are interned, and
-    `_chain_iso_search` draws from a fixed seed.
+    guard.  The decision is a function of m up to an order-preserving
+    renaming of its generators and a global hdeg shift: everything
+    after the reduction reads only `gens`, the `out` rows in their
+    order, and `inn`, which follows from them; labels are interned, and
+    `_chain_iso_search` draws from a fixed seed.  `_decide` reads names
+    only by comparing them (the sorted-name ids of `reduce`, the order
+    of `_iso_search`, the chain-map pivots, each a `max` over (name,
+    name, monomial), and the sorted entries) and by appending `.k` and
+    `*b` to them; `.` and `*` sort below every character of a name
+    (digits, `v`, `d`), so a suffix keeps the order even where one name
+    is a prefix of another.  It reads hdegs only through differences
+    (the iso shift, `add_arrow`'s +1 check, equal counts): `euler_counts`
+    flips parity on both sides alike, and `_signatures` numbers colours
+    first-seen, not by value.  So a complex decides as its ranks with
+    hdegs from 0 do, and the witness is renamed back: each rank prefix
+    becomes its name, and a count's hdeg rises by the lowest hdeg.
 
-    A repeated walk costs the cube, the walk and two lookups; a new walk
-    of a known m costs the guard, the load and the elimination too.  An
-    exception, such as the box tensor's arrow cap, is raised each time:
-    its walk's key is kept, and `_decision` stores no exception.
+    A repeated walk costs the cube, the walk, two lookups and the
+    renaming; a new walk of a known m costs the guard, the load and the
+    elimination too.  An exception, such as the box tensor's arrow cap,
+    is raised each time: its walk's key is kept, and `_decision` stores
+    no exception.  Each call builds a new witness.
     """
-    verdict, witness = _decision(_complex_key(_walk(build_cube(word, star))))
-    return verdict, _fresh(witness)
+    key, names, lo = _complex_key(_walk(build_cube(word, star)))
+    verdict, witness = _decision(key)
+    if verdict == MISMATCH:
+        return verdict, {side: {_raised(at, lo): c for at, c in counts.items()}
+                         for side, counts in witness.items()}
+    if witness is None:
+        return verdict, None
+    w = _RANK_WIDTH
+    if "entries" in witness:
+        return verdict, {"shift": witness["shift"], "entries": [
+            (names[x[:w]] + x[w:], names[y[:w]] + y[w:], t)
+            for x, y, t in witness["entries"]]}
+    return verdict, {names[x[:w]] + x[w:]: names[y[:w]] + y[w:]
+                     for x, y in witness.items()}
 
 
-# every_word(6) at nw gives 2,057 distinct complexes from 9,390 walks
+def _raised(at, lo):
+    """A count's f"{idem}:{hdeg}" with its hdeg raised by lo."""
+    idem, _, h = at.rpartition(":")
+    return f"{idem}:{int(h) + lo}"
+
+
+# every_word(6) at nw gives 481 distinct keys (2,057 distinct complexes
+# with their own names and hdegs) from 9,390 walks
 MAX_DECISIONS = 4096
+
+# a reduced complex is within the generator cap, so its ranks fit
+_RANK_WIDTH = len(str(MAX_GENERATORS))
 
 
 @functools.lru_cache(maxsize=MAX_DECISIONS)
 def _complex_key(walk):
-    """The exact key of the walk's reduced complex m: its flavour, its
-    generators in position order, and each `out` row's items in order."""
+    """The walk's reduced complex m as (key, names, lo): `lo` is its
+    lowest hdeg (0 if it has no generator); `key` is its flavour, its
+    generators in position order, each named by its name's rank in
+    sorted order, zero padded to one width, at its hdeg less lo, and
+    each `out` row's items in order; `names` maps each rank back to its
+    name, for the caller to read only."""
     m = _reduced(walk)
-    return (m.flavor, tuple(m.gens),
-            tuple(tuple(row.items()) for row in m.out))
+    names = [g.name for g in m.gens]
+    ranks = [f"{rank:0{_RANK_WIDTH}d}" for rank in dstruct.name_ids(names)]
+    lo = min((g.hdeg for g in m.gens), default=0)
+    gens = tuple([dstruct.DGen(rank, g.idem, g.hdeg - lo)
+                  for rank, g in zip(ranks, m.gens)])
+    rows = tuple(tuple(row.items()) for row in m.out)
+    return (m.flavor, gens, rows), dict(zip(ranks, names)), lo
 
 
 @functools.lru_cache(maxsize=MAX_DECISIONS)
@@ -577,15 +627,6 @@ def _decision(key):
     n = range(len(gens))
     return _decide(dstruct.TypeDStructure(flavor, gens, [(n, n, (
         (s, d, label) for s, row in enumerate(rows) for d, label in row))]))
-
-
-def _fresh(witness):
-    """A copy of a witness down to its immutable leaves."""
-    if isinstance(witness, dict):
-        return {k: _fresh(v) for k, v in witness.items()}
-    if isinstance(witness, list):
-        return [_fresh(v) for v in witness]
-    return witness
 
 
 def _decide(m):

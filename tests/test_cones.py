@@ -3,6 +3,7 @@ import itertools
 from khtangle import algebra, cones, f2
 from khtangle.algebra import FILLED, HOLLOW
 from khtangle.cones import BasisName
+from test_tangles import run_python
 
 
 def all_names(max_index):
@@ -117,3 +118,40 @@ def test_homology_class_rank_examples():
     # a boundary represents the zero class
     bdry = cones.diff_C(cones.to_positional(BasisName("A", True, 0, "0")))
     assert cones.homology_class_rank(FILLED, FILLED, [bdry], 2) == 0
+
+
+def test_bad_algebra_is_refused_under_python_O():
+    # each of these once got past an assert under -O: a sum of two
+    # flavours, S^0, an object mismatch in composition, a bad slot, ...
+    code = """
+        from khtangle import algebra, cones
+        from khtangle.algebra import FILLED, HOLLOW, FLAVOR_BT
+        s1, s1_bt = algebra.spow(1, FILLED), algebra.spow(1, FILLED, FLAVOR_BT)
+        ident = cones.identity_mor
+        bad = {
+            "sum": lambda: s1 + s1_bt,
+            "product": lambda: s1 * s1_bt,
+            "S^0": lambda: algebra.spow(0, FILLED),
+            "D^0": lambda: algebra.dpow(0, FILLED),
+            "h_mul": lambda: algebra.h_mul(s1_bt),
+            "slot": lambda: cones.ConeMorphism(
+                FILLED, FILLED, frozenset([("xx", algebra.idem(FILLED))])),
+            "term": lambda: cones.ConeMorphism(
+                FILLED, HOLLOW, frozenset([("tt", algebra.idem(FILLED))])),
+            "add": lambda: ident(FILLED) + ident(HOLLOW),
+            "compose": lambda: cones.compose_C(ident(FILLED), ident(HOLLOW)),
+            "family": lambda: cones.BasisName("E", False, 0, "0"),
+            "index": lambda: cones.BasisName("C", False, 0, "0"),
+            "sub": lambda: cones.BasisName("P", False, 1, "0"),
+        }
+        for name, make in bad.items():
+            try:
+                print(name, "made", make())
+            except ValueError:
+                print(name, "refused")
+    """
+    names = ["sum", "product", "S^0", "D^0", "h_mul", "slot", "term", "add",
+             "compose", "family", "index", "sub"]
+    for flags in ((), ("-O",)):
+        assert run_python(code, *flags).splitlines() == [
+            f"{name} refused" for name in names], flags

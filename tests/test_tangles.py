@@ -502,7 +502,8 @@ def test_every_word_is_every_short_word_random_word_makes():
 
 def test_every_word_of_at_most_five_slices_is_equivalent_at_every_star():
     # the census at k <= 5: 12,600 words at each star, of which nw gives
-    # 1,210 distinct walks and 349 distinct reduced complexes
+    # 1,210 distinct walks and 349 distinct reduced complexes, 64 up to
+    # the renaming of their generators and the shift of their hdegs
     words = list(tangles.every_word(5))
     assert len(words) == 12600
     for star in tangles.STAR_CHOICES:
@@ -511,4 +512,4 @@ def test_every_word_of_at_most_five_slices_is_equivalent_at_every_star():
         assert bad == [], (star, bad[:5])
         if star == "nw":
             assert (tangles._complex_key.cache_info().currsize,
-                    tangles._decision.cache_info().currsize) == (1210, 349)
+                    tangles._decision.cache_info().currsize) == (1210, 64)
