@@ -14,13 +14,10 @@ mutually inverse, and verifies, truncated, that they are chain isomorphisms.
 
 Each bimodule and morphism holds its concrete tables, one per bound, as
 immutable tuples built on first use; a new `ADBimodule` or `ADMorphism`
-starts with none.  A table at a bound below a cached one is that table
-filtered to input weight <= bound, in the same order: within a family
-the input weight does not fall as k grows, and the F2 cancellation
-pairs equal items, of equal weight.  A composition forms only the pairs
-whose input weights sum to at most the bound: a composite weighs the sum
-of its factors' weights, so one past the bound could cancel only
-composites past it too.
+starts with none.  A composition forms only the pairs whose input
+weights sum to at most the bound: a composite weighs the sum of its
+factors' weights, so one past the bound could cancel only composites
+past it too.
 """
 
 from __future__ import annotations
@@ -374,18 +371,11 @@ def _weight(item):
 
 def _table(tables, bound, families, gens, a_flavor, d_flavor):
     """The concrete items of `families` of input weight <= bound, as a
-    tuple memoized per bound in `tables`: filtered from the smallest
-    cached table of a higher bound if there is one, else instantiated."""
+    tuple memoized per bound in `tables`."""
     table = tables.get(bound)
     if table is None:
-        above = [b for b in tables if b > bound]
-        if above:
-            table = tuple(i for i in tables[min(above)]
-                          if _weight(i) <= bound)
-        else:
-            table = tuple(_instantiate_all(families, gens, a_flavor,
-                                           d_flavor, bound))
-        tables[bound] = table
+        table = tables[bound] = tuple(_instantiate_all(
+            families, gens, a_flavor, d_flavor, bound))
     return table
 
 
@@ -529,8 +519,9 @@ def box_bimods(left: ADBimodule, right: ADBimodule, bound) -> frozenset:
 
 # --- lemma verification -------------------------------------------------
 
-def max_weight_shift(bim_or_mor, bound=12):
-    """Largest |output weight - input weight| over instantiated actions."""
+def max_weight_shift(bim_or_mor, bound):
+    """Largest |output weight - input weight| over the concrete actions
+    or components of input weight <= bound."""
     if isinstance(bim_or_mor, ADBimodule):
         items = _actions(bim_or_mor, bound)
     else:
@@ -545,7 +536,9 @@ def verify_lemma_main(bound=16, margin=8):
     Checks, on every component of total input weight <= bound - margin:
     the computed box tensor of Q and Y matches the transcribed table,
     both morphisms are cycles, both composites are identities, and the
-    arity-graded sub-identities of the composites hold.
+    arity-graded sub-identities of the composites hold; and on every
+    action and component of input weight <= bound: no single step
+    shifts the weight by more than 4.
     """
     _require(bound > margin >= 8,
              f"bound {bound} and margin {margin} need bound > margin >= 8")
@@ -579,7 +572,7 @@ def verify_lemma_main(bound=16, margin=8):
         "arity 2: g1 after f1 = 0": not _filter_weight(part[2], eff),
     })
 
-    shifts = {n: max_weight_shift(x) for n, x in
+    shifts = {n: max_weight_shift(x, bound) for n, x in
               [("Y", bimodule_Y()), ("Q", bimodule_Q()),
                ("I", bimodule_I()), ("QY", qy), ("f", f), ("g", g)]}
     report["max_weight_shifts"] = shifts

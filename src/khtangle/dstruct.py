@@ -387,15 +387,13 @@ def box_ad(m: TypeDStructure, bim) -> TypeDStructure:
         raise ValueError(f"{bim.name} consumes {bim.a_flavor}, not {m.flavor}")
     # generator (s, b) sits at first[s] + offset[b]: m's generators in
     # turn, each with the bimodule generators of its idempotent in order
-    offset, first, count = {}, [], {}
-    for b in bim.gens.values():
-        offset[b.name] = count.get(b.left_idem, 0)
-        count[b.left_idem] = offset[b.name] + 1
-    gens = []
+    by_idem = bim.gens_by_idem
+    offset = {b: i for names in by_idem.values() for i, b in enumerate(names)}
+    first, gens = [], []
     for g in m.gens:
         first.append(len(gens))
         gens += [DGen(f"{g.name}*{b.name}", b.right_idem, g.hdeg + b.hdeg)
-                 for b in bim.gens.values() if g.idem == b.left_idem]
+                 for b in map(bim.gens.get, by_idem.get(g.idem, ()))]
     out = TypeDStructure(bim.d_flavor, gens)
 
     left_out = [[(d, (), t) for d, label in from_s.items()

@@ -1,10 +1,5 @@
 import dataclasses
 import itertools
-import os
-import subprocess
-import sys
-import textwrap
-from pathlib import Path
 
 import pytest
 
@@ -106,7 +101,7 @@ def test_ill_typed_morphism_components_rejected():
 
 
 def test_ill_typed_families_rejected_under_python_O():
-    code = textwrap.dedent("""
+    out = run_python("""
         from khtangle import bimod
         from khtangle.bimod import Action, Pattern
         f = bimod.morphism_f()
@@ -123,11 +118,7 @@ def test_ill_typed_families_rejected_under_python_O():
                           y.actions + (Action("t", "t", (), Pattern("i")),))
         except AssertionError as e:
             print("refused:", e)
-    """)
-    src = Path(bimod.__file__).resolve().parents[1]
-    env = dict(os.environ, PYTHONPATH=str(src))
-    out = subprocess.run([sys.executable, "-O", "-c", code], env=env,
-                         capture_output=True, text=True, check=True).stdout
+    """, "-O")
     assert out.splitlines() == [
         "refused: component l->w*u (- | 1) inputs do not run "
         "FILLED -> HOLLOW",
@@ -360,9 +351,22 @@ def test_weight_shifts_bounded_by_four():
     for bim in (bimod.bimodule_I(), bimod.bimodule_Q(), bimod.bimodule_Y(),
                 bimod.identity_bimodule(FLAVOR_B),
                 bimod.identity_bimodule(FLAVOR_BT)):
-        assert bimod.max_weight_shift(bim) <= 4, bim.name
+        assert bimod.max_weight_shift(bim, 16) <= 4, bim.name
     for mor in (bimod.morphism_f(), bimod.morphism_g()):
-        assert bimod.max_weight_shift(mor) <= 4, mor.name
+        assert bimod.max_weight_shift(mor, 16) <= 4, mor.name
+
+
+def test_verify_lemma_main_measures_weight_shifts_at_its_bound(monkeypatch):
+    # m -> z*t with input D^(1+k) and output D^(1+2k) shifts the weight
+    # by 2k, so the shift grows with the bound the lemma runs at
+    f = bimod.morphism_f()
+    steep = bimod.ADMorphism("f'", f.source, f.target, f.components + (
+        Action("m", "z*t", (_D(1, 1),), _D(1, 2)),))
+    monkeypatch.setattr(bimod, "morphism_f", lambda: steep)
+    report = bimod.verify_lemma_main(24, 8)
+    assert report["max_weight_shifts"]["f"] == \
+        bimod.max_weight_shift(steep, 24) == 22
+    assert not report["checks"]["single-step weight shift <= 4"]
 
 
 def test_verify_lemma_main_passes():
@@ -466,15 +470,16 @@ def test_cached_tables_equal_fresh_instantiation_in_order(owner):
     bounds = range(8, 25)
     built = dataclasses.replace(owner)      # empty caches, built per bound
     assert not built._tables
-    filtered = dataclasses.replace(owner)   # 8..23 filtered from 24
-    table(filtered, 24)
+    late = dataclasses.replace(owner)       # 8..23 built after 24
+    table(late, 24)
     for bound in bounds:
         expected = fresh_table(owner, bound)
         assert list(table(built, bound)) == expected, bound
-        assert list(table(filtered, bound)) == expected, bound
-        assert isinstance(table(filtered, bound), tuple)
-    # built ascending, so no bound was filtered from a higher one
+        assert list(table(late, bound)) == expected, bound
+        assert isinstance(table(late, bound), tuple)
+    # each bound is built once, in the order it was first asked for
     assert list(built._tables) == list(bounds)
+    assert list(late._tables) == [24, *range(8, 24)]
 
 
 @pytest.mark.parametrize("bound", [24, 40])
@@ -499,6 +504,6 @@ def test_verify_lemma_main_instantiates_each_table_once():
         assert bimod.verify_lemma_main(16, 8)["pass"]
         print(len(calls), len(set(calls)), sorted({b for _, b in calls}))
     """)
-    # Y, Q, I, QY, f and g at bound 16; the weight shifts at bound 12
-    # are filtered from those tables, and a second run builds none
+    # Y, Q, I, QY, f and g at bound 16; the weight shifts read those
+    # tables, and a second run builds none
     assert out.splitlines() == ["6 6 [16]"]
