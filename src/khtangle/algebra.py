@@ -93,13 +93,14 @@ class BElem:
     made.
 
     Every value exists once (see `_make`), so equality is identity
-    and the zero test compares with the interned zero.  Each value
-    memoizes its products, sums, `runs` answers and monomials, keyed by
-    the other operand's serial number (or by the endpoints).
+    and the zero test compares with the interned zero.  Sums, products
+    and monomials are `functools` caches keyed on the values themselves,
+    which hash by identity and live as long as the interning table; each
+    value memoizes its own `runs` answers, keyed by the endpoints.
     """
 
-    __slots__ = ("terms", "flavor", "max_weight", "is_idem", "_order", "_n",
-                 "_mul", "_add", "_runs", "_monos")
+    __slots__ = ("terms", "flavor", "max_weight", "is_idem", "_order",
+                 "_runs")
 
     def __lt__(self, other):
         """Monomial order: D powers, then idempotents, then S powers,
@@ -109,23 +110,17 @@ class BElem:
     def is_zero(self):
         return self is _ZERO[self.flavor]
 
+    @functools.cache
     def __add__(self, other):
-        try:
-            return self._add[other._n]
-        except KeyError:
-            pass
-        # raised, not asserted: python -O too, and only on a memo miss
+        # raised, not asserted: python -O too; a cache stores no
+        # exception, so a mismatch raises on every call
         if self.flavor != other.flavor:
             raise ValueError(f"flavor mismatch in sum: {self.flavor} + "
                              f"{other.flavor}")
-        r = self._add[other._n] = _make(self.terms ^ other.terms, self.flavor)
-        return r
+        return _make(self.terms ^ other.terms, self.flavor)
 
+    @functools.cache
     def __mul__(self, other):
-        try:
-            return self._mul[other._n]
-        except KeyError:
-            pass
         if self.flavor != other.flavor:
             raise ValueError(f"flavor mismatch in product: {self.flavor} * "
                              f"{other.flavor}")
@@ -135,8 +130,7 @@ class BElem:
                 t = _concat(x, y, self.flavor)
                 if t is not None:
                     acc ^= {t}
-        r = self._mul[other._n] = _make(frozenset(acc), self.flavor)
-        return r
+        return _make(frozenset(acc), self.flavor)
 
     def runs(self, src: Vertex, dst: Vertex):
         """Whether every term is a path from src to dst."""
@@ -148,13 +142,11 @@ class BElem:
                                       for t in self.terms)
             return r
 
+    @functools.cache
     def monomials(self):
         """The terms as one-term values, in monomial order (see
         `__lt__`), which is also the order `str` prints them in."""
-        if self._monos is None:
-            self._monos = tuple(_make(frozenset([t]), self.flavor)
-                                for t in self._order)
-        return self._monos
+        return tuple(_make(frozenset([t]), self.flavor) for t in self._order)
 
     def ends(self):
         """(source, target) vertex of a monomial."""
@@ -189,9 +181,7 @@ def _make(terms, flavor):
     e.max_weight = max(map(_weight, terms), default=0)
     e.is_idem = len(order) == 1 and order[0][0] == "i"
     e._order = order
-    e._n = len(_INTERNED)
-    e._mul, e._add, e._runs = {}, {}, {}
-    e._monos = None
+    e._runs = {}
     _INTERNED[terms, flavor] = e
     return e
 

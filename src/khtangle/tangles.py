@@ -138,12 +138,11 @@ def _simulate(joined, sites, ends, bits) -> Resolution:
         parent[p] = parent[parent[p]]
     t1, t2, b1, b2 = (parent[ends[e]] for e in STAR_CHOICES)
 
-    if t1 == b1:
+    # raised, not asserted: python -O must refuse a crossing pairing too
+    if t1 == b1 and t2 == b2:
         matching = FILLED
-        assert t2 == b2
-    elif t1 == t2:
+    elif t1 == t2 and b1 == b2:
         matching = HOLLOW
-        assert b1 == b2
     else:
         raise AssertionError("crossing end-pairing; not planar?")
     loops = tuple(sorted(set(parent) - {t1, t2, b1, b2}))

@@ -1,4 +1,5 @@
 import itertools
+import operator
 import random
 
 import pytest
@@ -252,6 +253,17 @@ def test_flavor_guard_names_the_monomial():
                       FLAVOR_BT)
     assert spow(2, FILLED, FLAVOR_BT) * spow(1, FILLED, FLAVOR_BT) == \
         algebra.zero(FLAVOR_BT)
+
+
+def test_mixed_flavours_raise_on_every_call():
+    # a cache stores no exception, so a repeated call raises again
+    # instead of returning a value
+    s1, s1_bt = spow(1, FILLED), spow(1, FILLED, FLAVOR_BT)
+    for op, name in ((operator.add, "sum"), (operator.mul, "product")):
+        for a, b in ((s1, s1_bt), (s1_bt, s1)):
+            for _ in range(2):
+                with pytest.raises(ValueError, match=f"mismatch in {name}"):
+                    op(a, b)
 
 
 def test_equal_values_are_one_object():

@@ -206,8 +206,7 @@ TRANSCRIBED = {"Y": transcribed_Y, "Q": transcribed_Q, "I": transcribed_I}
 
 def test_structural_and_enumerated_identities_agree():
     for bound in (7, 20):
-        assert (bimod.instantiate_actions(bimod.identity_bimodule(FLAVOR_B),
-                                          bound)
+        assert (bimod.instantiate_actions(bimod.identity_bimodule(), bound)
                 == bimod.instantiate_actions(enumerated_identity(), bound))
 
 
@@ -244,7 +243,12 @@ def test_y_follows_the_functor_table(monkeypatch):
     breaks the degree rule) or changes Y; the two c deletions then break
     some gate words' verdicts, the two p deletions none of them."""
     y = bimod.bimodule_Y()
-    assert _derive_Y(monkeypatch, dict(functor.F_TABLE)) == y
+    again = _derive_Y(monkeypatch, dict(functor.F_TABLE))
+    # bimodules hash and compare by identity, so compare their fields
+    assert (again.name, again.a_flavor, again.d_flavor) == \
+        (y.name, y.a_flavor, y.d_flavor)
+    assert list(again.gens.items()) == list(y.gens.items())
+    assert again.actions == y.actions
     actions = bimod.instantiate_actions(y, 16)
     complexes = [tangles.tangle_complex(tangles.parse_tangle(w))
                  for w in gate_words()]
@@ -290,7 +294,7 @@ def test_box_qy_contains_expected_actions():
 
 def test_box_with_identity_is_identity_on_actions():
     q = bimod.bimodule_Q()
-    ident = bimod.identity_bimodule(FLAVOR_B)
+    ident = bimod.identity_bimodule()
     boxed = bimod.box_bimods(ident, q, 10)
     renamed = frozenset(
         (s.split("*", 1)[1], d.split("*", 1)[1], ins, out)
@@ -349,8 +353,7 @@ def test_arity_two_composite_vanishes():
 
 def test_weight_shifts_bounded_by_four():
     for bim in (bimod.bimodule_I(), bimod.bimodule_Q(), bimod.bimodule_Y(),
-                bimod.identity_bimodule(FLAVOR_B),
-                bimod.identity_bimodule(FLAVOR_BT)):
+                bimod.identity_bimodule()):
         assert bimod.max_weight_shift(bim, 16) <= 4, bim.name
     for mor in (bimod.morphism_f(), bimod.morphism_g()):
         assert bimod.max_weight_shift(mor, 16) <= 4, mor.name
@@ -435,17 +438,10 @@ def broken_f():
 def test_composition_within_the_bound_matches_the_reference(bound):
     f, g, fb = bimod.morphism_f(), bimod.morphism_g(), broken_f()
     i, qy = f.source, f.target
-    acts, comps = bimod._actions, bimod._components
     # (later, earlier): every composition the lemma and the broken f make
-    for h2, h1 in [(acts(qy, bound), comps(f, bound)),
-                   (comps(f, bound), acts(i, bound)),
-                   (acts(i, bound), comps(g, bound)),
-                   (comps(g, bound), acts(qy, bound)),
-                   (comps(g, bound), comps(f, bound)),
-                   (comps(f, bound), comps(g, bound)),
-                   (acts(qy, bound), comps(fb, bound)),
-                   (comps(fb, bound), acts(i, bound)),
-                   (comps(g, bound), comps(fb, bound))]:
+    for h2, h1 in [(qy, f), (f, i), (i, g), (g, qy), (g, f), (f, g),
+                   (qy, fb), (fb, i), (g, fb)]:
+        h2, h1 = bimod._table(h2, bound), bimod._table(h1, bound)
         assert (bimod.compose_concrete(h2, h1, bound)
                 == reference_compose(h2, h1, bound))
 
@@ -453,33 +449,56 @@ def test_composition_within_the_bound_matches_the_reference(bound):
 def table_owners():
     return [bimod.bimodule_I(), bimod.bimodule_Q(), bimod.bimodule_Y(),
             bimod.bimodule_QY_expected(),
-            bimod.identity_bimodule(FLAVOR_B),
-            enumerated_identity(),
-            bimod.identity_bimodule(FLAVOR_BT),
+            bimod.identity_bimodule(), enumerated_identity(),
             bimod.morphism_f(), bimod.morphism_g(), broken_f()]
 
 
-def table(owner, bound):
-    if isinstance(owner, bimod.ADBimodule):
-        return bimod._actions(owner, bound)
-    return bimod._components(owner, bound)
-
-
 @pytest.mark.parametrize("owner", table_owners(), ids=lambda o: o.name)
-def test_cached_tables_equal_fresh_instantiation_in_order(owner):
+def test_cached_tables_equal_fresh_instantiation_in_order(owner,
+                                                          monkeypatch):
     bounds = range(8, 25)
-    built = dataclasses.replace(owner)      # empty caches, built per bound
-    assert not built._tables
-    late = dataclasses.replace(owner)       # 8..23 built after 24
-    table(late, 24)
-    for bound in bounds:
-        expected = fresh_table(owner, bound)
-        assert list(table(built, bound)) == expected, bound
-        assert list(table(late, bound)) == expected, bound
-        assert isinstance(table(late, bound), tuple)
+    expected = {bound: fresh_table(owner, bound) for bound in bounds}
+    built = []      # the bound of every table instantiated from now on
+    build = bimod._instantiate_all
+
+    def counted(families, gens, a_flavor, d_flavor, bound):
+        built.append(bound)
+        return build(families, gens, a_flavor, d_flavor, bound)
+
+    monkeypatch.setattr(bimod, "_instantiate_all", counted)
+
+    def ask(copy, bound):
+        table = bimod._table(copy, bound)
+        assert isinstance(table, tuple) and list(table) == expected[bound]
+
+    # a new owner has no table yet and builds one on first use
+    fresh = dataclasses.replace(owner)
+    assert not built
+    ask(fresh, 8)
+    assert built == [8]
     # each bound is built once, in the order it was first asked for
-    assert list(built._tables) == list(bounds)
-    assert list(late._tables) == [24, *range(8, 24)]
+    for bound in [*bounds, *bounds]:
+        ask(fresh, bound)
+    assert built == list(bounds)
+    # and so for 8..23 asked for after 24
+    built.clear()
+    late = dataclasses.replace(owner)
+    for bound in [24, *bounds]:
+        ask(late, bound)
+    assert built == [24, *range(8, 24)]
+
+
+def test_a_replaced_bimodule_gets_its_own_table():
+    y = bimod.bimodule_Y()
+    table, index = bimod._table(y, 16), bimod._action_index(y, 16)
+    cut = dataclasses.replace(y, actions=y.actions[:-1])
+    assert len(bimod._table(cut, 16)) < len(table)
+    assert list(bimod._table(cut, 16)) == fresh_table(cut, 16)
+    assert bimod._action_index(cut, 16) != index
+    # Y's own table and index are the ones built before
+    assert bimod._table(y, 16) is table
+    assert bimod._action_index(y, 16) is index
+    assert list(table) == fresh_table(y, 16)
 
 
 @pytest.mark.parametrize("bound", [24, 40])

@@ -231,6 +231,24 @@ def test_unknown_star_is_refused_under_python_O():
     assert out.splitlines() == [f"refused: {STAR_REFUSED}"]
 
 
+def test_unplanar_end_pairing_is_refused_under_python_O():
+    # one crossing joins NW to SW (bits 0) or NW to NE (bits 1) and two
+    # inner ports to each other, leaving the other two ends apart; under
+    # -O a bare assert let these through as FILLED and HOLLOW
+    out = run_python("""
+        from khtangle import tangles
+        ends = dict(zip(tangles.STAR_CHOICES, range(4)))
+        sites = {0: [("x", 0, 4, 2, 5)], 1: [("x", 0, 1, 4, 5)]}
+        for bits, site in sites.items():
+            try:
+                tangles._simulate(list(range(6)), site, ends, bits)
+            except AssertionError as e:
+                print("refused:", e)
+    """, "-O")
+    refused = "refused: crossing end-pairing; not planar?"
+    assert out.splitlines() == [refused, refused]
+
+
 def test_edge_label_check_survives_python_O():
     # a saddle labelled by the idempotent does not run FILLED -> HOLLOW;
     # under -O an assert would let it through to bimod or the d^2 guard

@@ -48,7 +48,8 @@ def test_tracer_counts_the_pipeline_and_restores_it():
 
     counts = tracer.counts
     for name in ("dstruct.reduce.gens_in", "dstruct.box_ad.arrows_out",
-                 "dstruct.iso_check.gens_in", "tangles.deloop.gens_out"):
+                 "dstruct.iso_check.gens_in", "tangles.deloop.gens_out",
+                 "algebra.BElem.mul.calls"):
         assert counts[name] > 0, name
     assert counts["tangles.deloop.gens_out"] == len(delooped.gens)
     assert counts["tangles.deloop.arrows_out"] == len(delooped.arrows)
