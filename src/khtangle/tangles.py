@@ -30,6 +30,12 @@ with their own names and hdegs), 161,668 of `every_word(6)` give 9,390
 walks and 481 keys (2,057 complexes), and the first 200
 `random_word(Random(s), 2)` words of seeds s = 101-110 hold 91 to 108
 walks and 37 to 44 keys (79 to 89 complexes).
+
+The d^2 guard sums each local face (a 2-face on the at most four loops
+per corner that its saddles touch) once per process, in two more
+caches keyed on arrow lists, `_local_edge` and
+`_local_d_squared_is_zero`: 266 local faces on `every_word(5)` and 358
+on the 200 `random_word(Random(0), 8)` words, at the four stars.
 """
 
 from __future__ import annotations
@@ -160,13 +166,14 @@ class ResolutionCube:
 # Each resolution deloops to 2^(its loops) generators.  A loop of cups
 # and caps alone is a loop of every resolution, so a cube with c
 # crossings and l such loops deloops to at least 2^(c + l) generators.
-# The cap admits x1^10 (29,525 generators; `compare` takes 0.4-0.7 s
+# The cap admits x1^10 (29,525 generators; `compare` takes 0.39-0.73 s
 # and 46 MB peak RSS in a fresh process on a 2-vCPU Xeon VM, six runs
-# at 034e0b0, import included; the spread is the host's drift) and the
-# worst criterion-6 word (26,244).  It refuses x1^11 (88,574
-# generators) before any delooping, although with the cap lifted
-# `compare` takes 1.5-1.9 s and 111 MB there: the cap bounds the size
-# of the delooped cube, not the 30 s per-tangle budget.
+# with the d^2 guard on local faces, import included; the spread is the
+# host's drift) and the worst criterion-6 word (26,244).  It refuses
+# x1^11 (88,574 generators) before any delooping, although with the
+# cap lifted `compare` takes 1.3-1.4 s and 110 MB there (three runs):
+# the cap bounds the size of the delooped cube, not the 30 s per-tangle
+# budget.
 MAX_GENERATORS = 50_000
 
 
@@ -229,14 +236,17 @@ def build_cube(word: TangleWord, star="nw") -> ResolutionCube:
 # from their blocks alone (`_name_ids`).
 # Every two-step path runs bits -> bits|i -> bits|i|j, so each d^2
 # entry lives on one 2-face and is a function of that face's four arrow
-# lists alone: `_d_squared_is_zero` checks each distinct face once; if
-# one fails, `dstruct.check_d_squared` names the bad pairs of the whole
-# cube.  The arrows then load edge by edge, in walk order, into
-# `dstruct.Adjacency`: an edge is the ids of its source and target
-# blocks and its arrow list, so nothing is made per arrow.  `_reduced`
-# reduces the adjacency, naming only the survivors, for `tangle_complex`
-# and `compare`; `deloop_translate` loads the same edges on positions
-# into a `TypeDStructure`.
+# lists alone; its two saddles touch at most four loops of each corner,
+# and a dot on any other loop rides along unchanged (Bar-Natan's
+# cobordisms are local).  So `_d_squared_shown_zero` sums each distinct
+# face as its local face (`_local_face`), once per local face and
+# process; where that shows nothing, `dstruct.check_d_squared` sums over
+# the whole cube and names its bad pairs.  The arrows then load edge by
+# edge, in walk order, into `dstruct.Adjacency`: an edge is the ids of
+# its source and target blocks and its arrow list, so nothing is made
+# per arrow.  `_reduced` reduces the adjacency, naming only the
+# survivors, for `tangle_complex` and `compare`; `deloop_translate`
+# loads the same edges on positions into a `TypeDStructure`.
 
 def _gen_name(bits, decor):
     return f"v{bits}d{decor}"
@@ -283,13 +293,16 @@ def _faces(edges, c):
     """The arrow-list indices of the edges bits -> bits|i, bits|i ->
     bits|i|j, bits -> bits|j and bits|j -> bits|i|j of every 2-face of
     the cube: for each bits and each pair i < j of its unset bits."""
-    pairs = [(i, j, (1 << i) | (1 << j))
+    # with bits i and j unset, edge (bits | 1 << i, j) is at
+    # bits * c + (c << i) + j
+    pairs = [((1 << i) | (1 << j), i, (c << i) + j, j, (c << j) + i)
              for i in range(c) for j in range(i + 1, c)]
     for bits in range(1 << c):
-        for i, j, both in pairs:
+        row = bits * c
+        for both, i, ij, j, ji in pairs:
             if not bits & both:
-                yield (edges[bits * c + i], edges[(bits | (1 << i)) * c + j],
-                       edges[bits * c + j], edges[(bits | (1 << j)) * c + i])
+                yield (edges[row + i], edges[row + ij],
+                       edges[row + j], edges[row + ji])
 
 
 def _by_source(arrows):
@@ -301,29 +314,94 @@ def _by_source(arrows):
     return index
 
 
-def _d_squared_is_zero(lists, edges, c):
-    """Whether every 2-face's two-step paths sum to zero, each distinct
-    face (by the indices of its four arrow lists) checked once.
-
-    A face's paths run from the decorations of bits through bits|i or
-    bits|j to those of bits|i|j, so its sum needs nothing but its four
-    arrow lists; a list that a path's second step reads is indexed by
-    source decoration once per cube."""
-    index = {}
-    checked = set()
-    for face in _faces(edges, c):
-        if face in checked:
-            continue
-        first_i, then_j, first_j, then_i = face
-        for k in (then_j, then_i):
-            if k not in index:
-                index[k] = _by_source(lists[k])
-        if dstruct.nonzero_two_step(
-                [(_triples(lists[first_i]), index[then_j]),
-                 (_triples(lists[first_j]), index[then_i])]):
+def _d_squared_shown_zero(lists, edges, c):
+    """Whether d^2 = 0 is shown on every 2-face of the walk by its local
+    face, each distinct face (by the indices of its four arrow lists)
+    once; False leaves the question to the sum over the whole cube."""
+    for face in dict.fromkeys(_faces(edges, c)):
+        local = _local_face(*[lists[k] for k in face])
+        if local is None or not _local_d_squared_is_zero(*local):
             return False
-        checked.add(face)
     return True
+
+
+def _local_face(first_i, then_j, first_j, then_i):
+    """The four arrow lists of a 2-face (as `_faces` gives them) on the
+    loops its two saddles touch, if the face is that local face tensored
+    with the identity on its far loops (those neither saddle touches);
+    else None.  A face without far loops, or with a list that
+    `_saddle_arrows` did not make, is its own local face.
+
+    Otherwise each list must have `target_loops`, the edges must agree
+    on the corners' loop counts, and both paths must leave each far loop
+    alone and take it to one far loop of the far corner.  Then every
+    two-step path carries the far dots alike, and the face's d^2 is the
+    local face's tensored with the identity."""
+    face = (first_i, then_j, first_j, then_i)
+    try:
+        go_i, go_ij, go_j, go_ji = (first_i.shape[4], then_j.shape[4],
+                                    first_j.shape[4], then_i.shape[4])
+    except AttributeError:
+        return face
+    if not any(b and c for b, c in zip(go_i, go_j)):
+        return face
+    loops = [e.target_loops for e in face]
+    if None in loops or (len(go_j), len(go_ij), len(go_ji), loops[3]) != (
+            len(go_i), loops[0], loops[2], loops[1]):
+        return None
+    # the bits of the loops that neither saddle touches, in each corner
+    far_a = far_b = far_c = far_d = 0
+    bit = 1
+    for b, c in zip(go_i, go_j):
+        if b and c:
+            d = go_ij[b.bit_length() - 1]
+            if not d or d != go_ji[c.bit_length() - 1]:
+                return None
+            far_a |= bit
+            far_b |= b
+            far_c |= c
+            far_d |= d
+        bit <<= 1
+    local = (_local_edge(first_i, far_a, far_b),
+             _local_edge(then_j, far_b, far_d),
+             _local_edge(first_j, far_a, far_c),
+             _local_edge(then_i, far_c, far_d))
+    return None if None in local else local
+
+
+@functools.cache
+def _local_edge(arrows, far_src, far_tgt):
+    """The list of an edge whose list `arrows` has `target_loops`, on the
+    loops outside the bit masks `far_src` and `far_tgt` of its corners,
+    renumbered in order: `_saddle_arrows` of its shape without the far
+    loops, if the saddle takes the loops of `far_src` to those of
+    `far_tgt` and that list has `target_loops` too; else None.  It is
+    then `arrows` on the decorations that dot no far loop, far bits
+    taken out, whichever shape of `arrows` it is made from.  Keyed on
+    the rules' output, so a patched rule's lists miss."""
+    v, w, n_touched, kinds, go = arrows.shape
+    far = [go[k] for k in range(len(go)) if far_src >> k & 1]
+    if 0 in far or sum(far) != far_tgt:
+        return None
+    kept = [k for k in range(len(go)) if not far_src >> k & 1]
+    to = {0: 0, -1: -1}
+    bit = 1
+    for k in range(arrows.target_loops):
+        if not far_tgt >> k & 1:
+            to[1 << k] = bit
+            bit <<= 1
+    local = _saddle_arrows(v, w, n_touched, tuple(map(to.get, kinds)),
+                           tuple([to[go[k]] for k in kept]))
+    return local if local.target_loops is not None else None
+
+
+@functools.cache
+def _local_d_squared_is_zero(first_i, then_j, first_j, then_i):
+    """Whether the two-step paths of a local face sum to zero: the one
+    d^2 sum of the guard, once per local face and process."""
+    return not dstruct.nonzero_two_step(
+        [(_triples(first_i), _by_source(then_j)),
+         (_triples(first_j), _by_source(then_i))])
 
 
 @functools.cache
@@ -379,11 +457,12 @@ def _guarded(walk):
                        per[start[t]:start[t + 1]], _triples(lists[e]))
 
     ids = _name_ids(res)
-    if not _d_squared_is_zero(lists, edges, c):
+    if not _d_squared_shown_zero(lists, edges, c):
         at = range(len(ids))
         bad = dstruct.check_d_squared(dstruct.TypeDStructure(
             FLAVOR_B, map(gen, at), blocks(at)))
-        raise AssertionError(f"d^2 != 0 after delooping: {bad[:3]}")
+        if bad:
+            raise AssertionError(f"d^2 != 0 after delooping: {bad[:3]}")
     return ids, gen, blocks
 
 
@@ -413,13 +492,74 @@ def _saddle_shape(src, tgt, site, star_port):
                    for lid in src.loops]))
 
 
+class _Arrows(tuple):
+    """The flat arrow tuple that `_saddle_arrows` gives for `shape`, with
+    `target_loops` worked out on first read.  It equals and hashes as
+    the plain tuple, but hashes once: the d^2 guard keys on lists."""
+
+    def __new__(cls, flat, shape):
+        arrows = super().__new__(cls, flat)
+        arrows.shape = shape
+        arrows._hash = tuple.__hash__(arrows)
+        return arrows
+
+    def __hash__(self):
+        return self._hash
+
+    @functools.cached_property
+    def target_loops(self):
+        return _target_loops(self)
+
+
+def _target_loops(arrows):
+    """The target loop count of the edge whose arrows and shape `arrows`
+    holds, if the loops its saddle makes and moves are the target's
+    loops once each, and the arrows are the rule of the touched loops
+    (`_saddle_arrows` of the shape without the others) with each other
+    dot moved to its target loop; else None: a second expansion."""
+    v, w, n_touched, kinds, loops = arrows.shape
+    made = [k for k in kinds if k > 0]
+    moved = [t for t in loops if t]
+    n = len(made) + len(moved)
+    if sorted(made + moved) != [1 << k for k in range(n)]:
+        return None
+    if not moved:
+        return n
+    rule = _saddle_arrows(
+        v, w, n_touched, tuple([1 << made.index(k) if k > 0 else k
+                                for k in kinds]),
+        (0,) * (len(loops) - len(moved)))
+    rows = _by_source(rule)
+    # the rule's target decorations as the target's loop bits
+    up = [0]
+    for bit in made:
+        up += [u | bit for u in up]
+    # each decoration's dots on touched loops as the rule's decoration,
+    # and its other dots moved
+    at, to = [0], [0]
+    bit = 1
+    for tbit in loops:
+        if tbit:
+            at += at
+            to += [m | tbit for m in to]
+        else:
+            at += [r | bit for r in at]
+            to += to
+            bit <<= 1
+    flat = []
+    for decor, (r, m) in enumerate(zip(at, to)):
+        for tdecor, label in rows[r].items():
+            flat += decor, m | up[tdecor], label
+    return n if arrows == tuple(flat) else None
+
+
 @functools.cache
 def _saddle_arrows(v, w, n_touched, kinds, loops):
     """Arrows for a cube edge of the shape that `_saddle_shape` gives, as
-    one flat tuple decor, tdecor, label, decor, ... (read by `_triples`)
-    for every source dot decoration in turn, worked out once per shape
-    and process.  The cache is keyed on the rules' input, so a patched
-    deloop rule must come with `_saddle_arrows.cache_clear()`.
+    one flat `_Arrows` tuple decor, tdecor, label, decor, ... (read by
+    `_triples`) for every source dot decoration in turn, worked out once
+    per shape and process.  The cache is keyed on the rules' input, so a
+    patched deloop rule must come with `_saddle_arrows.cache_clear()`.
 
     The saddle rule depends on a decoration only through the number of
     dotted source loops the saddle touches, so it is worked out once per
@@ -494,7 +634,7 @@ def _saddle_arrows(v, w, n_touched, kinds, loops):
     for decor, (t, tdecor) in enumerate(zip(touched, moved)):
         for bits, label in sums[t]:
             flat += decor, tdecor | bits, label
-    return tuple(flat)
+    return _Arrows(flat, (v, w, n_touched, kinds, loops))
 
 
 # --- pipelines ----------------------------------------------------------

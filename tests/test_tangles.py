@@ -352,7 +352,7 @@ def test_compare_deloops_once_and_keeps_the_d_squared_guard(monkeypatch):
                    for bits, j, arrows in tangles._deloop_arrows(cube)}
     walks, events, faces, made = [], [], [], []
     walk, guard, faces_of = (tangles._deloop_arrows,
-                             tangles._d_squared_is_zero, tangles._faces)
+                             tangles._d_squared_shown_zero, tangles._faces)
     d_squared, eliminate = dstruct.check_d_squared, \
         dstruct.Adjacency.eliminate
     add_gen = dstruct.TypeDStructure.add_gen
@@ -392,7 +392,7 @@ def test_compare_deloops_once_and_keeps_the_d_squared_guard(monkeypatch):
         raise AssertionError("compare built the delooped structure")
 
     monkeypatch.setattr(tangles, "_deloop_arrows", counting_walk)
-    monkeypatch.setattr(tangles, "_d_squared_is_zero", recording_guard)
+    monkeypatch.setattr(tangles, "_d_squared_shown_zero", recording_guard)
     monkeypatch.setattr(tangles, "_faces", recording_faces)
     monkeypatch.setattr(tangles, "deloop_translate", deloop)
     monkeypatch.setattr(dstruct, "check_d_squared", recording_d_squared)
