@@ -6,20 +6,20 @@ by algebra elements.  The differential axiom says that summing the
 two-step path products between any generator pair gives zero.
 
 `TypeDStructure` holds its generators by position: `gens[i]` is the
-DGen at position i, and `out[s]` and `inn[d]` map positions to the
-label of the arrow s -> d, both sides holding the same label object.
-`arrows` is a view keyed by generator name, for serialization and
-tests.  Provides the well-definedness check, the mapping cone of H
-times the identity, the box tensor with an AD bimodule, reduction by
-cancellation of idempotent arrows, isomorphism testing, and a
-line-oriented text serialization.  `nonzero_two_step` is the one
-two-step path sum: `check_d_squared` applies it to a whole structure
-and `tangles` to each distinct 2-face of the delooped cube.  Reduction
-runs on `Adjacency`, its private elimination engine, which loads arrows
-a block at a time on generators numbered by sorted name and names them
-on demand: `reduce` loads a structure into it, numbered by `name_ids`,
-and `tangles` loads the delooped cube edge by edge, numbered from the
-shape of its names and named only where a generator survives.
+DGen at position i, and `out[s]` maps each position d to the label of
+the arrow s -> d.  `arrows` is a view keyed by generator name, for
+serialization and tests.  Provides the well-definedness check, the
+mapping cone of H times the identity, the box tensor with an AD
+bimodule, reduction by cancellation of idempotent arrows, isomorphism
+testing, and a line-oriented text serialization.  `nonzero_two_step` is
+the one two-step path sum: `check_d_squared` applies it to a whole
+structure and `tangles` to each distinct local face of the delooped
+cube, once per process.  Reduction runs on `Adjacency`, its private
+elimination engine, which loads arrows a block at a time on generators
+numbered by sorted name and names them on demand: `reduce` loads a
+structure into it, numbered by `name_ids`, and `tangles` loads the
+delooped cube edge by edge, numbered from the shape of its names and
+named only where a generator survives.
 """
 
 from __future__ import annotations
@@ -37,11 +37,11 @@ class DGen(NamedTuple):
 
 
 class TypeDStructure:
-    """Generators by position, and the arrows between them on both
-    sides: `out[s]` maps d to the label of s -> d and `inn[d]` maps s to
-    it, each in the order its arrows were added."""
+    """Generators by position, and the arrows between them: `out[s]`
+    maps d to the label of s -> d, in the order its arrows were
+    added."""
 
-    __slots__ = ("flavor", "gens", "out", "inn")
+    __slots__ = ("flavor", "gens", "out")
 
     def __init__(self, flavor=FLAVOR_B, gens=(), blocks=()):
         """The generators `gens`, in position order, and the arrows of
@@ -51,17 +51,14 @@ class TypeDStructure:
         self.flavor = flavor
         self.gens = list(gens)
         out = self.out = [{} for _ in self.gens]
-        inn = self.inn = [{} for _ in self.gens]
         for src, dst, arrows in blocks:
             for i, j, label in arrows:
-                s, d = src[i], dst[j]
-                out[s][d] = inn[d][s] = label
+                out[src[i]][dst[j]] = label
 
     def add_gen(self, name, idem, hdeg):
         """Append a generator; its position."""
         self.gens.append(DGen(name, idem, hdeg))
         self.out.append({})
-        self.inn.append({})
         return len(self.gens) - 1
 
     def add_arrow(self, src, dst, label: BElem):
@@ -79,13 +76,13 @@ class TypeDStructure:
         if gd.hdeg != gs.hdeg + 1:
             raise AssertionError(
                 f"arrow {gs.name} -> {gd.name} does not raise hdeg by 1")
-        from_s, into_d = self.out[src], self.inn[dst]
+        from_s = self.out[src]
         cur = from_s.get(dst)
         new = label if cur is None else cur + label
         if new.is_zero():
-            del from_s[dst], into_d[src]
+            del from_s[dst]
         else:
-            from_s[dst] = into_d[src] = new
+            from_s[dst] = new
 
     def triples(self):
         """(s, d, label) for every arrow s -> d, by source position."""
@@ -118,12 +115,11 @@ class TypeDStructure:
     def map_labels(self, func, flavor):
         """Apply func to every arrow label; drop zeros."""
         res = TypeDStructure(flavor, self.gens)
-        out, inn = res.out, res.inn
-        for s, from_s in enumerate(self.out):
+        for from_s, res_s in zip(self.out, res.out):
             for d, label in from_s.items():
                 new = func(label)
                 if not new.is_zero():
-                    out[s][d] = inn[d][s] = new
+                    res_s[d] = new
         return res
 
 
@@ -309,22 +305,14 @@ def nonzero_two_step(legs):
     x -> y -> z run through each leg (steps, then) in `legs`: `steps`
     yields the first steps (x, y, label of x -> y), and `then[y]` maps z
     to the label of y -> z, empty if need be, for every y they reach."""
-    # labels are interned and few: a dict of products per left label
-    # spares a method call per two-step path
-    products = {}
     acc = {}
     for steps, then in legs:
         for x, y, a in steps:
-            times_a = products.get(a)
-            if times_a is None:
-                times_a = products[a] = {}
             sums = acc.get(x)
             if sums is None:
                 sums = acc[x] = {}
             for z, b in then[y].items():
-                prod = times_a.get(b)
-                if prod is None:
-                    prod = times_a[b] = a * b
+                prod = a * b
                 # None is a zero sum, kept in its slot: an F2 sum of two
                 # interned values is zero exactly when they are one value
                 cur = sums.get(z)
@@ -430,9 +418,17 @@ def reduce(m: TypeDStructure) -> TypeDStructure:
 NOT_FOUND = "NOT_FOUND"
 
 
-def _signatures(m: TypeDStructure, shift, n: TypeDStructure):
-    """Joint iterated neighborhood signatures over both structures: the
-    colour of each generator of m and of n, by position.
+def _in_rows(m: TypeDStructure):
+    """`inn[d]` maps s to the label of s -> d, in no order that matters."""
+    inn = [{} for _ in m.gens]
+    for s, d, label in m.triples():
+        inn[d][s] = label
+    return inn
+
+
+def _signatures(m: TypeDStructure, shift, n: TypeDStructure, inns):
+    """Joint iterated neighborhood signatures over both structures, with
+    their in-rows `inns`: the colour of each generator, by position.
 
     Seeded from (idem, shifted hdeg) and refined by arrow labels and
     neighbor signatures until a round splits no class, for at most
@@ -445,9 +441,9 @@ def _signatures(m: TypeDStructure, shift, n: TypeDStructure):
     colours = len(set(sig[0] + sig[1]))
     for _ in range(3):
         canon, nxt = {}, []
-        for st, own in zip((m, n), sig):
+        for st, own, st_inn in zip((m, n), sig, inns):
             nxt.append([])
-            for x, (out, inn) in enumerate(zip(st.out, st.inn)):
+            for x, (out, inn) in enumerate(zip(st.out, st_inn)):
                 # labels are interned, so id() tells them apart
                 outs = sorted((id(l), own[d]) for d, l in out.items())
                 ins = sorted((id(l), own[s]) for s, l in inn.items())
@@ -481,14 +477,16 @@ def iso_check(m: TypeDStructure, n: TypeDStructure):
     counts_m = {(i, h + shift): c for (i, h), c in m.gen_counts().items()}
     if counts_m != n.gen_counts():
         return NOT_FOUND
-    witness = _iso_search(m, n, shift)
+    inns = _in_rows(m), _in_rows(n)
+    witness = _iso_search(m, n, shift, inns)
     if witness is None:
-        witness = _chain_iso_search(m, n, shift)
+        witness = _chain_iso_search(m, n, shift, inns[0])
     return NOT_FOUND if witness is None else witness
 
 
-def _chain_iso_search(m, n, shift):
-    """Invertible chain map search by F2 linear algebra.
+def _chain_iso_search(m, n, shift, inn_m):
+    """Invertible chain map search by F2 linear algebra; `inn_m` holds
+    m's in-rows.
 
     Unknowns are monomial matrix entries of a degree-preserving map;
     the chain-map condition is linear, so its solution space is
@@ -520,7 +518,7 @@ def _chain_iso_search(m, n, shift):
         for z, label in n.out[y].items():
             for t in (a * label).monomials():
                 vec ^= {(m_names[x], n_names[z], t)}
-        for x0, label in m.inn[x].items():
+        for x0, label in inn_m[x].items():
             for t in (label * a).monomials():
                 vec ^= {(m_names[x0], n_names[y], t)}
         rows.append(frozenset(vec))
@@ -563,8 +561,8 @@ def _chain_iso_search(m, n, shift):
     return None
 
 
-def _iso_search(m, n, shift):
-    sig_m, sig_n = _signatures(m, shift, n)
+def _iso_search(m, n, shift, inns):
+    sig_m, sig_n = _signatures(m, shift, n, inns)
     by_sig = {}
     for y, s in enumerate(sig_n):
         by_sig.setdefault(s, []).append(y)
@@ -573,13 +571,14 @@ def _iso_search(m, n, shift):
     if any(sig_m[x] not in by_sig for x in order):
         return None
 
+    inn_m, inn_n = inns
     assign = {}
     used = set()
 
     def consistent(a, b):
         # arrow counts must match exactly, and so must the labels of the
         # arrows to generators already assigned
-        for mine, theirs in ((m.out[a], n.out[b]), (m.inn[a], n.inn[b])):
+        for mine, theirs in ((m.out[a], n.out[b]), (inn_m[a], inn_n[b])):
             if len(mine) != len(theirs):
                 return False
             for k, l in mine.items():

@@ -688,9 +688,9 @@ def compare(word: TangleWord, star="nw"):
     input, so a walk with a changed arrow misses and meets the d^2
     guard.  The decision is a function of m up to an order-preserving
     renaming of its generators and a global hdeg shift: everything
-    after the reduction reads only `gens`, the `out` rows in their
-    order, and `inn`, which follows from them; labels are interned, and
-    `_chain_iso_search` draws from a fixed seed.  `_decide` reads names
+    after the reduction reads only `gens` and the `out` rows in their
+    order; labels are interned, and `_chain_iso_search` draws from a
+    fixed seed.  `_decide` reads names
     only by comparing them (the sorted-name ids of `reduce`, the order
     of `_iso_search`, the chain-map pivots, each a `max` over (name,
     name, monomial), and the sorted entries) and by appending `.k` and
@@ -760,7 +760,7 @@ def _complex_key(walk):
 @functools.lru_cache(maxsize=MAX_DECISIONS)
 def _decision(key):
     """The verdict and witness of the reduced complex whose key
-    `_complex_key` gives, rebuilt with the `out` and `inn` orders of
+    `_complex_key` gives, rebuilt with the `out` order of
     `Adjacency.reduced`: its arrows load row by row, in order."""
     flavor, gens, rows = key
     n = range(len(gens))

@@ -16,15 +16,15 @@ from test_deloop_reference import corpus_and_gate_words, reduced_complex
 from test_dstruct import structure
 
 
-def reference_signatures(m, shift, n):
+def reference_signatures(m, shift, n, inns):
     sig = [[(g.idem.value, g.hdeg + sh) for g in st.gens]
            for st, sh in ((m, shift), (n, 0))]
     for _ in range(3):
         nxt = [[(own[x],
                  tuple(sorted((id(l), own[d]) for d, l in st.out[x].items())),
-                 tuple(sorted((id(l), own[s]) for s, l in st.inn[x].items())))
+                 tuple(sorted((id(l), own[s]) for s, l in inn[x].items())))
                 for x in range(len(st.gens))]
-               for st, own in zip((m, n), sig)]
+               for st, own, inn in zip((m, n), sig, inns)]
         canon = {v: i for i, v in enumerate(sorted(set(nxt[0] + nxt[1])))}
         sig = [[canon[v] for v in row] for row in nxt]
     return sig
@@ -32,7 +32,8 @@ def reference_signatures(m, shift, n):
 
 def partition(signatures, m, shift, n):
     classes = {}
-    for tag, st, sig in zip("mn", (m, n), signatures(m, shift, n)):
+    inns = dstruct._in_rows(m), dstruct._in_rows(n)
+    for tag, st, sig in zip("mn", (m, n), signatures(m, shift, n, inns)):
         for g, colour in zip(st.gens, sig, strict=True):
             classes.setdefault(colour, set()).add((tag, g.name))
     return {frozenset(c) for c in classes.values()}
