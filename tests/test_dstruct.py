@@ -1,7 +1,8 @@
 import pytest
 
 from khtangle import algebra, bimod, dstruct, tangles
-from khtangle.algebra import FILLED, HOLLOW, FLAVOR_B
+from khtangle.algebra import FILLED, HOLLOW, FLAVOR_B, FLAVOR_BT
+from test_serialize_gate import gate_words
 from test_tangles import run_python
 
 
@@ -301,6 +302,39 @@ def test_serialization_roundtrip():
         "arrow a b S\n"
         "arrow a c D+S^2\n")
     assert dstruct.serialize(dstruct.TypeDStructure(FLAVOR_B)) == "flavor B\n"
+
+
+def assert_mirrored(out, inn):
+    """Every arrow sits in both `out` and `inn`, as one label object."""
+    assert len(out) == len(inn)
+    for s, from_s in enumerate(out):
+        for d, label in from_s.items():
+            assert inn[d][s] is label, (s, d)
+    assert {(s, d) for s, from_s in enumerate(out) for d in from_s} == \
+        {(s, d) for d, into_d in enumerate(inn) for s in into_d}
+
+
+@pytest.mark.parametrize("text", gate_words())
+def test_out_and_inn_mirror_each_other(text):
+    # a structure stores `out` alone; the in-rows that both isomorphism
+    # searches read are derived by `_in_rows`, and `Adjacency`, which
+    # elimination reads, loads both sides itself; serialization sorts
+    # the arrows, so it cannot see the two sides differ
+    word = tangles.parse_tangle(text)
+    m = tangles.tangle_complex(word)
+    mq = m.map_labels(algebra.q_map, FLAVOR_BT)
+    box_y = dstruct.box_ad(mq, bimod.bimodule_Y())
+    delooped = tangles.deloop_translate(tangles.build_cube(word))
+    for made in (delooped, m, dstruct.cone_h(m), mq, box_y,
+                 dstruct.box_ad(m, bimod.bimodule_I()),
+                 dstruct.box_ad(m, bimod.bimodule_Q()),
+                 dstruct.reduce(box_y), dstruct.reduce(delooped)):
+        assert len(made.out) == len(made.gens)
+        assert_mirrored(made.out, dstruct._in_rows(made))
+        ids = list(range(len(made.gens)))
+        adj = dstruct.Adjacency(ids, None, [(ids, ids, made.triples())])
+        assert_mirrored(adj.out, adj.inn)
+        assert adj.out == made.out
 
 
 def reloaded_in_reverse(m):
