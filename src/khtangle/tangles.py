@@ -1,11 +1,11 @@
 """Tangle words, the cube of resolutions, and the comparison pipeline.
 
-A 4-ended tangle is presented as a word of slices read top to bottom:
+A 4-ended tangle is presented as a word of slices read top to bottom,
+which `TangleWord` checks against the grammar `_SLICES` as it is made:
 `x i` / `y i` are the two crossing types between strands i and i+1,
 `u i` inserts a cup (two new adjacent strands), `n i` caps off strands
-i and i+1.  The strand count starts and ends at 2; the four boundary
-ends are NW, NE (top) and SW, SE (bottom), with the distinguished end
-at NW by default.
+i and i+1, and the strand count starts and ends at 2.  The four ends
+are NW, NE (top) and SW, SE (bottom), the distinguished one NW by default.
 
 One walk over the word numbers the ports of a port graph and joins its
 cups and caps; each of the 2^c resolutions adds the two joins of each
@@ -53,9 +53,37 @@ from .algebra import Vertex, FILLED, HOLLOW, FLAVOR_B
 STAR_CHOICES = ("nw", "ne", "sw", "se")
 
 
+# kind -> (name, reach, step): index 1 to count + reach, then count + step
+_SLICES = {"x": ("crossing", -1, 0), "y": ("crossing", -1, 0),
+           "u": ("cup", 1, 2), "n": ("cap", -1, -2)}
+
+
+class TangleError(ValueError):
+    pass
+
+
 @dataclass(frozen=True)
 class TangleWord:
+    """Slices (kind, index) checked as they are made, so every later stage
+    trusts them: an int index in its kind's range at each strand count,
+    which starts at 2, may dip to 0 (`n1 u1`) and ends at 2."""
     slices: tuple  # tuple of (kind, index), kind in "xyun"
+
+    def __post_init__(self):
+        count = 2     # inline, not by `_kinds`: every parsed word runs this
+        for pos, (kind, i) in enumerate(self.slices):
+            try:
+                what, reach, step = _SLICES[kind]
+            except (KeyError, TypeError):
+                raise TangleError(
+                    f"slice {pos}: unknown kind {kind!r}") from None
+            if type(i) is not int or not 1 <= i <= count + reach:
+                raise TangleError(
+                    f"slice {pos}: {what} index {i!r} out of range "
+                    f"1..{count + reach} (strand count {count})")
+            count += step
+        if count != 2:
+            raise TangleError(f"final strand count {count} != 2")
 
     @property
     def crossings(self):
@@ -65,40 +93,22 @@ class TangleWord:
         return " ".join(f"{k}{i}" for k, i in self.slices)
 
 
-class TangleError(ValueError):
-    pass
+@functools.lru_cache(maxsize=1024)
+def _token(tok):
+    """(kind, index) of a kind letter then ASCII digits, else None."""
+    kind, num = tok[:1], tok[1:]
+    if kind in _SLICES and num.isascii() and num.isdigit():
+        return kind, int(num)
+    return None
 
 
 def parse_tangle(text: str) -> TangleWord:
-    """Parse and validate a slice word."""
-    tokens = text.split()
-    slices = []
-    count = 2
-    for pos, tok in enumerate(tokens):
-        kind, num = tok[:1], tok[1:]
-        if kind not in "xyun" or not (num.isascii() and num.isdigit()):
-            raise TangleError(f"slice {pos}: bad token {tok!r}")
-        i = int(num)
-        if kind in "xy":
-            if not 1 <= i <= count - 1:
-                raise TangleError(
-                    f"slice {pos}: crossing index {i} out of range "
-                    f"(strand count {count})")
-        elif kind == "u":
-            if not 1 <= i <= count + 1:
-                raise TangleError(
-                    f"slice {pos}: cup index {i} out of range")
-            count += 2
-        else:
-            if not 1 <= i <= count - 1:
-                raise TangleError(
-                    f"slice {pos}: cap index {i} out of range "
-                    f"(strand count {count})")
-            count -= 2
-        slices.append((kind, i))
-    if count != 2:
-        raise TangleError(f"final strand count {count} != 2")
-    return TangleWord(tuple(slices))
+    """Tokenize a slice word; `TangleWord` checks its slices."""
+    slices = tuple(map(_token, text.split()))
+    if None in slices:
+        pos = slices.index(None)
+        raise TangleError(f"slice {pos}: bad token {text.split()[pos]!r}")
+    return TangleWord(slices)
 
 
 # --- the port graph and its resolutions ----------------------------------
@@ -807,51 +817,41 @@ CORPUS = (
 )
 
 
+def _kinds(count):
+    """(kind, highest index, strand count after) of each kind, in order,
+    that keeps 2 to 6 strands at `count`: cups on at most 4, caps on 4+."""
+    return [(kind, count + reach, count + step)
+            for kind, (_, reach, step) in _SLICES.items()
+            if 2 <= count + step <= 6]
+
+
 def random_word(rng: random.Random, max_crossings=8) -> TangleWord:
-    """A random valid word with at most the given number of crossings:
-    the strand count stays even and at least 2, every index is in range,
-    and the extra strands are capped off at the end."""
+    """A random word of at most `max_crossings` crossings: up to 14 slices,
+    each chosen after an index is drawn for each of `_kinds`, then caps."""
     slices = []
     count = 2
     crossings = 0
     for _ in range(rng.randint(0, 14)):
-        options = []
-        if count >= 2 and crossings < max_crossings:
-            options += [("x", rng.randint(1, count - 1)),
-                        ("y", rng.randint(1, count - 1))]
-        if count <= 4:
-            options.append(("u", rng.randint(1, count + 1)))
-        if count >= 4:
-            options.append(("n", rng.randint(1, count - 1)))
-        kind, i = rng.choice(options)
+        kind, i, count = rng.choice([
+            (kind, rng.randint(1, top), after)
+            for kind, top, after in _kinds(count)
+            if kind not in "xy" or crossings < max_crossings])
         slices.append((kind, i))
-        if kind == "u":
-            count += 2
-        elif kind == "n":
-            count -= 2
-        else:
-            crossings += 1
-    while count > 2:
-        slices.append(("n", rng.randint(1, count - 1)))
-        count -= 2
+        crossings += kind in "xy"
+    while count > 2:    # a cap: the last of `_kinds` above 2 strands
+        _, top, count = _kinds(count)[-1]
+        slices.append(("n", rng.randint(1, top)))
     return TangleWord(tuple(slices))
 
 
 def every_word(max_slices):
-    """Every valid word of at most `max_slices` slices that `random_word`
-    can make, depth first: crossings in range, cups on at most 4 strands
-    and caps on at least 4, so at most 6 strands cross any level."""
+    """Every word of at most `max_slices` slices that `random_word` can
+    make, depth first: each slice one of `_kinds`, its index in range."""
     def grow(slices, count):
         if count == 2:
             yield TangleWord(tuple(slices))
-        if len(slices) == max_slices:
-            return
-        options = [(kind, i) for kind in "xy" for i in range(1, count)]
-        if count <= 4:
-            options += [("u", i) for i in range(1, count + 2)]
-        if count >= 4:
-            options += [("n", i) for i in range(1, count)]
-        for kind, i in options:
-            yield from grow(slices + [(kind, i)],
-                            count + 2 * ((kind == "u") - (kind == "n")))
+        if len(slices) < max_slices:
+            for kind, top, after in _kinds(count):
+                for i in range(1, top + 1):
+                    yield from grow(slices + [(kind, i)], after)
     return grow([], 2)

@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import math
 import os
@@ -36,6 +37,74 @@ def test_parse_errors_report_positions():
         tangles.parse_tangle("u1")
     with pytest.raises(tangles.TangleError, match="final strand count 0"):
         tangles.parse_tangle("n1")
+    with pytest.raises(tangles.TangleError,
+                       match=r"slice 1: cup index 4 out of range 1\.\.3 "
+                             r"\(strand count 2\)"):
+        tangles.parse_tangle("x1 u4 n1")
+
+
+# (slices, the refusal): before `TangleWord` checked its slices, the
+# first word compared as a `y` crossing, and the next three died in
+# `build_cube` with an IndexError, a KeyError and a crossing end-pairing
+REFUSED_SLICES = [
+    ((("q", 1),), "slice 0: unknown kind 'q'"),
+    ((("x", 3),), r"slice 0: crossing index 3 out of range 1\.\.1 "),
+    ((("n", 1),), "final strand count 0 != 2"),
+    ((("u", 1),), "final strand count 4 != 2"),
+    ((("x", "1"),), "slice 0: crossing index '1' out of range"),
+    ((("x", 1.0),), "slice 0: crossing index 1.0 out of range"),
+    ((("x", True),), "slice 0: crossing index True out of range"),
+    ((("x", 1), ("u", 1), ("n", 2), ("y", 0)), "slice 3: crossing index 0 "),
+]
+
+
+@pytest.mark.parametrize("slices,refusal", REFUSED_SLICES,
+                         ids=[str(s) for s, _ in REFUSED_SLICES])
+def test_hand_built_words_are_refused_before_any_cube(monkeypatch, slices,
+                                                      refusal):
+    def build(*args):
+        raise AssertionError("built a cube of a refused word")
+
+    monkeypatch.setattr(tangles, "build_cube", build)
+    with pytest.raises(tangles.TangleError, match=refusal):
+        tangles.compare(tangles.TangleWord(slices))
+
+
+def test_a_word_whose_strand_count_dips_to_zero_is_a_word():
+    # capping both strands leaves none; a cup brings two back
+    word = tangles.parse_tangle("n1 u1")
+    assert word == tangles.TangleWord((("n", 1), ("u", 1)))
+    assert tangles.compare(word)[0] == tangles.EQUIVALENT
+
+
+def word_stream_digest():
+    """sha256 over the words the benchmark and the gates draw, each as the
+    repr of its slices, and one draw past each random stream, so that a
+    change in the order or the number of the RNG calls shows."""
+    h = hashlib.sha256()
+
+    def feed(tag, words, rng=None):
+        h.update(f"{tag}\n".encode())
+        for w in words:
+            h.update(f"{w.slices!r}\n".encode())
+        if rng is not None:
+            h.update(f"{rng.random()!r}\n".encode())
+
+    for s in range(21):      # the small-words stream
+        rng = random.Random(s)
+        feed(f"random_word(Random({s}), 2)",
+             [tangles.random_word(rng, 2) for _ in range(2000)], rng)
+    rng = random.Random(0)   # criterion 6; the serialize gate's first 30
+    feed("random_word(Random(0), 8)",
+         [tangles.random_word(rng, 8) for _ in range(200)], rng)
+    feed("every_word(5)", tangles.every_word(5))   # the census
+    return h.hexdigest()
+
+
+def test_generated_words_are_the_ones_recorded():
+    # recorded at b17e09a, before the generators read `tangles._kinds`
+    assert word_stream_digest() == (
+        "b122d878c2da2fce0474da3bb7f57ab0c5133d6d3603803a9fd65dc749f53d52")
 
 
 def test_build_cube_examples():
@@ -165,6 +234,41 @@ def test_twist_ladder_reduces_to_an_arc():
         assert len(tangles.tangle_complex(twist(n)).gens) == n + 1, n
     with pytest.raises(tangles.TangleError):
         tangles.build_cube(twist(11))
+
+
+def rational_word(rng, twists):
+    """A rational tangle of `twists` random twists from the slope 0/1 of
+    the empty word, and its slope p/q by the rule that ROADMAP item 13
+    fits, not derives: `x1` (`y1`) appended maps p/q to (p + q)/q
+    ((p - q)/q), and `u3 x2 T n2` (`u3 y2 T n2`) around T to p/(q - p)
+    (p/(q + p)).  KWZ (arXiv 1910.14584) show that the invariant of a
+    rational tangle is one arc, so it has |p| + |q| generators."""
+    word, p, q = [], 0, 1
+    for _ in range(twists):
+        kind = rng.choice("xy")
+        sign = 1 if kind == "x" else -1
+        if rng.random() < 0.5:
+            word, p = word + [f"{kind}1"], p + sign * q
+        else:
+            word, q = ["u3", f"{kind}2"] + word + ["n2"], q - sign * p
+    return tangles.parse_tangle(" ".join(word)), p, q
+
+
+def test_rational_tangles_reduce_to_an_arc():
+    rng = random.Random(2)
+    sizes = []
+    for _ in range(400):
+        word, p, q = rational_word(rng, rng.randint(1, 9))
+        sizes.append(len(tangles.tangle_complex(word).gens))
+        assert sizes[-1] == abs(p) + abs(q), (str(word), p, q)
+    assert max(sizes) > 30
+    # the star moves which end is special, not the arc's length
+    rng = random.Random(3)
+    for _ in range(100):
+        word, p, q = rational_word(rng, rng.randint(1, 6))
+        for star in tangles.STAR_CHOICES:
+            assert len(tangles.tangle_complex(word, star).gens) == \
+                abs(p) + abs(q), (str(word), star, p, q)
 
 
 # name -> (algebra function, replacement): each makes a wrong deloop
