@@ -19,7 +19,8 @@ elimination engine, which loads arrows a block at a time on generators
 numbered by sorted name and names them on demand: `reduce` loads a
 structure into it, numbered by `name_ids`, and `tangles` loads the
 delooped cube edge by edge, numbered from the shape of its names and
-named only where a generator survives.
+named only where a generator survives.  It too stores each label once,
+and packs its load keys by cost.
 """
 
 from __future__ import annotations
@@ -131,91 +132,106 @@ class Adjacency:
     given by `name_ids` or, for the delooped cube, by `tangles` from the
     shape of the names alone, and `gen(i)` makes its DGen, which only
     the survivors of `eliminate` need.  `out[s]` maps d to the label of
-    s -> d and `inn[d]` maps s to it, on ids and in load order.  `keys`
-    holds, in load order, a key cost * n^2 + s * n + d for every loaded
-    arrow labelled exactly by an idempotent, where cost is the fill-in
-    (|in(d)| - 1) * (|out(s)| - 1) over the arrows loaded so far: costs
-    are >= 0 and s, d < n, so the ints order as (cost, s, d) tuples
-    would.
+    s -> d and `inn[d]` lists each such s, both on ids and in load
+    order.  `runs[cost]` packs s * n + d, in load order, into an
+    `array('q')` (n^2 fits in 64 bits for any n that fits in memory)
+    for every loaded arrow labelled exactly by an idempotent whose
+    fill-in (|in(d)| - 1) * (|out(s)| - 1) over the arrows loaded so
+    far is cost.
     """
 
-    __slots__ = ("ids", "gen", "n", "out", "inn", "keys")
+    __slots__ = ("ids", "gen", "n", "out", "inn", "runs")
 
     def __init__(self, ids, gen, blocks):
         """Load the arrows of `blocks` in order, on ids, as
         `TypeDStructure` loads them on positions."""
+        import array   # imported here: set-up of the package needs none
+
         self.ids, self.gen = ids, gen
         n = self.n = len(ids)
         out = self.out = [{} for _ in range(n)]
-        inn = self.inn = [{} for _ in range(n)]
-        keys = self.keys = []
-        append = keys.append
-        nn = n * n
+        inn = self.inn = [[] for _ in range(n)]
+        runs = self.runs = {}
         for src, dst, arrows in blocks:
             for i, j, label in arrows:
                 s, d = src[i], dst[j]
                 from_s, into_d = out[s], inn[d]
-                from_s[d] = into_d[s] = label
+                from_s[d] = label
+                into_d.append(s)
                 if label.is_idem:
-                    append((len(into_d) - 1) * (len(from_s) - 1) * nn
-                           + s * n + d)
+                    cost = (len(into_d) - 1) * (len(from_s) - 1)
+                    run = runs.get(cost)
+                    if run is None:
+                        run = runs[cost] = array.array("q")
+                    run.append(s * n + d)
 
     def eliminate(self):
         """Cancel arrows labelled exactly by an idempotent until none
         remain, cheapest fill-in first and ties by (s, d); the `out` and
         `inn` of a cancelled pair become None, s's first.
 
-        Keys are read in increasing order, as from one heap of all of
+        Keys cost * n^2 + s * n + d order as (cost, s, d) tuples would,
+        and are read in increasing order, as from one heap of all of
         them; equal keys are equal (cost, s, d), so their order does not
-        matter.  The load's keys never change and are sorted once into a
-        run.  A key made here waits in `later`, in a bucket for its cost,
-        until the read reaches that cost; a heap holds the made keys of
-        cost at most `level`, the cost read so far.  The next key is the
-        smaller of the run's head and the heap's; once both are past
-        `level`, the level rises to the cheaper of the run's head and
-        the cheapest bucket, and that bucket becomes the heap.  Most made
-        keys die unread, and a key with a cancelled end stays dead, so a
-        bucket drops those as it becomes the heap; a key whose arrow
-        fill-in removed stays, as fill-in can make that arrow again.
-        Keys are refreshed lazily: a key whose arrow is gone or no
-        longer an idempotent is dropped, one whose cost rose waits again
-        at its current cost, and one whose cost fell is cancelled at
-        once, since at its current cost it would be below every other
-        key.
+        matter.  The read goes up one cost level at a time.  The load's
+        keys never change, and wait packed by cost: when the read
+        reaches a level, that level's packed run is sorted into `run`
+        and read from its end, which frees it as it goes.  A key made
+        here waits in `later`, in a bucket for its cost, until the read
+        reaches that cost; a heap holds the made keys of cost at most
+        `level`, the cost read so far.  The next key is the smaller of
+        the run's head and the heap's; once both are spent, the level
+        rises to the cheapest packed run or bucket, and a bucket of that
+        cost becomes the heap.  Most made keys die unread, and a key with a cancelled
+        end stays dead, so a bucket drops those as it becomes the heap;
+        a key whose arrow fill-in removed stays, as fill-in can make
+        that arrow again.  Keys are refreshed lazily: a key whose arrow
+        is gone or no longer an idempotent is dropped, one whose cost
+        rose waits again at its current cost, and one whose cost fell is
+        cancelled at once, since at its current cost it would be below
+        every other key.
+
+        Fill-in walks the sources into y in in-row order, and the costs
+        it makes grow with each arrow it adds, so that order decides the
+        pairs cancelled: a new arrow's source is appended, the source of
+        an arrow that fill-in sums to zero or a cancellation deletes is
+        removed in place, and an arrow whose label fill-in changes keeps
+        its place.
         """
         import heapq   # imported here: set-up of the package needs none
 
-        out, inn, n = self.out, self.inn, self.n
+        out, inn, n, runs = self.out, self.inn, self.n, self.runs
         nn = n * n
         pop, push = heapq.heappop, heapq.heappush
-        # a key is below nn * nn, so `end` closes the run and the heap;
-        # the run is read from its end, so that it frees its keys as it
-        # goes
+        # a key is below nn * nn, so `end` closes the heap; `run` holds
+        # pairs s * n + d below nn, the keys of its level less `base` =
+        # level * nn, so its first entry nn closes it at `limit` =
+        # (level + 1) * nn
         end = nn * nn
-        run = self.keys
-        run.append(end)
-        run.sort(reverse=True)
-        heap = [end]
+        run, heap = [nn], [end]
         later = {}
-        level, limit = 0, nn   # limit = (level + 1) * nn
+        level = base = limit = 0   # no level is open before the first key
         # labels are interned and few: a dict of products per left label
         # spares a method call per fill-in entry
         products = {}
         while True:
-            key = run[-1]
+            key = base + run[-1]
             if heap[0] < key:
                 key = pop(heap)
             elif key < limit:
                 run.pop()
             else:
-                # the heap is empty and the run's head is past the level
-                # (end // nn is nn, above every cost)
-                level = key // nn
+                # the run and the heap are spent: open the next level
+                level = min(runs) if runs else nn
                 if later:
                     level = min(level, min(later))
                 if level == nn:
                     break
-                limit = (level + 1) * nn
+                base, limit = level * nn, (level + 1) * nn
+                if level in runs:
+                    packed = runs.pop(level)
+                    packed.append(nn)
+                    run = sorted(packed, reverse=True)
                 if level in later:
                     heap = [k for k in later.pop(level)
                             if out[k // n % n] is not None
@@ -243,25 +259,29 @@ class Adjacency:
                     push(heap, actual * nn + key % nn)
                 continue
             # detach the pair's rows, which then hold the fill-in's
-            # sources into y and targets from x, and clear every
-            # reference to x and y from the other rows
-            del from_x[y], into_y[x]
+            # sources into y and targets from x, and clear every other
+            # reference to x and y but the arrows into y, which fill-in
+            # pops as it reads their labels
+            del from_x[y]
+            into_y.remove(x)
             for d in from_x:
-                del inn[d][x]
+                inn[d].remove(x)
             for s in inn[x]:
                 del out[s][x]
             for d in out[y]:
-                del inn[d][y]
-            for s in into_y:
-                del out[s][y]
+                inn[d].remove(y)
             out[x] = out[y] = inn[x] = inn[y] = None
             if not actual:
-                continue   # y's only source was x, or x's only target y
+                # y's only source was x, or x's only target y
+                for p in into_y:
+                    del out[p][y]
+                continue
             # an F2 sum is zero exactly when its two interned terms are
             # one value, and a product when it is the interned zero
             zero = algebra.zero(label.flavor)
-            for p, beta in into_y.items():
+            for p in into_y:
                 from_p = out[p]
+                beta = from_p.pop(y)
                 times_beta = products.get(beta)
                 if times_beta is None:
                     times_beta = products[beta] = {}
@@ -272,15 +292,17 @@ class Adjacency:
                     if prod is zero:
                         continue
                     cur = from_p.get(q)
-                    if cur is not None:
-                        if cur is prod:
-                            del from_p[q], inn[q][p]
-                            continue
-                        prod = cur + prod
-                    into_q = inn[q]
-                    from_p[q] = into_q[p] = prod
+                    if cur is None:
+                        from_p[q] = prod
+                        inn[q].append(p)
+                    elif cur is prod:
+                        del from_p[q]
+                        inn[q].remove(p)
+                        continue
+                    else:
+                        prod = from_p[q] = cur + prod
                     if prod.is_idem:
-                        cost = (len(into_q) - 1) * (len(from_p) - 1)
+                        cost = (len(inn[q]) - 1) * (len(from_p) - 1)
                         if cost > level:
                             later.setdefault(cost, []).append(
                                 cost * nn + p * n + q)

@@ -70,8 +70,16 @@ class TangleWord:
     slices: tuple  # tuple of (kind, index), kind in "xyun"
 
     def __post_init__(self):
+        # a word is hashed (`cli corpus` keys a dict by words), so its
+        # slices must be a tuple of pairs
+        if type(self.slices) is not tuple:
+            raise TangleError(f"slices {self.slices!r} are not a tuple")
         count = 2     # inline, not by `_kinds`: every parsed word runs this
-        for pos, (kind, i) in enumerate(self.slices):
+        for pos, pair in enumerate(self.slices):
+            if type(pair) is not tuple or len(pair) != 2:
+                raise TangleError(
+                    f"slice {pos}: {pair!r} is not a (kind, index) pair")
+            kind, i = pair
             try:
                 what, reach, step = _SLICES[kind]
             except (KeyError, TypeError):
@@ -176,14 +184,14 @@ class ResolutionCube:
 # Each resolution deloops to 2^(its loops) generators.  A loop of cups
 # and caps alone is a loop of every resolution, so a cube with c
 # crossings and l such loops deloops to at least 2^(c + l) generators.
-# The cap admits x1^10 (29,525 generators; `compare` takes 0.39-0.73 s
-# and 46 MB peak RSS in a fresh process on a 2-vCPU Xeon VM, six runs
-# with the d^2 guard on local faces, import included; the spread is the
-# host's drift) and the worst criterion-6 word (26,244).  It refuses
-# x1^11 (88,574 generators) before any delooping, although with the
-# cap lifted `compare` takes 1.3-1.4 s and 110 MB there (three runs):
-# the cap bounds the size of the delooped cube, not the 30 s per-tangle
-# budget.
+# The cap admits x1^10 (29,525 generators; `compare` takes 0.36-0.59 s
+# and 37 MB peak RSS in a fresh process on a 2-vCPU Xeon VM, six runs
+# with each arrow's label stored once in elimination, import included;
+# the spread is the host's drift) and the worst criterion-6 word
+# (26,244).  It refuses x1^11 (88,574 generators) before any delooping,
+# although with the cap lifted `compare` takes 1.3-1.5 s and 83 MB
+# there (three runs): the cap bounds the size of the delooped cube, not
+# the 30 s per-tangle budget.
 MAX_GENERATORS = 50_000
 
 

@@ -316,10 +316,11 @@ def assert_mirrored(out, inn):
 
 @pytest.mark.parametrize("text", gate_words())
 def test_out_and_inn_mirror_each_other(text):
-    # a structure stores `out` alone; the in-rows that both isomorphism
-    # searches read are derived by `_in_rows`, and `Adjacency`, which
-    # elimination reads, loads both sides itself; serialization sorts
-    # the arrows, so it cannot see the two sides differ
+    # a structure stores `out` alone, and so does `Adjacency`, which
+    # elimination reads; the in-rows that both isomorphism searches read
+    # are derived by `_in_rows`, and `Adjacency` lists each column's
+    # sources once, in load order, which from `triples()` is ascending;
+    # serialization sorts the arrows, so it cannot see the sides differ
     word = tangles.parse_tangle(text)
     m = tangles.tangle_complex(word)
     mq = m.map_labels(algebra.q_map, FLAVOR_BT)
@@ -330,11 +331,12 @@ def test_out_and_inn_mirror_each_other(text):
                  dstruct.box_ad(m, bimod.bimodule_Q()),
                  dstruct.reduce(box_y), dstruct.reduce(delooped)):
         assert len(made.out) == len(made.gens)
-        assert_mirrored(made.out, dstruct._in_rows(made))
         ids = list(range(len(made.gens)))
+        inn = dstruct._in_rows(made)
+        assert_mirrored(made.out, inn)
         adj = dstruct.Adjacency(ids, None, [(ids, ids, made.triples())])
-        assert_mirrored(adj.out, adj.inn)
         assert adj.out == made.out
+        assert adj.inn == [sorted(into_d) for into_d in inn]
 
 
 def reloaded_in_reverse(m):

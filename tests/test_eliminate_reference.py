@@ -1,15 +1,20 @@
 """`Adjacency.eliminate` against the single-heap elimination.
 
 The reference below heapifies every load key and refreshes the keys
-lazily on one heap.  `eliminate` reads the load keys from a sorted run
-and buckets the keys made while it cancels by cost, heaping a bucket
-when the read reaches its cost; it must cancel the same pairs in the
-same order, so the reduced structure, its generator order, its arrow
-order and its labels are the reference's.
+lazily on one heap, on two-sided rows that hold each arrow's label in
+both its source's row and its target's.  `eliminate` stores a label in
+the source's row alone, with in-rows that list sources, reads the load
+keys one cost level at a time from packed runs, and buckets the keys
+made while it cancels by cost, heaping a bucket when the read reaches
+its cost; it must cancel the same pairs in the same order, so the
+reduced structure, its generator order, its arrow order and its labels
+are the reference's.
 """
 
+import functools
 import heapq
 import random
+from collections import Counter
 
 import pytest
 
@@ -19,11 +24,21 @@ from test_deloop_reference import CENSUS, corpus_and_gate_words
 from test_tangles import twist
 
 
-def reference_eliminate(adj):
+def reference_eliminate(adj, seen=None):
     """Cancel arrows labelled exactly by an idempotent, all keys on one
-    lazy heap."""
-    out, inn, heap, n = adj.out, adj.inn, adj.keys, adj.n
+    lazy heap; `adj.inn` becomes its in-rows, each a dict of the labels
+    into d from the sources `adj.inn[d]` lists, in that order.  `seen`,
+    a Counter if given, counts the keys read whose cost fell ("fell")
+    and the pairs cancelled at a cost above every load key's ("above
+    the load"), which only a bucket's level can reach."""
+    out, n = adj.out, adj.n
     nn = n * n
+    inn = adj.inn = [{s: out[s][d] for s in into_d}
+                     for d, into_d in enumerate(adj.inn)]
+    heap = [cost * nn + arrow for cost, run in adj.runs.items()
+            for arrow in run]
+    top = max(adj.runs, default=-1)
+    adj.runs = {}
     heapq.heapify(heap)
     while heap:
         c, arrow = divmod(heap[0], nn)
@@ -36,9 +51,13 @@ def reference_eliminate(adj):
         into_y = inn[y]
         actual = (len(into_y) - 1) * (len(from_x) - 1)
         if actual != c:
+            if seen is not None:
+                seen["fell"] += actual < c
             heapq.heapreplace(heap, actual * nn + arrow)
             continue
         heapq.heappop(heap)
+        if seen is not None:
+            seen["above the load"] += c > top
         into_y = [(p, l) for p, l in into_y.items() if p != x]
         from_x = [(q, l) for q, l in from_x.items() if q != y]
         for g in (x, y):
@@ -139,14 +158,33 @@ def test_larger_words_are_reduced_as_the_reference(monkeypatch):
 # so that its load key, still unread in the run, is live once more:
 # dropping that key when its arrow died would cancel another pair.
 I, D = algebra.idem(FILLED), algebra.dpow(1, FILLED)
-LABELS = {"i": I, "D": D, "i+D": I + D}
+LABELS = {"i": I, "D": D, "i+D": I + D, "D^2": D * D}
 
 
 def _loaded(n, arrows):
     ids = list(range(n))
-    triples = [(int(s), int(d), LABELS[label])
-               for s, d, label in map(str.split, arrows.split(","))]
-    return dstruct.Adjacency(ids, None, [(ids, ids, triples)])
+    if isinstance(arrows, str):
+        arrows = [(int(s), int(d), LABELS[label])
+                  for s, d, label in map(str.split, arrows.split(","))]
+    return dstruct.Adjacency(ids, None, [(ids, ids, arrows)])
+
+
+def _same_as_reference_on(n, arrows, seen=None):
+    """The pairs that `eliminate` and the reference both cancel, in
+    order, on two adjacencies loaded from `arrows` (text as the cases
+    below write it, or a list of triples), once both leave the same
+    rows, the in-rows in order, and `eliminate` no key."""
+    adj, ref = _loaded(n, arrows), _loaded(n, arrows)
+    cancelled = cancelled_by(dstruct.Adjacency.eliminate, adj)
+    assert cancelled == cancelled_by(
+        functools.partial(reference_eliminate, seen=seen), ref)
+    assert adj.out == ref.out and not adj.runs
+    assert adj.inn == [None if into_d is None else list(into_d)
+                       for into_d in ref.inn]
+    for d, into_d in enumerate(ref.inn):
+        for s, label in (into_d or {}).items():
+            assert ref.out[s][d] is label, (s, d)
+    return cancelled
 
 
 @pytest.mark.parametrize("n, arrows, cancelled", [
@@ -184,7 +222,79 @@ def _loaded(n, arrows):
 ], ids=["comes-back", "cost-down", "stale-twice", "equal-keys",
         "bucket-drop"])
 def test_hand_built_cases_are_reduced_as_the_reference(n, arrows, cancelled):
-    adj, ref = _loaded(n, arrows), _loaded(n, arrows)
-    assert cancelled_by(dstruct.Adjacency.eliminate, adj) == \
-        cancelled_by(reference_eliminate, ref) == cancelled
-    assert adj.out == ref.out and adj.inn == ref.inn
+    assert _same_as_reference_on(n, arrows) == cancelled
+
+
+def test_an_in_row_keeps_load_order_through_fill_in():
+    # into 4 the load lists 3, 0, 5, 2, 6, not in id order.  Cancelling
+    # 6 -> 7 (cost 1) removes 6 and sums 3 -> 4 (D^2 + D * D) to zero,
+    # which removes 3; cancelling 0 -> 1 (cost 2) removes 0, makes
+    # 3 -> 4 again, which appends 3, and changes 5 -> 4 to D + D^2 in
+    # place, which keeps 5 where it was
+    n, arrows = 10, ("3 4 D^2, 0 4 D, 5 4 D, 2 4 D, 6 4 D, 0 1 i, 3 1 D, "
+                     "5 1 D, 6 7 i, 3 7 D")
+    adj = _loaded(n, arrows)
+    assert adj.inn[4] == [3, 0, 5, 2, 6]
+    assert _same_as_reference_on(n, arrows) == [(6, 7), (0, 1)]
+    assert cancelled_by(dstruct.Adjacency.eliminate, adj) == [(6, 7), (0, 1)]
+    assert adj.inn[4] == [5, 2, 3]
+    assert adj.out[5] == {4: D + D * D} and adj.out[3] == {4: D * D}
+
+
+def _loaded_cube(text):
+    ids, gen, blocks = tangles._guarded(
+        tangles._walk(tangles.build_cube(tangles.parse_tangle(text))))
+    return dstruct.Adjacency(ids, gen, blocks(ids))
+
+
+@pytest.mark.parametrize("reorder", [lambda row: row[::-1], sorted],
+                         ids=["reversed", "sorted"])
+def test_the_order_of_the_in_rows_decides_the_pairs_cancelled(reorder):
+    # fill-in walks the sources into y in in-row order, and the costs it
+    # pushes grow with each target it adds, so rows in another order than
+    # the load's cancel other pairs: on x1^7 reversed or sorted rows do
+    word = " ".join(["x1"] * 7)
+    adj, moved = _loaded_cube(word), _loaded_cube(word)
+    moved.inn = [reorder(into_d) for into_d in moved.inn]
+    assert adj.inn != moved.inn
+    assert set(cancelled_by(dstruct.Adjacency.eliminate, adj)) != \
+        set(cancelled_by(dstruct.Adjacency.eliminate, moved))
+
+
+def random_adjacency(rng):
+    """A random adjacency of one vertex: two layers of 3-8 generators, or
+    2-4 layers of 2-5, with arrows between consecutive layers at one
+    density, labelled i four times in six, D or i + D otherwise, ids
+    shuffled across the layers and the arrows loaded in random order."""
+    if rng.random() < 0.5:
+        layers = [rng.randint(3, 8), rng.randint(3, 8)]
+    else:
+        layers = [rng.randint(2, 5) for _ in range(rng.randint(2, 4))]
+    n = sum(layers)
+    ids = list(range(n))
+    rng.shuffle(ids)
+    density = rng.uniform(0.3, 0.8)
+    arrows, first = [], 0
+    for a, b in zip(layers, layers[1:]):
+        arrows += [(ids[s], ids[d], rng.choice((I, I, I, I, D, I + D)))
+                   for s in range(first, first + a)
+                   for d in range(first + a, first + a + b)
+                   if rng.random() < density]
+        first += a
+    rng.shuffle(arrows)
+    return n, arrows
+
+
+def test_random_adjacencies_are_reduced_as_the_reference():
+    # the read goes from one cost level to the next: the sweep must skip
+    # empty levels, open levels that only a bucket reaches and read keys
+    # whose cost fell, on structures it counts
+    rng = random.Random(32)
+    seen, skipped, pairs = Counter(), 0, 0
+    for _ in range(2000):
+        n, arrows = random_adjacency(rng)
+        costs = sorted(_loaded(n, arrows).runs)
+        skipped += any(b > a + 1 for a, b in zip([-1] + costs, costs))
+        pairs += len(_same_as_reference_on(n, arrows, seen))
+    assert skipped > 500 and seen["above the load"] > 20 and \
+        seen["fell"] > 500 and pairs > 5000, (skipped, seen, pairs)

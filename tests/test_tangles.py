@@ -55,6 +55,13 @@ REFUSED_SLICES = [
     ((("x", 1.0),), "slice 0: crossing index 1.0 out of range"),
     ((("x", True),), "slice 0: crossing index True out of range"),
     ((("x", 1), ("u", 1), ("n", 2), ("y", 0)), "slice 3: crossing index 0 "),
+    # a word is hashed, so its container and each slice must be tuples
+    ([("x", 1)], r"slices \[\('x', 1\)\] are not a tuple"),
+    ("x1", "slices 'x1' are not a tuple"),
+    ((("x",),), r"slice 0: \('x',\) is not a \(kind, index\) pair"),
+    ((("x", 1, 2),), r"slice 0: \('x', 1, 2\) is not a \(kind, index\) "),
+    ((["x", 1],), r"slice 0: \['x', 1\] is not a \(kind, index\) pair"),
+    ((("x", 1), "x1"), "slice 1: 'x1' is not a "),
 ]
 
 
